@@ -17,7 +17,6 @@ from .bootstrap import (
     coverage_probability_sim,
     lag0_batch,
     lag0_coverage,
-    split_half,
 )
 from .counting import RankedCountries, select_group, top_countries
 from .dataio import ingest, write_records_csv
@@ -127,7 +126,6 @@ __all__ = [
     "sample_citations",
     "select_group",
     "series_report",
-    "split_half",
     "t_quantile",
     "top_countries",
     "validate_record",

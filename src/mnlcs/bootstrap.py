@@ -6,61 +6,66 @@ estimates coverage under genuinely unchanged conditions. The halving shrinks
 every sample, so this baseline sits below what full-size samples would give;
 it is the offset-0 anchor for the stability curves.
 
-One split is made per (seed, journal, year, replicate) and shared by every
-country and scheme, mirroring how the journal and its national subsets must
-be halved together. Records are canonically sorted before the seeded
-shuffle so results do not depend on input row order. Replicates draw their
-own streams and are reduced with plain counting, so they could run in any
-order or in parallel; here they are batched through numpy (sums are
-pairwise, not compensated, which is ample at half-cohort sizes).
+Each replicate's split is shared by every country and scheme, mirroring how
+the journal and its national subsets must be halved together. Replicates
+come in blocks of BLOCK: block b draws its permutations from the stream
+keyed (seed, "lag0-split", journal, year, b), one row per replicate, so the
+first k * BLOCK replicates do not depend on how many are asked for. Records
+are canonically sorted before the permutation is applied so results do not
+depend on input row order.
+
+Each block is reduced with one product of its 0/1 half-A weight matrix
+[block, n] against a per-cohort column matrix holding the field and every
+target's sums, sums of squares and counts; half B is the cohort total minus
+half A, and the interval is evaluated on [block, targets] arrays. Memory is
+therefore O(block x n), whatever the replicate count. Values are centred on
+the cohort mean before they are summed, so sums of squares do not cancel
+when citation counts are large and close together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import special
 
-from .counting import record_in_group
 from .errors import InsufficientData, NoValidReplicates
 from .fieller import CiSettings, t_quantile
 from .model import Cohort, Scheme
 from .rngtools import stream
 
+BLOCK = 64
 
-def _canonical_order(cohort: Cohort) -> list[int]:
+
+def _canonical_order(cohort: Cohort) -> np.ndarray:
     def key(i: int):
         rec = cohort.records[i]
         return (rec.citations, tuple(sorted(rec.countries)))
 
-    return sorted(range(cohort.size), key=key)
+    return np.asarray(sorted(range(cohort.size), key=key), dtype=np.intp)
 
 
-def _split_permutation(
-    cohort: Cohort, rng_seed: int, replicate: int, order: np.ndarray | None = None
-) -> np.ndarray:
-    if order is None:
-        order = np.asarray(_canonical_order(cohort), dtype=np.intp)
-    rng = stream(rng_seed, "lag0-split", cohort.journal_id, cohort.year, replicate)
-    return order[rng.permutation(cohort.size)]
+def half_a_blocks(cohort: Cohort, replicates: int, rng_seed: int) -> Iterator[np.ndarray]:
+    """Yield the half-A record indices of every replicate, block by block.
 
-
-def split_half(cohort: Cohort, rng_seed: int) -> tuple[Cohort, Cohort]:
-    """Random disjoint partition into halves whose sizes differ by at most 1.
-
-    Deterministic given the seed (and the cohort's journal/year identity),
+    Each block is an int array [r, n // 2] with r <= BLOCK; row i of block b
+    belongs to replicate b * BLOCK + i and half B is the rest of the cohort.
+    Deterministic given the seed and the cohort's journal/year identity,
     regardless of record order in the input.
     """
     if cohort.size < 2:
         raise InsufficientData("cannot split a cohort of size < 2")
-    perm = _split_permutation(cohort, rng_seed, replicate=0)
-    n_a = cohort.size // 2
-    recs = cohort.records
-    half_a = Cohort(cohort.journal_id, cohort.year, tuple(recs[i] for i in perm[:n_a]))
-    half_b = Cohort(cohort.journal_id, cohort.year, tuple(recs[i] for i in perm[n_a:]))
-    return half_a, half_b
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    n = cohort.size
+    order = _canonical_order(cohort)
+    for block, start in enumerate(range(0, replicates, BLOCK)):
+        perms = np.tile(np.arange(n), (min(BLOCK, replicates - start), 1))
+        rng = stream(rng_seed, "lag0-split", cohort.journal_id, cohort.year, block)
+        rng.permuted(perms, axis=1, out=perms)
+        yield order[perms[:, : n // 2]]
 
 
 @dataclass(frozen=True)
@@ -73,14 +78,99 @@ class Lag0Result:
     n_excluded: int
 
 
-def _half_stats(values: np.ndarray, squares: np.ndarray, counts: np.ndarray):
-    """Per-replicate mean and standard error of the mean from half sums."""
+def _membership(cohort: Cohort, targets: list[tuple[str, Scheme]]) -> np.ndarray:
+    """bool [targets, n]: inclusive is any author from the country, exclusive
+    is the country alone. Decided once per distinct author-country set."""
+    sets: dict[frozenset[str], int] = {}
+    codes = np.fromiter(
+        (sets.setdefault(rec.countries, len(sets)) for rec in cohort.records),
+        dtype=np.intp,
+        count=cohort.size,
+    )
+    table = np.array(
+        [
+            [country in s if scheme is Scheme.INCLUSIVE else s == {country} for s in sets]
+            for country, scheme in targets
+        ],
+        dtype=bool,
+    ).reshape(len(targets), len(sets))
+    return table[:, codes]
+
+
+def _mean_se(sums, squares, cited, counts, centre):
+    """Mean and standard error of the mean from sums of centred values.
+
+    A half with no cited article has mean exactly 0, as a direct sum would.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = values / counts
-        var = (squares - values * values / counts) / (counts - 1)
-        var = np.maximum(var, 0.0)  # guards tiny negative residue from cancellation
+        mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
+        # the clamp guards tiny negative residue from cancellation
+        var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
         se = np.sqrt(var / counts)
     return mean, se
+
+
+def replicate_decisions(
+    cohort: Cohort,
+    targets: Iterable[tuple[str, Scheme]],
+    replicates: int = 1000,
+    rng_seed: int = 0,
+    settings: CiSettings = CiSettings(),
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (valid, inside) bool arrays [r, targets] for each replicate block.
+
+    The blocks and their rows follow half_a_blocks. A replicate is invalid
+    for a target when half A cannot produce a bounded interval (group under
+    the size threshold, or curvature h >= 1) or half B has no group members;
+    a degenerate field mean in either half invalidates it for every target.
+    """
+    n = cohort.size
+    logs = cohort.log_citations
+    centre = logs.mean()
+    x = logs - centre
+    # row 0 weighs the whole field, row 1 + k target k's members
+    weights = np.vstack([np.ones(n), _membership(cohort, list(targets))])
+    # [4 * (targets + 1), n]: sums, sums of squares, cited and member counts
+    columns = np.vstack([weights * x, weights * (x * x), weights * (logs > 0.0), weights])
+    totals = columns.sum(axis=1).reshape(4, -1)
+    # t critical value for each possible half-A group count on n_g + n_a - 2 df
+    t_table = special.stdtrit(np.arange(n // 2 + 1) + n // 2 - 2, 1.0 - settings.alpha)
+
+    for half_a in half_a_blocks(cohort, replicates, rng_seed):
+        r = len(half_a)
+        indicator = np.zeros((r, n))
+        indicator[np.arange(r)[:, None], half_a] = 1.0
+        sums_a = np.einsum("rn,kn->rk", indicator, columns).reshape(r, 4, -1)
+        sums_b = totals - sums_a
+        mean_a, se_a = _mean_se(*sums_a.transpose(1, 0, 2), centre)
+        mean_b, _ = _mean_se(*sums_b.transpose(1, 0, 2), centre)
+        field_a_mean, field_a_se, field_b_mean = mean_a[:, :1], se_a[:, :1], mean_b[:, :1]
+        group_a_mean, group_a_se, group_b_mean = mean_a[:, 1:], se_a[:, 1:], mean_b[:, 1:]
+        counts_a, counts_b = sums_a[:, 3, 1:], sums_b[:, 3, 1:]
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel_j2 = np.where(field_a_se > 0.0, (field_a_se / field_a_mean) ** 2, 0.0)
+            t = t_table[counts_a.astype(np.intp)]
+            safe_group_mean = np.where(group_a_mean > 0.0, group_a_mean, 1.0)
+            if settings.form == "standard":
+                h = t * t * rel_j2
+            else:
+                h = np.where(group_a_mean > 0.0, t * (field_a_se / safe_group_mean) ** 2, np.inf)
+            value = group_a_mean / field_a_mean
+            mid = value / (1.0 - h)
+            rel_s2 = np.where(group_a_se > 0.0, (group_a_se / safe_group_mean) ** 2, 0.0)
+            se = mid * np.sqrt((1.0 - h) * rel_s2 + rel_j2)
+            value_b = group_b_mean / field_b_mean
+
+            valid = (
+                (field_a_mean > 0.0)
+                & (field_b_mean > 0.0)
+                & (counts_a >= settings.min_group_n)
+                & (counts_b >= 1.0)
+                & (h < 1.0)
+            )
+            inside = valid & (mid - t * se <= value_b) & (value_b <= mid + t * se)
+        yield valid, inside
 
 
 def lag0_batch(
@@ -92,94 +182,25 @@ def lag0_batch(
 ) -> dict[tuple[str, Scheme], Lag0Result]:
     """Split-half coverage for several (country, scheme) targets at once.
 
-    Replicates are excluded per target when half A cannot produce a bounded
-    interval (group under the size threshold, or curvature h >= 1) or half B
-    has no group members; a degenerate field mean in either half excludes
-    the replicate for every target. Targets that never produce a valid
-    replicate come back with n_valid == 0 rather than raising.
+    Exclusion rules are those of replicate_decisions. Targets that never
+    produce a valid replicate come back with n_valid == 0 rather than
+    raising.
     """
-    if cohort.size < 2:
-        raise InsufficientData("cannot split a cohort of size < 2")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-
     targets = list(targets)
-    logs = cohort.log_citations
-    n = cohort.size
-    n_a = n // 2
-
-    order = np.asarray(_canonical_order(cohort), dtype=np.intp)
-    perms = np.stack(
-        [_split_permutation(cohort, rng_seed, rep, order) for rep in range(replicates)]
-    )
-    gathered = logs[perms]  # (replicates, n)
-    gathered_sq = gathered * gathered
-
-    field_a_mean, field_a_se = _half_stats(
-        gathered[:, :n_a].sum(axis=1),
-        gathered_sq[:, :n_a].sum(axis=1),
-        np.full(replicates, n_a, dtype=np.float64),
-    )
-    field_b_mean = gathered[:, n_a:].sum(axis=1) / (n - n_a)
-    fields_usable = (field_a_mean > 0.0) & (field_b_mean > 0.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel_j2 = np.where(field_a_se > 0.0, (field_a_se / field_a_mean) ** 2, 0.0)
-
-    results = {}
-    for country, scheme in targets:
-        member = np.fromiter(
-            (record_in_group(rec, country, scheme) for rec in cohort.records),
-            dtype=bool,
-            count=n,
+    n_valid = np.zeros(len(targets), dtype=np.int64)
+    n_inside = np.zeros(len(targets), dtype=np.int64)
+    for valid, inside in replicate_decisions(cohort, targets, replicates, rng_seed, settings):
+        n_valid += valid.sum(axis=0)
+        n_inside += inside.sum(axis=0)
+    return {
+        target: Lag0Result(
+            fraction=int(ins) / int(val) if val else float("nan"),
+            n_inside=int(ins),
+            n_valid=int(val),
+            n_excluded=replicates - int(val),
         )
-        member_perm = member[perms]
-        ga_mask = member_perm[:, :n_a]
-        gb_mask = member_perm[:, n_a:]
-        counts_a = ga_mask.sum(axis=1).astype(np.float64)
-        counts_b = gb_mask.sum(axis=1).astype(np.float64)
-
-        group_a_mean, group_a_se = _half_stats(
-            (gathered[:, :n_a] * ga_mask).sum(axis=1),
-            (gathered_sq[:, :n_a] * ga_mask).sum(axis=1),
-            counts_a,
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            group_b_mean = (gathered[:, n_a:] * gb_mask).sum(axis=1) / counts_b
-
-            sized = counts_a >= settings.min_group_n
-            df = counts_a + n_a - 2.0
-            t = special.stdtrit(np.where(sized, df, 2.0), 1.0 - settings.alpha)
-            if settings.form == "standard":
-                h = t * t * rel_j2
-            else:
-                h = np.where(
-                    group_a_mean > 0.0,
-                    t * (field_a_se / np.where(group_a_mean > 0.0, group_a_mean, 1.0)) ** 2,
-                    np.inf,
-                )
-            value = group_a_mean / field_a_mean
-            centre = value / (1.0 - h)
-            rel_s2 = np.where(
-                group_a_se > 0.0,
-                (group_a_se / np.where(group_a_mean > 0.0, group_a_mean, 1.0)) ** 2,
-                0.0,
-            )
-            se = centre * np.sqrt((1.0 - h) * rel_s2 + rel_j2)
-            value_b = group_b_mean / field_b_mean
-
-            valid = fields_usable & sized & (counts_b >= 1.0) & (h < 1.0)
-            inside = valid & (centre - t * se <= value_b) & (value_b <= centre + t * se)
-
-        n_valid = int(valid.sum())
-        n_inside = int(inside.sum())
-        results[(country, scheme)] = Lag0Result(
-            fraction=n_inside / n_valid if n_valid else float("nan"),
-            n_inside=n_inside,
-            n_valid=n_valid,
-            n_excluded=replicates - n_valid,
-        )
-    return results
+        for target, val, ins in zip(targets, n_valid, n_inside)
+    }
 
 
 def lag0_coverage(

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they are used to check: the t
 quantile comes from quadrature of the density plus bisection (the library
-uses scipy's inverse CDF), and the discretised-lognormal expectation comes
-from direct series summation against the normal CDF.
+uses scipy's inverse CDF), the discretised-lognormal expectation comes
+from direct series summation against the normal CDF, and split-half
+decisions are rebuilt replicate by replicate through the scalar estimate()
+chain (only the splits themselves are shared with the engine).
 """
 
 import math
@@ -11,6 +13,12 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.stats import norm
+
+from mnlcs.bootstrap import half_a_blocks
+from mnlcs.counting import record_in_group
+from mnlcs.fieller import estimate
+from mnlcs.indicator import log_stats_from_logs
+from mnlcs.model import Cohort, EstimateStatus
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -80,3 +88,47 @@ def spearman(xs, ys) -> float:
     vx = math.sqrt(sum((a - mx) ** 2 for a in rx))
     vy = math.sqrt(sum((b - my) ** 2 for b in ry))
     return cov / (vx * vy)
+
+
+def split_half(cohort: Cohort, rng_seed: int) -> tuple[Cohort, Cohort]:
+    """Replicate 0's split of ``cohort`` as two cohorts, records in input order."""
+    half_a = next(half_a_blocks(cohort, 1, rng_seed))[0]
+    in_a = np.zeros(cohort.size, dtype=bool)
+    in_a[half_a] = True
+    recs = cohort.records
+    return (
+        Cohort(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if a)),
+        Cohort(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if not a)),
+    )
+
+
+def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
+    """Per-replicate (valid, inside) bool arrays [replicates, targets] of the
+    split-half test, one replicate and target at a time through estimate()."""
+    logs = cohort.log_citations
+    member = np.array(
+        [[record_in_group(r, country, scheme) for r in cohort.records] for country, scheme in targets]
+    )
+    valid = np.zeros((replicates, len(targets)), dtype=bool)
+    inside = np.zeros_like(valid)
+    rep = 0
+    for block in half_a_blocks(cohort, replicates, rng_seed):
+        for idx_a in block:
+            in_a = np.zeros(cohort.size, dtype=bool)
+            in_a[idx_a] = True
+            field_a = log_stats_from_logs(logs[in_a])
+            field_b = log_stats_from_logs(logs[~in_a])
+            for k in range(len(targets)):
+                ga = logs[in_a & member[k]]
+                gb = logs[~in_a & member[k]]
+                if field_a.mean <= 0 or field_b.mean <= 0:
+                    continue
+                if len(ga) < settings.min_group_n or len(gb) == 0:
+                    continue
+                est = estimate(log_stats_from_logs(ga), field_a, settings)
+                if est.status is not EstimateStatus.OK:
+                    continue
+                valid[rep, k] = True
+                inside[rep, k] = est.contains(log_stats_from_logs(gb).mean / field_b.mean)
+            rep += 1
+    return valid, inside

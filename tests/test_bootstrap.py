@@ -1,15 +1,24 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _oracles import scalar_decisions, split_half
 from conftest import cohort, rec
+import mnlcs
 from mnlcs.bootstrap import (
+    BLOCK,
     CoverageSimSpec,
     coverage_probability_sim,
+    half_a_blocks,
     lag0_batch,
     lag0_coverage,
-    split_half,
+    replicate_decisions,
 )
 from mnlcs.errors import InsufficientData, NoValidReplicates
 from mnlcs.fieller import CiSettings
@@ -98,44 +107,113 @@ def test_lag0_batch_matches_individual_calls():
         assert table[(country, scheme)] == single
 
 
+def engine_decisions(c, targets, replicates, rng_seed, settings=CiSettings()):
+    blocks = list(replicate_decisions(c, targets, replicates, rng_seed, settings))
+    return np.vstack([v for v, _ in blocks]), np.vstack([i for _, i in blocks])
+
+
 def test_lag0_engine_matches_scalar_interval_path():
-    # dual route: rebuild each replicate with split_half + the scalar
-    # estimate() chain and compare decisions with the batched engine
-    from mnlcs.bootstrap import _split_permutation
-    from mnlcs.fieller import estimate
-    from mnlcs.indicator import log_stats_from_logs
-    from mnlcs.model import EstimateStatus
-    import numpy as np
+    # dual route: rebuild each replicate's halves from half_a_blocks and run
+    # the scalar estimate() chain; every per-replicate decision must agree.
+    # ZZ's articles are all uncited, so its half means are exactly zero.
+    base = big_cohort(n_field=81, n_group=24, seed=19)
+    extra = [rec(base.journal_id, base.year, 0, ("ZZ",)) for _ in range(14)]
+    extra += [rec(base.journal_id, base.year, 0, ("ZZ", "US")) for _ in range(4)]
+    c = Cohort(base.journal_id, base.year, base.records + tuple(extra))
+    targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("ZZ", Scheme.INCLUSIVE)]
+    for form in ("standard", "printed"):
+        settings = CiSettings(form=form)
+        valid, inside = engine_decisions(c, targets, 130, 23, settings)
+        ref_valid, ref_inside = scalar_decisions(c, targets, 130, 23, settings)
+        assert ref_valid[:, 0].any() and ref_inside[:, 0].any()
+        np.testing.assert_array_equal(valid, ref_valid)
+        np.testing.assert_array_equal(inside, ref_inside)
+        table = lag0_batch(c, targets, 130, rng_seed=23, settings=settings)
+        assert [(table[t].n_valid, table[t].n_inside) for t in targets] == list(
+            zip(valid.sum(axis=0), inside.sum(axis=0))
+        )
 
-    c = big_cohort(n_field=81, n_group=24, seed=19)
-    settings = CiSettings()
-    replicates = 60
-    inside = valid = 0
-    logs = c.log_citations
-    member = np.array([("US" in r.countries) for r in c.records])
-    n_a = c.size // 2
-    for rep in range(replicates):
-        perm = _split_permutation(c, 23, rep)
-        idx_a, idx_b = perm[:n_a], perm[n_a:]
-        field_a = log_stats_from_logs(logs[idx_a])
-        field_b = log_stats_from_logs(logs[idx_b])
-        if field_a.mean <= 0 or field_b.mean <= 0:
-            continue
-        ga = logs[idx_a[member[idx_a]]]
-        gb = logs[idx_b[member[idx_b]]]
-        if len(ga) < settings.min_group_n or len(gb) == 0:
-            continue
-        est = estimate(log_stats_from_logs(ga), field_a, settings)
-        if est.status is not EstimateStatus.OK:
-            continue
-        valid += 1
-        if est.contains(log_stats_from_logs(gb).mean / field_b.mean):
-            inside += 1
 
-    engine = lag0_batch(c, [("US", Scheme.INCLUSIVE)], replicates, rng_seed=23,
-                        settings=settings)[("US", Scheme.INCLUSIVE)]
-    assert engine.n_valid == valid
-    assert engine.n_inside == inside
+def tight_cohort(base, n=400, seed=0):
+    # large counts with a spread of 0..2 citations: ln(1+c) differs only in
+    # the 9th significant digit at base 10^9, where uncentred sums of squares
+    # cancel to nothing
+    rng = np.random.default_rng(seed)
+    offsets = rng.integers(0, 3, size=n)
+    kinds = [(), ("US",), ("US", "GB"), ("GB",)]
+    return cohort([(base + int(o), kinds[i % 4]) for i, o in enumerate(offsets)])
+
+
+@pytest.mark.parametrize("base", [10**4, 10**6, 10**9])
+def test_lag0_engine_matches_scalar_path_on_large_close_counts(base):
+    c = tight_cohort(base)
+    targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("GB", Scheme.INCLUSIVE)]
+    valid, inside = engine_decisions(c, targets, 100, 5)
+    ref_valid, ref_inside = scalar_decisions(c, targets, 100, 5, CiSettings())
+    assert ref_valid.all()
+    np.testing.assert_array_equal(valid, ref_valid)
+    np.testing.assert_array_equal(inside, ref_inside)
+
+
+def test_split_blocks_do_not_depend_on_replicate_count():
+    c = big_cohort(n_field=90, n_group=30, seed=11)
+    targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE)]
+    short = np.vstack(list(half_a_blocks(c, BLOCK, 6)))
+    long = np.vstack(list(half_a_blocks(c, BLOCK + 16, 6)))
+    assert long.shape == (BLOCK + 16, c.size // 2)
+    np.testing.assert_array_equal(long[:BLOCK], short)
+    short_valid, short_inside = engine_decisions(c, targets, BLOCK, 6)
+    long_valid, long_inside = engine_decisions(c, targets, BLOCK + 16, 6)
+    np.testing.assert_array_equal(long_valid[:BLOCK], short_valid)
+    np.testing.assert_array_equal(long_inside[:BLOCK], short_inside)
+
+
+def test_lag0_same_with_single_threaded_blas():
+    script = (
+        "from test_bootstrap import big_cohort; "
+        "from mnlcs.bootstrap import lag0_batch; from mnlcs.model import Scheme; "
+        "c = big_cohort(n_field=300, n_group=60, seed=2); "
+        "print(lag0_batch(c, [('US', Scheme.INCLUSIVE), ('US', Scheme.EXCLUSIVE)], 100, 9))"
+    )
+    src = str(Path(mnlcs.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, tests])
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert "Lag0Result" in outputs[0]
+
+
+def test_lag0_memory_is_bounded_in_replicates():
+    # 10^4 articles, 10 countries x 2 schemes, 1000 replicates: memory must
+    # stay O(block x n), not O(replicates x n)
+    rng = np.random.default_rng(3)
+    codes = [chr(65 + i) * 2 for i in range(10)]
+    counts = rng.integers(0, 40, size=10_000)
+    pairs = [
+        (int(cnt), tuple(rng.choice(codes, size=int(rng.integers(0, 3)), replace=False)))
+        for cnt in counts
+    ]
+    c = cohort(pairs)
+    targets = [(code, s) for code in codes for s in (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)]
+    c.log_citations  # cached on the cohort: not part of the engine's working set
+    tracemalloc.start()
+    try:
+        table = lag0_batch(c, targets, replicates=1000, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20
+    assert all(r.n_valid + r.n_excluded == 1000 for r in table.values())
+    assert peak < 64 * 2**20
 
 
 def test_lag0_large_synthetic_band():

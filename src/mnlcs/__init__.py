@@ -54,7 +54,6 @@ from .stability import (
     compute_cells,
     coverage_curve,
     enumerate_pairs,
-    lag0_curve_point,
     lag0_curve_points,
     series_report,
     whole_journal_estimate,
@@ -117,7 +116,6 @@ __all__ = [
     "ingest",
     "lag0_batch",
     "lag0_coverage",
-    "lag0_curve_point",
     "lag0_curve_points",
     "log_stats",
     "log_stats_from_logs",

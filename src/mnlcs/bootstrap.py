@@ -31,6 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import special
 
+from .counting import membership
 from .errors import InsufficientData, NoValidReplicates
 from .fieller import CiSettings, t_quantile
 from .model import Cohort, Scheme
@@ -78,25 +79,6 @@ class Lag0Result:
     n_excluded: int
 
 
-def _membership(cohort: Cohort, targets: list[tuple[str, Scheme]]) -> np.ndarray:
-    """bool [targets, n]: inclusive is any author from the country, exclusive
-    is the country alone. Decided once per distinct author-country set."""
-    sets: dict[frozenset[str], int] = {}
-    codes = np.fromiter(
-        (sets.setdefault(rec.countries, len(sets)) for rec in cohort.records),
-        dtype=np.intp,
-        count=cohort.size,
-    )
-    table = np.array(
-        [
-            [country in s if scheme is Scheme.INCLUSIVE else s == {country} for s in sets]
-            for country, scheme in targets
-        ],
-        dtype=bool,
-    ).reshape(len(targets), len(sets))
-    return table[:, codes]
-
-
 def _mean_se(sums, squares, cited, counts, centre):
     """Mean and standard error of the mean from sums of centred values.
 
@@ -129,7 +111,7 @@ def replicate_decisions(
     centre = logs.mean()
     x = logs - centre
     # row 0 weighs the whole field, row 1 + k target k's members
-    weights = np.vstack([np.ones(n), _membership(cohort, list(targets))])
+    weights = np.vstack([np.ones(n), membership(cohort, list(targets))])
     # [4 * (targets + 1), n]: sums, sums of squares, cited and member counts
     columns = np.vstack([weights * x, weights * (x * x), weights * (logs > 0.0), weights])
     totals = columns.sum(axis=1).reshape(4, -1)

@@ -4,21 +4,42 @@ Inclusive counting takes every article with any author from the country;
 exclusive counting takes only articles whose author countries are exactly
 that one country, dropping internationally co-authored work. Both are pure
 functions over immutable cohorts.
+
+``membership`` is the one place that decides who belongs to a group: it
+returns a bool matrix [targets, n] for a cohort and a list of (country,
+scheme) targets, deciding each distinct author-country set once and
+broadcasting the answer to that set's records. Cells, the split-half engine
+and ``select_group`` all read rows of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .model import CitationRecord, Cohort, GroupSelection, Scheme
+import numpy as np
+
+from .model import Cohort, GroupSelection, Scheme
 
 
-def record_in_group(record: CitationRecord, country: str, scheme: Scheme) -> bool:
-    if scheme is Scheme.INCLUSIVE:
-        return country in record.countries
-    return record.countries == frozenset((country,))
+def membership(cohort: Cohort, targets: Sequence[tuple[str, Scheme]]) -> np.ndarray:
+    """bool [targets, n]: inclusive is any author from the country, exclusive
+    is the country alone. Decided once per distinct author-country set."""
+    sets: dict[frozenset[str], int] = {}
+    codes = np.fromiter(
+        (sets.setdefault(rec.countries, len(sets)) for rec in cohort.records),
+        dtype=np.intp,
+        count=cohort.size,
+    )
+    table = np.array(
+        [
+            [country in s if scheme is Scheme.INCLUSIVE else s == {country} for s in sets]
+            for country, scheme in targets
+        ],
+        dtype=bool,
+    ).reshape(len(targets), len(sets))
+    return table[:, codes]
 
 
 def select_group(cohort: Cohort, country: str, scheme: Scheme) -> GroupSelection:
@@ -27,10 +48,8 @@ def select_group(cohort: Cohort, country: str, scheme: Scheme) -> GroupSelection
     An empty selection is a valid result; records with an empty country set
     are never selected.
     """
-    indices = tuple(
-        i for i, rec in enumerate(cohort.records) if record_in_group(rec, country, scheme)
-    )
-    return GroupSelection(country=country, scheme=scheme, member_indices=indices)
+    row = membership(cohort, [(country, scheme)])[0]
+    return GroupSelection(country, scheme, tuple(np.flatnonzero(row).tolist()))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ manifest. Identical configuration and seed reproduce identical bytes.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -224,10 +225,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
 
     Writes cells.csv, curves.csv, per-scheme plot views, series.csv,
     exclusions.csv, data.csv (for scenario inputs, so the generated dataset
-    itself is inspectable and re-ingestable) and manifest.json.
+    itself is inspectable and re-ingestable), resolved.json and, last of
+    all, manifest.json, so a bundle holding a manifest is complete; one left
+    by an earlier run is deleted before anything else happens.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("manifest.json", "resolved.json"):
+        (out / name).unlink(missing_ok=True)
 
     cohorts = load_cohorts(config)
     if not cohorts:
@@ -266,10 +271,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
             exclusions=exclusions,
         )
 
+    # index the cells once so no curve or series re-scans all of them
+    by_target = defaultdict(list)
+    by_series = defaultdict(list)
+    for cell in cells:
+        by_target[(cell.country, cell.scheme)].append(cell)
+        by_series[(cell.journal_id, cell.country, cell.scheme)].append(cell)
+
     curves = []
     for country, scheme in targets:
         curve = coverage_curve(
-            cells,
+            by_target[(country, scheme)],
             country=country,
             scheme=scheme,
             years=years,
@@ -283,8 +295,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     journal_ids = sorted({c.journal_id for c in cohorts})
     series = [
         (journal_id, country, scheme.value,
-         series_report(cells, journal_id=journal_id, country=country,
-                       scheme=scheme, years=years))
+         series_report(by_series[(journal_id, country, scheme)], journal_id=journal_id,
+                       country=country, scheme=scheme, years=years))
         for journal_id in journal_ids
         for country in countries
         for scheme in config.schemes
@@ -304,7 +316,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     if config.scenario is not None:
         outputs["data.csv"] = write_records_csv(out / "data.csv", cohorts)
 
-    write_manifest(out / "manifest.json", config.to_dict(), outputs)
     # manifest.json holds config + hash + output sizes; derived values go to
     # a sibling file so the hash covers exactly the reproduction inputs
     resolved = {
@@ -315,6 +326,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     with open(out / "resolved.json", "w", encoding="utf-8", newline="") as f:
         json.dump(resolved, f, sort_keys=True, indent=2)
         f.write("\n")
+    write_manifest(out / "manifest.json", config.to_dict(), outputs)
 
     return ExperimentResult(
         out_dir=out,

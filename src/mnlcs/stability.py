@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bootstrap import lag0_batch
-from .counting import select_group
+from .counting import membership
 from .errors import DegenerateField, ValidationError
 from .fieller import CiSettings, estimate
 from .indicator import log_stats_from_logs
@@ -85,8 +85,10 @@ def compute_cells(
     Cells exist whenever the group is non-empty and the field mean is
     positive; their status records whether an interval was possible. Cohorts
     with a zero field mean and empty group selections are skipped and
-    tallied.
+    tallied. Each cohort's groups come from one membership matrix, in
+    country-major, scheme-minor order.
     """
+    targets = [(country, scheme) for country in countries for scheme in schemes]
     cells = []
     for cohort in cohorts:
         field_stats = log_stats_from_logs(cohort.log_citations)
@@ -96,41 +98,37 @@ def compute_cells(
                     ExclusionRecord(
                         stage="cells",
                         reason="degenerate_field",
-                        count=len(countries) * len(schemes),
+                        count=len(targets),
                         journal_id=cohort.journal_id,
                         year=cohort.year,
                     )
                 )
             continue
-        for country in countries:
-            for scheme in schemes:
-                selection = select_group(cohort, country, scheme)
-                if selection.size == 0:
-                    if exclusions is not None:
-                        exclusions.append(
-                            ExclusionRecord(
-                                stage="cells",
-                                reason="empty_group",
-                                count=1,
-                                journal_id=cohort.journal_id,
-                                year=cohort.year,
-                                country=country,
-                                scheme=scheme,
-                            )
+        for (country, scheme), members in zip(targets, membership(cohort, targets)):
+            if not members.any():
+                if exclusions is not None:
+                    exclusions.append(
+                        ExclusionRecord(
+                            stage="cells",
+                            reason="empty_group",
+                            count=1,
+                            journal_id=cohort.journal_id,
+                            year=cohort.year,
+                            country=country,
+                            scheme=scheme,
                         )
-                    continue
-                group_stats = log_stats_from_logs(
-                    cohort.log_citations[list(selection.member_indices)]
-                )
-                cells.append(
-                    CellResult(
-                        journal_id=cohort.journal_id,
-                        year=cohort.year,
-                        country=country,
-                        scheme=scheme,
-                        estimate=estimate(group_stats, field_stats, settings),
                     )
+                continue
+            group_stats = log_stats_from_logs(cohort.log_citations[members])
+            cells.append(
+                CellResult(
+                    journal_id=cohort.journal_id,
+                    year=cohort.year,
+                    country=country,
+                    scheme=scheme,
+                    estimate=estimate(group_stats, field_stats, settings),
                 )
+            )
     return cells
 
 
@@ -258,21 +256,6 @@ def lag0_curve_points(
         )
         for target, fracs in fractions.items()
     }
-
-
-def lag0_curve_point(
-    cohorts: Sequence[Cohort],
-    country: str,
-    scheme: Scheme,
-    replicates: int,
-    rng_seed: int,
-    settings: CiSettings = CiSettings(),
-    exclusions: list[ExclusionRecord] | None = None,
-) -> CurvePoint | None:
-    """Single-target convenience wrapper around lag0_curve_points."""
-    return lag0_curve_points(
-        cohorts, [(country, scheme)], replicates, rng_seed, settings, exclusions
-    )[(country, scheme)]
 
 
 @dataclass(frozen=True)

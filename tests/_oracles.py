@@ -5,7 +5,9 @@ quantile comes from quadrature of the density plus bisection (the library
 uses scipy's inverse CDF), the discretised-lognormal expectation comes
 from direct series summation against the normal CDF, and split-half
 decisions are rebuilt replicate by replicate through the scalar estimate()
-chain (only the splits themselves are shared with the engine).
+chain (only the splits themselves are shared with the engine), and group
+membership and cells are decided record by record, not through the
+library's membership matrix.
 """
 
 import math
@@ -15,10 +17,10 @@ from scipy import integrate
 from scipy.stats import norm
 
 from mnlcs.bootstrap import half_a_blocks
-from mnlcs.counting import record_in_group
 from mnlcs.fieller import estimate
 from mnlcs.indicator import log_stats_from_logs
-from mnlcs.model import Cohort, EstimateStatus
+from mnlcs.model import CitationRecord, Cohort, EstimateStatus, Scheme
+from mnlcs.stability import CellResult, ExclusionRecord
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -88,6 +90,36 @@ def spearman(xs, ys) -> float:
     vx = math.sqrt(sum((a - mx) ** 2 for a in rx))
     vy = math.sqrt(sum((b - my) ** 2 for b in ry))
     return cov / (vx * vy)
+
+
+def record_in_group(record: CitationRecord, country: str, scheme: Scheme) -> bool:
+    if scheme is Scheme.INCLUSIVE:
+        return country in record.countries
+    return record.countries == frozenset((country,))
+
+
+def cells_oracle(cohorts, countries, schemes, settings):
+    """(cells, exclusions) of compute_cells, one cell at a time: members by
+    record_in_group, then log_stats_from_logs and estimate()."""
+    cells, exclusions = [], []
+    for c in cohorts:
+        field = log_stats_from_logs(c.log_citations)
+        if field.mean <= 0.0:
+            exclusions.append(ExclusionRecord(
+                "cells", "degenerate_field", len(countries) * len(schemes), c.journal_id, c.year
+            ))
+            continue
+        for country in countries:
+            for scheme in schemes:
+                members = [i for i, r in enumerate(c.records) if record_in_group(r, country, scheme)]
+                if not members:
+                    exclusions.append(ExclusionRecord(
+                        "cells", "empty_group", 1, c.journal_id, c.year, country, scheme
+                    ))
+                    continue
+                est = estimate(log_stats_from_logs(c.log_citations[members]), field, settings)
+                cells.append(CellResult(c.journal_id, c.year, country, scheme, est))
+    return cells, exclusions
 
 
 def split_half(cohort: Cohort, rng_seed: int) -> tuple[Cohort, Cohort]:

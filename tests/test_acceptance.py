@@ -340,14 +340,16 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     )
     r1 = run_experiment(config, tmp_path / "run1")
     r2 = run_experiment(config, tmp_path / "run2")
-    names = sorted(set(r1.outputs) | {"manifest.json", "resolved.json"})
-    mismatched = [
-        name
-        for name in names
-        if (r1.out_dir / name).read_bytes() != (r2.out_dir / name).read_bytes()
-    ]
+    # every file in either bundle: same names, same bytes
+    first, second = (
+        {p.name: p.read_bytes() for p in r.out_dir.iterdir()} for r in (r1, r2)
+    )
+    names = sorted(set(first) | set(second))
+    expected = set(r1.outputs) | {"manifest.json", "resolved.json"}
+    mismatched = [name for name in names if first.get(name) != second.get(name)]
+    missing = sorted(expected - set(first))
     report(
         "9 determinism",
-        not mismatched,
-        f"compared {names}, mismatches: {mismatched or 'none'}",
+        not mismatched and not missing,
+        f"compared {names}, mismatches: {mismatched or 'none'}, missing: {missing or 'none'}",
     )

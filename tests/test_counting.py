@@ -3,9 +3,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import cells_oracle, record_in_group
 from conftest import cohort, rec, records
-from mnlcs.counting import select_group, top_countries
+from mnlcs.counting import membership, select_group, top_countries
+from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
+from mnlcs.stability import compute_cells
 
 
 def test_international_article_only_counts_inclusively():
@@ -105,3 +108,44 @@ def test_inclusive_counts_can_exceed_cohort_size():
         select_group(c, country, Scheme.INCLUSIVE).size for country in ("US", "JP", "DE")
     )
     assert total == 4 > c.size
+
+
+# A small country alphabet so sets overlap; zero-heavy counts so some
+# cohorts have a degenerate field; ZZ never occurs in any cohort.
+ORACLE_COUNTRIES = ["US", "JP", "DE", "ZZ"]
+small_cohort_rows = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), st.integers(0, 60)),
+        st.frozensets(st.sampled_from(ORACLE_COUNTRIES[:3]), max_size=3),
+    ),
+    min_size=1,
+    max_size=40,
+)
+small_cohorts = st.lists(small_cohort_rows, min_size=1, max_size=3).map(
+    lambda cohorts: [cohort(rows, year=2000 + i) for i, rows in enumerate(cohorts)]
+)
+
+
+@given(small_cohorts)
+def test_membership_rows_match_per_record_oracle(cohorts):
+    targets = [(country, scheme) for country in ORACLE_COUNTRIES for scheme in Scheme]
+    for c in cohorts:
+        matrix = membership(c, targets)
+        assert matrix.shape == (len(targets), c.size) and matrix.dtype == bool
+        for row, (country, scheme) in zip(matrix, targets):
+            assert row.tolist() == [record_in_group(r, country, scheme) for r in c.records]
+        inclusive, exclusive = matrix[0::2], matrix[1::2]
+        assert not (exclusive & ~inclusive).any()
+
+
+@given(
+    small_cohorts,
+    st.sampled_from([[Scheme.INCLUSIVE, Scheme.EXCLUSIVE], [Scheme.EXCLUSIVE]]),
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from(FIELLER_FORMS),
+)
+def test_compute_cells_matches_per_cell_oracle(cohorts, schemes, min_group_n, form):
+    settings = CiSettings(form=form, min_group_n=min_group_n)
+    exclusions = []
+    cells = compute_cells(cohorts, ORACLE_COUNTRIES, schemes, settings, exclusions)
+    assert (cells, exclusions) == cells_oracle(cohorts, ORACLE_COUNTRIES, schemes, settings)

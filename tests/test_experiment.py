@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mnlcs import experiment
 from mnlcs.dataio import write_records_csv
 from mnlcs.errors import ValidationError
 from mnlcs.experiment import (
@@ -110,6 +111,21 @@ def test_run_experiment_deterministic(tmp_path):
     assert (r1.out_dir / "manifest.json").read_bytes() == (
         r2.out_dir / "manifest.json"
     ).read_bytes()
+
+
+def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_experiment(config(), out)
+    assert (out / "manifest.json").exists()
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "write_series_csv", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(config(), out)
+    assert not (out / "manifest.json").exists()
+    assert not (out / "resolved.json").exists()
 
 
 def test_run_experiment_seed_changes_lag0(tmp_path):

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given
 
+from _oracles import record_in_group
 from conftest import cohort, rec, records
-from mnlcs.counting import record_in_group, select_group
+from mnlcs.counting import select_group
 from mnlcs.dataio import CSV_HEADER, record_to_row
 from mnlcs.errors import (
     MalformedCountry,

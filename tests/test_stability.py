@@ -9,7 +9,7 @@ from mnlcs.stability import (
     compute_cells,
     coverage_curve,
     enumerate_pairs,
-    lag0_curve_point,
+    lag0_curve_points,
     series_report,
     whole_journal_estimate,
 )
@@ -191,9 +191,8 @@ def test_compute_cells_tallies_empty_groups():
 
 def test_lag0_curve_point_pools_journal_years():
     cohorts = generate(scenario())
-    point = lag0_curve_point(
-        cohorts, "AA", Scheme.INCLUSIVE, replicates=40, rng_seed=5
-    )
+    target = ("AA", Scheme.INCLUSIVE)
+    point = lag0_curve_points(cohorts, [target], replicates=40, rng_seed=5)[target]
     assert point.simulated
     assert point.offset_years == 0
     assert 0.0 <= point.inside_fraction <= 1.0
@@ -203,7 +202,8 @@ def test_lag0_curve_point_pools_journal_years():
 def test_full_curve_on_static_scenario_is_flat_near_lag0():
     cohorts = generate(scenario())
     cells = compute_cells(cohorts, ["AA"], [Scheme.INCLUSIVE])
-    lag0 = lag0_curve_point(cohorts, "AA", Scheme.INCLUSIVE, replicates=60, rng_seed=9)
+    target = ("AA", Scheme.INCLUSIVE)
+    lag0 = lag0_curve_points(cohorts, [target], replicates=60, rng_seed=9)[target]
     curve = coverage_curve(
         cells,
         country="AA",

@@ -41,11 +41,12 @@ BLOCK = 64
 
 
 def _canonical_order(cohort: Cohort) -> np.ndarray:
-    def key(i: int):
-        rec = cohort.records[i]
-        return (rec.citations, tuple(sorted(rec.countries)))
+    """Record indices by (citations, author-country set), stable on ties.
 
-    return np.asarray(sorted(range(cohort.size), key=key), dtype=np.intp)
+    Set codes follow the sets' sorted country tuples, so this is the order
+    of sorting records by (citations, tuple(sorted(countries))).
+    """
+    return np.lexsort((cohort.codes, cohort.citations))
 
 
 def half_a_blocks(cohort: Cohort, replicates: int, rng_seed: int) -> Iterator[np.ndarray]:

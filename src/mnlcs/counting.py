@@ -7,9 +7,9 @@ functions over immutable cohorts.
 
 ``membership`` is the one place that decides who belongs to a group: it
 returns a bool matrix [targets, n] for a cohort and a list of (country,
-scheme) targets, deciding each distinct author-country set once and
-broadcasting the answer to that set's records. Cells, the split-half engine
-and ``select_group`` all read rows of it.
+scheme) targets, deciding each of the cohort's distinct author-country
+sets once and broadcasting the answer through the cohort's set codes.
+Cells, the split-half engine and ``select_group`` all read rows of it.
 """
 
 from __future__ import annotations
@@ -26,20 +26,14 @@ from .model import Cohort, GroupSelection, Scheme
 def membership(cohort: Cohort, targets: Sequence[tuple[str, Scheme]]) -> np.ndarray:
     """bool [targets, n]: inclusive is any author from the country, exclusive
     is the country alone. Decided once per distinct author-country set."""
-    sets: dict[frozenset[str], int] = {}
-    codes = np.fromiter(
-        (sets.setdefault(rec.countries, len(sets)) for rec in cohort.records),
-        dtype=np.intp,
-        count=cohort.size,
-    )
     table = np.array(
         [
-            [country in s if scheme is Scheme.INCLUSIVE else s == {country} for s in sets]
+            [country in s if scheme is Scheme.INCLUSIVE else s == {country} for s in cohort.sets]
             for country, scheme in targets
         ],
         dtype=bool,
-    ).reshape(len(targets), len(sets))
-    return table[:, codes]
+    ).reshape(len(targets), len(cohort.sets))
+    return table[:, cohort.codes]
 
 
 def select_group(cohort: Cohort, country: str, scheme: Scheme) -> GroupSelection:
@@ -68,8 +62,10 @@ class RankedCountries:
 def inclusive_counts(cohorts: Iterable[Cohort]) -> Counter[str]:
     counts: Counter[str] = Counter()
     for cohort in cohorts:
-        for rec in cohort.records:
-            counts.update(rec.countries)
+        per_set = np.bincount(cohort.codes, minlength=len(cohort.sets)).tolist()
+        for countries, k in zip(cohort.sets, per_set):
+            for country in countries:
+                counts[country] += k
     return counts
 
 

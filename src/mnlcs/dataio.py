@@ -21,7 +21,14 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import IngestError, ValidationError
-from .model import CitationRecord, Cohort, validate_record
+from .model import (
+    Cohort,
+    check_citations,
+    check_journal_id,
+    parse_citations,
+    parse_countries,
+    parse_year,
+)
 from .stability import CellResult, CoverageCurve, ExclusionRecord, SeriesPoint
 
 CSV_HEADER = ["journal_id", "year", "citations", "countries"]
@@ -38,15 +45,6 @@ def fmt(x: object) -> str:
     return str(x)
 
 
-def record_to_row(record: CitationRecord) -> list[str]:
-    return [
-        record.journal_id,
-        str(record.year),
-        str(record.citations),
-        ";".join(sorted(record.countries)),
-    ]
-
-
 def write_records_csv(path: str | Path, cohorts: Iterable[Cohort]) -> int:
     """Write cohorts in the input schema; returns the number of rows."""
     n = 0
@@ -54,21 +52,14 @@ def write_records_csv(path: str | Path, cohorts: Iterable[Cohort]) -> int:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for cohort in cohorts:
-            for record in cohort.records:
-                writer.writerow(record_to_row(record))
-                n += 1
+            year = str(cohort.year)
+            labels = [";".join(sorted(s)) for s in cohort.sets]
+            writer.writerows(
+                [cohort.journal_id, year, c, labels[k]]
+                for c, k in zip(cohort.citations.tolist(), cohort.codes.tolist())
+            )
+            n += cohort.size
     return n
-
-
-def group_into_cohorts(records: Iterable[CitationRecord]) -> list[Cohort]:
-    """Group records into cohorts sorted by (journal, year)."""
-    buckets: dict[tuple[str, int], list[CitationRecord]] = {}
-    for rec in records:
-        buckets.setdefault((rec.journal_id, rec.year), []).append(rec)
-    return [
-        Cohort(journal_id, year, tuple(buckets[(journal_id, year)]))
-        for journal_id, year in sorted(buckets)
-    ]
 
 
 @dataclass
@@ -90,16 +81,27 @@ def ingest(
     year_max: int | None = None,
     max_bad_rows: int = 0,
 ) -> tuple[list[Cohort], IngestReport]:
-    """Read and validate an input CSV into cohorts.
+    """Read and validate an input CSV into cohorts sorted by (journal, year).
 
     Rows outside the journal/year filters are dropped silently (they are
     selection, not errors). Malformed rows are collected with their line
     numbers; more than ``max_bad_rows`` of them aborts with IngestError.
     An empty file with a valid header yields zero cohorts.
+
+    Rows are checked by the rules of ``validate_record``, in its order, but
+    go straight into per-cohort columns: each distinct valid journal, year,
+    citations and countries string is parsed once (citation counts repeat a
+    lot), and no per-row record is built.
     """
     journal_filter = set(journals) if journals is not None else None
-    report = IngestReport()
-    records: list[CitationRecord] = []
+    n_rows = n_kept = n_filtered = 0
+    row_errors: list[tuple[int, str]] = []
+    journal_ids: dict[str, str] = {}
+    years: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    set_codes: dict[str, int] = {}
+    sets: list[frozenset[str]] = []
+    columns: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
 
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -113,38 +115,56 @@ def ingest(
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            report.n_rows += 1
+            n_rows += 1
             if len(row) != len(CSV_HEADER):
-                report.n_bad += 1
-                report.row_errors.append((line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
+                row_errors.append((line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
                 continue
-            raw = dict(zip(CSV_HEADER, row))
+            journal_raw, year_raw, citations_raw, countries_raw = row
             try:
-                record = validate_record(raw)
+                year = years.get(year_raw)
+                if year is None:
+                    year = years[year_raw] = parse_year(year_raw)
+                citations = counts.get(citations_raw)
+                if citations is None:
+                    citations = counts[citations_raw] = parse_citations(citations_raw)
+                code = set_codes.get(countries_raw)
+                if code is None:
+                    sets.append(parse_countries(countries_raw))
+                    code = set_codes[countries_raw] = len(sets) - 1
+                journal_id = journal_ids.get(journal_raw)
+                if journal_id is None:
+                    journal_id = journal_ids[journal_raw] = check_journal_id(journal_raw.strip())
+                check_citations(citations)
             except ValidationError as exc:
-                report.n_bad += 1
-                report.row_errors.append((line_no, str(exc)))
+                row_errors.append((line_no, str(exc)))
                 continue
-            if journal_filter is not None and record.journal_id not in journal_filter:
-                report.n_filtered += 1
+            if (
+                (journal_filter is not None and journal_id not in journal_filter)
+                or (year_min is not None and year < year_min)
+                or (year_max is not None and year > year_max)
+            ):
+                n_filtered += 1
                 continue
-            if year_min is not None and record.year < year_min:
-                report.n_filtered += 1
-                continue
-            if year_max is not None and record.year > year_max:
-                report.n_filtered += 1
-                continue
-            records.append(record)
-            report.n_kept += 1
+            column = columns.get((journal_id, year))
+            if column is None:
+                column = columns[(journal_id, year)] = ([], [])
+            column[0].append(citations)
+            column[1].append(code)
+            n_kept += 1
 
-    if report.n_bad > max_bad_rows:
-        first = report.row_errors[: 10]
+    if len(row_errors) > max_bad_rows:
+        first = row_errors[: 10]
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in first)
         raise IngestError(
-            f"{path}: {report.n_bad} malformed rows exceed tolerance {max_bad_rows} ({detail})",
-            row_errors=report.row_errors,
+            f"{path}: {len(row_errors)} malformed rows exceed tolerance {max_bad_rows} ({detail})",
+            row_errors=row_errors,
         )
-    return group_into_cohorts(records), report
+    all_sets = tuple(sets)
+    cohorts = [
+        Cohort(journal_id, year, *columns[(journal_id, year)], all_sets)
+        for journal_id, year in sorted(columns)
+    ]
+    return cohorts, IngestReport(n_rows, n_kept, n_filtered, len(row_errors), row_errors)
 
 
 def write_cells_csv(path: str | Path, cells: Sequence[CellResult]) -> int:

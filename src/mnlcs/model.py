@@ -1,13 +1,22 @@
 """Core domain types.
 
-A ``CitationRecord`` is one article; a ``Cohort`` is every article of one
-journal in one year and acts as the normalisation universe; a
-``GroupSelection`` picks the national subset under one counting scheme;
-``LogStats`` summarises ln(1+c) for a set of articles; ``MnlcsEstimate``
-carries the indicator value with its confidence interval and validity flag.
+A ``Cohort`` is every article of one journal in one year and acts as the
+normalisation universe. It is columnar: ``citations`` holds each article's
+count, ``codes`` indexes each article's author-country set in ``sets``, the
+cohort's distinct sets in canonical order. ``CitationRecord`` is one article
+as the CSV boundary sees it; ``Cohort.from_records`` and ``Cohort.records``
+convert between the two forms. A ``GroupSelection`` picks the national subset
+under one counting scheme; ``LogStats`` summarises ln(1+c) for a set of
+articles; ``MnlcsEstimate`` carries the indicator value with its confidence
+interval and validity flag.
 
-All types are immutable after construction and safe to share across
-parallel tasks.
+All types are immutable after construction (a cohort's arrays are
+read-only) and safe to share across parallel tasks.
+
+The field rules (``parse_year``, ``parse_citations``, ``parse_countries``,
+``check_journal_id``, ``check_citations``, ``check_country_code``) are shared by
+``validate_record`` and the columnar CSV ingest, so both routes accept and
+reject the same rows with the same messages.
 """
 
 from __future__ import annotations
@@ -51,6 +60,52 @@ class EstimateStatus(str, enum.Enum):
     INSUFFICIENT_DATA = "insufficient_data"
 
 
+def check_journal_id(journal_id: str) -> str:
+    """Return ``journal_id`` if it can live in the unquoted CSV schema."""
+    if not journal_id or not _JOURNAL_ID_RE.match(journal_id):
+        raise ValidationError(f"bad journal_id: {journal_id!r}")
+    return journal_id
+
+
+def check_country_code(code: str) -> None:
+    if not _COUNTRY_CODE_RE.match(code):
+        raise MalformedCountry(f"country code must be ISO alpha-2: {code!r}")
+
+
+def check_citations(citations: int) -> None:
+    if citations < 0:
+        raise NegativeCitations(f"citations must be >= 0, got {citations}")
+
+
+def parse_year(raw: object, year_min: int = YEAR_MIN_DEFAULT, year_max: int = YEAR_MAX_DEFAULT) -> int:
+    try:
+        year = int(str(raw).strip())
+    except ValueError:
+        raise UnparseableYear(f"unparseable year: {raw!r}") from None
+    if not year_min <= year <= year_max:
+        raise UnparseableYear(f"year {year} outside [{year_min}, {year_max}]")
+    return year
+
+
+def parse_citations(raw: object) -> int:
+    """The count as written; negative counts are rejected with the record."""
+    try:
+        return int(str(raw).strip())
+    except ValueError:
+        raise ValidationError(f"unparseable citations: {raw!r}") from None
+
+
+def parse_countries(field: str) -> frozenset[str]:
+    """Semicolon-separated country tokens as a set of ISO alpha-2 codes.
+
+    Free-text names go through the bundled lookup table; blank tokens are
+    skipped and duplicates merge, so an empty field gives the empty set.
+    """
+    return frozenset(
+        normalize_country_token(token) for token in field.split(";") if token.strip()
+    )
+
+
 @dataclass(frozen=True)
 class CitationRecord:
     """One article: journal, year, citation count and author-country set."""
@@ -61,13 +116,10 @@ class CitationRecord:
     countries: frozenset[str]
 
     def __post_init__(self):
-        if not self.journal_id or not _JOURNAL_ID_RE.match(self.journal_id):
-            raise ValidationError(f"bad journal_id: {self.journal_id!r}")
-        if self.citations < 0:
-            raise NegativeCitations(f"citations must be >= 0, got {self.citations}")
+        check_journal_id(self.journal_id)
+        check_citations(self.citations)
         for code in self.countries:
-            if not _COUNTRY_CODE_RE.match(code):
-                raise MalformedCountry(f"country code must be ISO alpha-2: {code!r}")
+            check_country_code(code)
 
 
 def validate_record(
@@ -79,73 +131,124 @@ def validate_record(
     """Build a normalised CitationRecord from a parsed row.
 
     ``raw`` must provide journal_id, year, citations and countries fields.
-    Country tokens are semicolon separated, mapped to uppercase ISO alpha-2
-    codes (free-text names go through the bundled lookup table) and
-    deduplicated. An empty countries field yields an empty set; such records
-    stay in the cohort denominator but can never join a national group.
+    Country tokens are parsed by ``parse_countries``. An empty countries
+    field yields an empty set; such records stay in the cohort denominator
+    but can never join a national group.
     """
     for field in ("journal_id", "year", "citations", "countries"):
         if field not in raw:
             raise ValidationError(f"missing field: {field}")
 
-    journal_id = str(raw["journal_id"]).strip()
-
-    try:
-        year = int(str(raw["year"]).strip())
-    except ValueError:
-        raise UnparseableYear(f"unparseable year: {raw['year']!r}") from None
-    if not year_min <= year <= year_max:
-        raise UnparseableYear(f"year {year} outside [{year_min}, {year_max}]")
-
-    try:
-        citations = int(str(raw["citations"]).strip())
-    except ValueError:
-        raise ValidationError(f"unparseable citations: {raw['citations']!r}") from None
-
-    countries_field = str(raw["countries"])
-    codes = set()
-    for token in countries_field.split(";"):
-        if not token.strip():
-            continue
-        codes.add(normalize_country_token(token))
-
     return CitationRecord(
-        journal_id=journal_id,
-        year=year,
-        citations=citations,
-        countries=frozenset(codes),
+        journal_id=str(raw["journal_id"]).strip(),
+        year=parse_year(raw["year"], year_min, year_max),
+        citations=parse_citations(raw["citations"]),
+        countries=parse_countries(str(raw["countries"])),
     )
 
 
-@dataclass(frozen=True)
+def _canonical_sets(codes: np.ndarray, sets: tuple) -> tuple[np.ndarray, tuple]:
+    """Drop unused sets, merge equal ones and sort the rest by their sorted
+    country tuples, remapping ``codes`` to match."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(sets)))
+    keys = [tuple(sorted(sets[i])) for i in used]
+    ranked = sorted(set(keys))
+    rank = {key: r for r, key in enumerate(ranked)}
+    remap = np.zeros(len(sets), dtype=np.intp)
+    remap[used] = [rank[key] for key in keys]
+    return remap[codes], tuple(frozenset(key) for key in ranked)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Cohort:
-    """All articles of one journal-year: the field for normalisation."""
+    """All articles of one journal-year: the field for normalisation.
+
+    Article i has ``citations[i]`` citations and author-country set
+    ``sets[codes[i]]``. ``sets`` holds each distinct set in use once, sorted
+    by ``tuple(sorted(s))``, so cohorts with the same articles in the same
+    order have identical columns. Both arrays are read-only.
+
+    ``Cohort(journal_id, year, records)`` is shorthand for ``from_records``.
+    """
 
     journal_id: str
     year: int
-    records: tuple[CitationRecord, ...]
+    citations: np.ndarray
+    codes: np.ndarray
+    sets: tuple[frozenset[str], ...]
 
-    def __post_init__(self):
-        if not self.records:
+    def __init__(self, journal_id, year, citations, codes=None, sets=None):
+        if codes is None and sets is None:
+            citations, codes, sets = _record_columns(journal_id, year, citations)
+        citations = np.array(citations, dtype=np.int64)
+        codes = np.array(codes, dtype=np.intp)
+        sets = tuple(sets)
+        if citations.ndim != 1 or citations.shape != codes.shape:
+            raise ValidationError("citations and codes must be 1-d and of equal length")
+        if not citations.size:
             raise ValidationError("cohort must be non-empty")
-        for rec in self.records:
-            if rec.journal_id != self.journal_id or rec.year != self.year:
-                raise ValidationError(
-                    f"record ({rec.journal_id}, {rec.year}) does not belong to "
-                    f"cohort ({self.journal_id}, {self.year})"
-                )
+        check_journal_id(journal_id)
+        check_citations(citations.min())
+        if codes.min() < 0 or codes.max() >= len(sets):
+            raise ValidationError(f"set codes must lie in [0, {len(sets)})")
+        codes, sets = _canonical_sets(codes, sets)
+        for s in sets:
+            for code in s:
+                check_country_code(code)
+        object.__setattr__(self, "journal_id", journal_id)
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "citations", _frozen(citations))
+        object.__setattr__(self, "codes", _frozen(codes))
+        object.__setattr__(self, "sets", sets)
+
+    @classmethod
+    def from_records(cls, journal_id: str, year: int, records) -> "Cohort":
+        """Columnar cohort from CitationRecords, which must all belong to it."""
+        return cls(journal_id, year, *_record_columns(journal_id, year, records))
+
+    @property
+    def records(self) -> tuple[CitationRecord, ...]:
+        """The articles as CitationRecords, in order; built on every access."""
+        return tuple(
+            CitationRecord(self.journal_id, self.year, c, self.sets[k])
+            for c, k in zip(self.citations.tolist(), self.codes.tolist())
+        )
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.citations)
 
     @cached_property
     def log_citations(self) -> np.ndarray:
-        """ln(1+c) per record, in record order. Cached; treat as read-only."""
-        counts = np.fromiter(
-            (rec.citations for rec in self.records), dtype=np.float64, count=self.size
+        """ln(1+c) per article, in order. Cached and read-only."""
+        return _frozen(np.log1p(self.citations.astype(np.float64)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        return (
+            (self.journal_id, self.year, self.sets) == (other.journal_id, other.year, other.sets)
+            and np.array_equal(self.citations, other.citations)
+            and np.array_equal(self.codes, other.codes)
         )
-        return np.log1p(counts)
+
+
+def _record_columns(journal_id: str, year: int, records) -> tuple[list, list, list]:
+    citations, codes, index = [], [], {}
+    for rec in records:
+        if rec.journal_id != journal_id or rec.year != year:
+            raise ValidationError(
+                f"record ({rec.journal_id}, {rec.year}) does not belong to "
+                f"cohort ({journal_id}, {year})"
+            )
+        citations.append(rec.citations)
+        codes.append(index.setdefault(rec.countries, len(index)))
+    return citations, codes, list(index)
 
 
 @dataclass(frozen=True)

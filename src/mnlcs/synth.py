@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidationError
-from .model import CitationRecord, Cohort
+from .model import Cohort
 from .rngtools import stream
 
 # keeps exp(y) far below 2^63 so integer conversion cannot overflow
@@ -175,36 +175,39 @@ def _group_size(spec: ScenarioSpec, group: GroupSpec) -> int:
 
 
 def generate(spec: ScenarioSpec) -> list[Cohort]:
-    """Generate one cohort per (journal, year), sorted by journal then year."""
+    """Generate one cohort per (journal, year), sorted by journal then year.
+
+    Within a cohort each group's articles come in spec order, the first
+    collab_fraction of them also labelled collab_partner, followed by the
+    unlabelled rest of the field. The labels depend only on the spec, so
+    one set-code column serves every cohort.
+    """
+    sets = [frozenset()]
+    codes = []
+    sizes = {}
+    for g in spec.groups:
+        n_g = _group_size(spec, g)
+        if n_g == 0:
+            continue
+        sizes[g.country] = n_g
+        n_collab = int(n_g * spec.collab_fraction + 0.5)
+        sets += [frozenset((g.country, spec.collab_partner)), frozenset((g.country,))]
+        codes += [len(sets) - 2] * n_collab + [len(sets) - 1] * (n_g - n_collab)
+    n_rest = spec.field_size_per_year - sum(sizes.values())
+    codes = np.array(codes + [0] * n_rest, dtype=np.intp)
+
     cohorts = []
     for journal_id in spec.journal_ids:
         paths = {g.country: capability_path(spec, journal_id, g) for g in spec.groups}
         for year in spec.years:
-            records = []
-            n_rest = spec.field_size_per_year
+            counts = []
             for g in spec.groups:
-                n_g = _group_size(spec, g)
-                if n_g == 0:
+                if g.country not in sizes:
                     continue
-                n_rest -= n_g
                 rng = stream(spec.rng_seed, "citations", journal_id, year, g.country)
-                counts = sample_citations(paths[g.country][year], g.sigma, n_g, rng)
-                n_collab = int(n_g * spec.collab_fraction + 0.5)
-                for i, c in enumerate(counts):
-                    labels = (
-                        frozenset((g.country, spec.collab_partner))
-                        if i < n_collab
-                        else frozenset((g.country,))
-                    )
-                    records.append(
-                        CitationRecord(journal_id, year, int(c), labels)
-                    )
+                counts.append(sample_citations(paths[g.country][year], g.sigma, sizes[g.country], rng))
             if n_rest > 0:
                 rng = stream(spec.rng_seed, "citations", journal_id, year, "__rest__")
-                counts = sample_citations(spec.field_mu, spec.field_sigma, n_rest, rng)
-                records.extend(
-                    CitationRecord(journal_id, year, int(c), frozenset())
-                    for c in counts
-                )
-            cohorts.append(Cohort(journal_id, year, tuple(records)))
+                counts.append(sample_citations(spec.field_mu, spec.field_sigma, n_rest, rng))
+            cohorts.append(Cohort(journal_id, year, np.concatenate(counts), codes, sets))
     return cohorts

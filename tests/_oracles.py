@@ -5,11 +5,13 @@ quantile comes from quadrature of the density plus bisection (the library
 uses scipy's inverse CDF), the discretised-lognormal expectation comes
 from direct series summation against the normal CDF, and split-half
 decisions are rebuilt replicate by replicate through the scalar estimate()
-chain (only the splits themselves are shared with the engine), and group
+chain (only the splits themselves are shared with the engine), group
 membership and cells are decided record by record, not through the
-library's membership matrix.
+library's membership matrix, and CSV ingest, writing and the canonical
+split order go through one CitationRecord per row, not through columns.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -17,9 +19,11 @@ from scipy import integrate
 from scipy.stats import norm
 
 from mnlcs.bootstrap import half_a_blocks
+from mnlcs.dataio import CSV_HEADER, IngestReport
+from mnlcs.errors import IngestError, ValidationError
 from mnlcs.fieller import estimate
 from mnlcs.indicator import log_stats_from_logs
-from mnlcs.model import CitationRecord, Cohort, EstimateStatus, Scheme
+from mnlcs.model import CitationRecord, Cohort, EstimateStatus, Scheme, validate_record
 from mnlcs.stability import CellResult, ExclusionRecord
 
 
@@ -129,8 +133,8 @@ def split_half(cohort: Cohort, rng_seed: int) -> tuple[Cohort, Cohort]:
     in_a[half_a] = True
     recs = cohort.records
     return (
-        Cohort(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if a)),
-        Cohort(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if not a)),
+        Cohort.from_records(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if a)),
+        Cohort.from_records(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if not a)),
     )
 
 
@@ -164,3 +168,75 @@ def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
                 inside[rep, k] = est.contains(log_stats_from_logs(gb).mean / field_b.mean)
             rep += 1
     return valid, inside
+
+
+def canonical_order(cohort: Cohort) -> list[int]:
+    """Record indices sorted by (citations, sorted countries), stable on ties."""
+    recs = cohort.records
+    return sorted(range(cohort.size), key=lambda i: (recs[i].citations, tuple(sorted(recs[i].countries))))
+
+
+def record_to_row(record: CitationRecord) -> list[str]:
+    return [
+        record.journal_id,
+        str(record.year),
+        str(record.citations),
+        ";".join(sorted(record.countries)),
+    ]
+
+
+def group_into_cohorts(records) -> list[Cohort]:
+    """Group records into cohorts sorted by (journal, year)."""
+    buckets: dict[tuple[str, int], list[CitationRecord]] = {}
+    for rec in records:
+        buckets.setdefault((rec.journal_id, rec.year), []).append(rec)
+    return [
+        Cohort.from_records(journal_id, year, tuple(buckets[(journal_id, year)]))
+        for journal_id, year in sorted(buckets)
+    ]
+
+
+def ingest_oracle(path, *, journals=None, year_min=None, year_max=None, max_bad_rows=0):
+    """dataio.ingest row by row: validate_record per row, then filters, then
+    group_into_cohorts."""
+    journal_filter = set(journals) if journals is not None else None
+    report = IngestReport()
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty file, expected header {CSV_HEADER}") from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            report.n_rows += 1
+            if len(row) != len(CSV_HEADER):
+                report.n_bad += 1
+                report.row_errors.append((line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
+                continue
+            try:
+                record = validate_record(dict(zip(CSV_HEADER, row)))
+            except ValidationError as exc:
+                report.n_bad += 1
+                report.row_errors.append((line_no, str(exc)))
+                continue
+            if (
+                (journal_filter is not None and record.journal_id not in journal_filter)
+                or (year_min is not None and record.year < year_min)
+                or (year_max is not None and record.year > year_max)
+            ):
+                report.n_filtered += 1
+                continue
+            records.append(record)
+            report.n_kept += 1
+    if report.n_bad > max_bad_rows:
+        detail = "; ".join(f"line {ln}: {msg}" for ln, msg in report.row_errors[:10])
+        raise IngestError(
+            f"{path}: {report.n_bad} malformed rows exceed tolerance {max_bad_rows} ({detail})",
+            row_errors=report.row_errors,
+        )
+    return group_into_cohorts(records), report

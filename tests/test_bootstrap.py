@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from _oracles import scalar_decisions, split_half
+from _oracles import canonical_order, scalar_decisions, split_half
 from conftest import cohort, rec
 import mnlcs
 from mnlcs.bootstrap import (
     BLOCK,
+    _canonical_order,
     CoverageSimSpec,
     coverage_probability_sim,
     half_a_blocks,
@@ -33,7 +35,7 @@ def big_cohort(n_field=2000, n_group=400, mu=1.0, sigma=1.0, seed=42, journal="J
         rec(journal, year, int(c), ("US",) if i < n_group else ())
         for i, c in enumerate(counts)
     )
-    return Cohort(journal, year, records)
+    return Cohort.from_records(journal, year, records)
 
 
 def test_split_even_sizes():
@@ -65,13 +67,28 @@ def test_split_deterministic_given_seed():
 def test_split_invariant_under_record_order():
     c = big_cohort(n_field=40, n_group=10)
     rng = np.random.default_rng(0)
-    shuffled = Cohort(
+    shuffled = Cohort.from_records(
         c.journal_id, c.year, tuple(c.records[i] for i in rng.permutation(c.size))
     )
     a1, b1 = split_half(c, rng_seed=5)
     a2, b2 = split_half(shuffled, rng_seed=5)
     assert Counter(a1.records) == Counter(a2.records)
     assert Counter(b1.records) == Counter(b2.records)
+
+
+# few distinct counts and sets, so (citations, countries) ties are common
+tie_heavy_cohorts = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from([(), ("US",), ("JP",), ("JP", "US"), ("DE", "JP")])),
+    min_size=1,
+    max_size=60,
+).map(cohort)
+
+
+@given(tie_heavy_cohorts)
+def test_canonical_order_matches_record_sort(c):
+    order = _canonical_order(c)
+    assert order.dtype == np.intp
+    assert order.tolist() == canonical_order(c)
 
 
 def test_split_requires_two_records():
@@ -90,7 +107,7 @@ def test_lag0_fraction_bounds_and_bookkeeping():
 def test_lag0_invariant_under_record_order():
     c = big_cohort(n_field=120, n_group=30, seed=13)
     rng = np.random.default_rng(2)
-    shuffled = Cohort(
+    shuffled = Cohort.from_records(
         c.journal_id, c.year, tuple(c.records[i] for i in rng.permutation(c.size))
     )
     r1 = lag0_coverage(c, "US", Scheme.INCLUSIVE, replicates=60, rng_seed=4)
@@ -119,7 +136,7 @@ def test_lag0_engine_matches_scalar_interval_path():
     base = big_cohort(n_field=81, n_group=24, seed=19)
     extra = [rec(base.journal_id, base.year, 0, ("ZZ",)) for _ in range(14)]
     extra += [rec(base.journal_id, base.year, 0, ("ZZ", "US")) for _ in range(4)]
-    c = Cohort(base.journal_id, base.year, base.records + tuple(extra))
+    c = Cohort.from_records(base.journal_id, base.year, base.records + tuple(extra))
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("ZZ", Scheme.INCLUSIVE)]
     for form in ("standard", "printed"):
         settings = CiSettings(form=form)

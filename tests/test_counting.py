@@ -76,7 +76,7 @@ def test_top_countries_rejects_bad_k():
 
 
 cohorts_strategy = st.lists(records, min_size=1, max_size=30).map(
-    lambda recs: Cohort(
+    lambda recs: Cohort.from_records(
         "J1",
         2000,
         tuple(

@@ -1,10 +1,16 @@
-import pytest
+import csv
+import tempfile
+import tracemalloc
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from _oracles import group_into_cohorts, ingest_oracle
 from mnlcs.dataio import (
     CSV_HEADER,
     config_hash,
     fmt,
-    group_into_cohorts,
     ingest,
     write_cells_csv,
     write_records_csv,
@@ -138,3 +144,109 @@ def test_config_hash_is_order_insensitive():
     b = {"z": {"a": True}, "y": [1, 2], "x": 1}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({**a, "x": 2})
+
+
+def mostly(valid, invalid):
+    """``valid`` about four times in five, else ``invalid``."""
+    return st.tuples(st.integers(0, 4), valid, invalid).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+# Fields mixing valid values with every error kind: bad journal ids (empty,
+# a delimiter inside after csv quoting), unparseable and out-of-range years,
+# unparseable and negative citations, unknown country tokens next to names,
+# mixed case, duplicates and blank tokens.
+row_fields = st.tuples(
+    mostly(st.sampled_from(["J1", "J2", " J1 ", 'J"1']), st.sampled_from(["", "  ", "J,1", "J;1"])),
+    mostly(
+        st.sampled_from(["2000", "2001", " 1999", "+2000"]),
+        st.sampled_from(["199x", "", "20.5", "999", "3000"]),
+    ),
+    mostly(st.integers(0, 40).map(str), st.sampled_from(["-1", "-30", "oops", "", "1.5"])),
+    st.lists(
+        mostly(
+            st.sampled_from(["US", "us", "JP", "United Kingdom", "usa", "gb", "", " "]),
+            st.just("Atlantis"),
+        ),
+        max_size=4,
+    ).map(";".join),
+).map(list)
+csv_rows = st.lists(
+    mostly(
+        row_fields,
+        st.lists(st.sampled_from(["J1", "2000", "3", "US"]), max_size=6).filter(
+            lambda r: len(r) != 4
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def ingest_outcome(ingest_fn, path, **kwargs):
+    try:
+        return ingest_fn(path, **kwargs)
+    except IngestError as exc:
+        return str(exc), exc.row_errors
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    csv_rows,
+    st.sampled_from([None, ["J1"], ["J1", "J2"], []]),
+    st.sampled_from([None, 2000]),
+    st.sampled_from([None, 2000, 2001]),
+    st.sampled_from([0, 5, 1000, 1000]),
+)
+def test_ingest_matches_per_row_oracle(rows, journals, year_min, year_max, max_bad_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            writer.writerows(rows)
+        kwargs = dict(journals=journals, year_min=year_min, year_max=year_max,
+                      max_bad_rows=max_bad_rows)
+        assert ingest_outcome(ingest, path, **kwargs) == ingest_outcome(ingest_oracle, path, **kwargs)
+
+
+def test_ingest_reports_year_error_before_journal_error(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "journal_id,year,citations,countries\n"
+        '"J,1",199x,5,US\n'
+        '"J,1",2000,oops,US\n'
+        '"J,1",2000,-5,US\n'
+        "J1,2000,-5,Atlantis\n",
+        encoding="utf-8",
+    )
+    _, report = ingest(path, max_bad_rows=4)
+    assert report.row_errors == [
+        (2, "unparseable year: '199x'"),
+        (3, "unparseable citations: 'oops'"),
+        (4, "bad journal_id: 'J,1'"),
+        (5, "unrecognised country token: 'Atlantis'"),
+    ]
+
+
+def test_ingest_memory_stays_columnar(tmp_path):
+    # about 20k rows; the columnar ingest peaks near 0.73 MB here, the
+    # per-row CitationRecord route it replaced near 8.6 MB
+    spec = ScenarioSpec(
+        n_journals=4,
+        year_start=2000,
+        year_end=2004,
+        field_size_per_year=1000,
+        groups=tuple(GroupSpec(c, 0.08, 1.0, 1.0) for c in ("AA", "BB", "CC", "DD", "EE")),
+        collab_fraction=0.3,
+        rng_seed=1,
+    )
+    path = tmp_path / "data.csv"
+    assert write_records_csv(path, generate(spec)) == 20_000
+    tracemalloc.start()
+    try:
+        cohorts, _ = ingest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cohorts) == 20
+    assert peak < 1.5 * 2**20

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given
 
-from _oracles import record_in_group
+from _oracles import record_in_group, record_to_row
 from conftest import cohort, rec, records
 from mnlcs.counting import select_group
-from mnlcs.dataio import CSV_HEADER, record_to_row
+from mnlcs.dataio import CSV_HEADER
 from mnlcs.errors import (
     MalformedCountry,
     NegativeCitations,
@@ -87,14 +88,14 @@ def test_record_round_trips_through_csv_row(record):
 
 def test_cohort_rejects_foreign_records():
     with pytest.raises(ValidationError):
-        Cohort("J1", 2000, (rec("J2", 2000, 1),))
+        Cohort.from_records("J1", 2000, (rec("J2", 2000, 1),))
     with pytest.raises(ValidationError):
-        Cohort("J1", 2000, (rec("J1", 2001, 1),))
+        Cohort.from_records("J1", 2000, (rec("J1", 2001, 1),))
 
 
 def test_cohort_must_be_nonempty():
     with pytest.raises(ValidationError):
-        Cohort("J1", 2000, ())
+        Cohort.from_records("J1", 2000, ())
 
 
 def test_cohort_log_citations(simple_cohort):
@@ -173,3 +174,42 @@ def test_estimate_without_interval_refuses_membership():
 def test_record_rejects_lowercase_country_code():
     with pytest.raises(MalformedCountry):
         CitationRecord("J1", 2000, 0, frozenset({"us"}))
+
+
+def test_cohort_arrays_are_read_only(simple_cohort):
+    for column in (simple_cohort.citations, simple_cohort.codes, simple_cohort.log_citations):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert simple_cohort.log_citations[0] == 0.0
+
+
+def test_cohort_columns_do_not_depend_on_set_order():
+    # the same articles described with the sets listed in different orders,
+    # with an unused set and a duplicate set, give identical columns
+    citations = [4, 0, 7, 4, 2]
+    sets_a = (frozenset({"US"}), frozenset(), frozenset({"JP", "US"}), frozenset({"DE"}))
+    codes_a = [2, 0, 1, 2, 0]
+    sets_b = (frozenset(), frozenset({"FR"}), frozenset({"US"}), frozenset({"US", "JP"}), frozenset())
+    codes_b = [3, 2, 0, 3, 2]
+    a = Cohort("J1", 2000, citations, codes_a, sets_a)
+    b = Cohort("J1", 2000, citations, codes_b, sets_b)
+    for other in (b, Cohort.from_records("J1", 2000, b.records)):
+        assert other == a
+        assert other.sets == a.sets == (frozenset(), frozenset({"JP", "US"}), frozenset({"US"}))
+        np.testing.assert_array_equal(other.citations, a.citations)
+        np.testing.assert_array_equal(other.codes, a.codes)
+        assert other.codes.dtype == np.intp and other.citations.dtype == np.int64
+    assert Cohort("J1", 2000, citations[::-1], codes_a[::-1], sets_a) != a
+
+
+def test_cohort_validates_columns():
+    with pytest.raises(NegativeCitations):
+        Cohort("J1", 2000, [1, -1], [0, 0], (frozenset(),))
+    with pytest.raises(ValidationError):
+        Cohort("J1", 2000, [1, 2], [0, 1], (frozenset(),))
+    with pytest.raises(ValidationError):
+        Cohort("J,1", 2000, [1], [0], (frozenset(),))
+    with pytest.raises(MalformedCountry):
+        Cohort("J1", 2000, [1], [0], (frozenset({"us"}),))
+    # an unused set is dropped before its codes are checked
+    assert Cohort("J1", 2000, [1], [0], (frozenset(), frozenset({"us"}))).sets == (frozenset(),)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import expected_log1p_count, prob_zero_count
-from mnlcs.errors import ValidationError
+from mnlcs.errors import MalformedCountry, ValidationError
 from mnlcs.rngtools import stream
 from mnlcs.synth import (
     GroupSpec,
@@ -167,6 +167,13 @@ def test_spec_validation():
         _spec(year_end=1999)
     with pytest.raises(ValidationError):
         _spec(groups=(GroupSpec("AA", 0.2, 1.0, 1.0), GroupSpec("AA", 0.2, 1.0, 1.0)))
+
+
+def test_malformed_group_country_is_rejected():
+    with pytest.raises(MalformedCountry):
+        generate(_spec(groups=(GroupSpec("AA", 0.25, 1.2, 1.0), GroupSpec("bb", 0.2, 0.8, 1.0))))
+    with pytest.raises(MalformedCountry):
+        generate(_spec(collab_partner="Z"))
 
 
 def test_journal_ids_zero_padded_for_sorting():

@@ -14,27 +14,29 @@ first k * BLOCK replicates do not depend on how many are asked for. Records
 are canonically sorted before the permutation is applied so results do not
 depend on input row order.
 
-Each block is reduced with one product of its 0/1 half-A weight matrix
-[block, n] against a per-cohort column matrix holding the field and every
-target's sums, sums of squares and counts; half B is the cohort total minus
-half A, and the interval is evaluated on [block, targets] arrays. Memory is
-therefore O(block x n), whatever the replicate count. Values are centred on
-the cohort mean before they are summed, so sums of squares do not cancel
-when citation counts are large and close together.
+Each article falls in bin 2 x pattern + cited, where a pattern is a distinct
+column of counting's set table, so articles in one bin are interchangeable
+in every sum. Three bincounts reduce a block's half A to per-row, per-bin
+counts, sums and sums of squares, and the 0/1 pattern weights turn these
+into field and target sums; half B is the cohort total minus half A. Memory
+is O(block x n + replicates x targets), however many sets there are. Values
+are centred on the cohort mean before they are summed, so sums of squares
+do not cancel when citation counts are large and close together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import special
 
-from .counting import membership
+from .counting import set_membership
 from .errors import InsufficientData, NoValidReplicates
 from .fieller import CiSettings, t_quantile
-from .model import Cohort, Scheme
+from .model import Cohort, Scheme, _frozen
 from .rngtools import stream
 
 BLOCK = 64
@@ -80,17 +82,19 @@ class Lag0Result:
     n_excluded: int
 
 
-def _mean_se(sums, squares, cited, counts, centre):
-    """Mean and standard error of the mean from sums of centred values.
+@lru_cache(maxsize=256)
+def _t_table(n: int, alpha: float) -> np.ndarray:
+    """t critical value for each possible half-A group count on n_g + n_a - 2 df."""
+    return _frozen(special.stdtrit(np.arange(n // 2 + 1) + n // 2 - 2, 1.0 - alpha))
 
-    A half with no cited article has mean exactly 0, as a direct sum would.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
-        # the clamp guards tiny negative residue from cancellation
-        var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
-        se = np.sqrt(var / counts)
-    return mean, se
+
+@lru_cache(maxsize=128)
+def _pattern_weights(sets, targets) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 weights [2 x patterns, targets + 1] of bin 2 x pattern + cited
+    (column 0 is the field) and each set's pattern, its distinct column."""
+    patterns, of_set = np.unique(set_membership(sets, targets).T, axis=0, return_inverse=True)
+    weights = np.repeat(np.hstack([np.ones((len(patterns), 1)), patterns]), 2, axis=0)
+    return _frozen(weights), _frozen(of_set)
 
 
 def replicate_decisions(
@@ -99,61 +103,61 @@ def replicate_decisions(
     replicates: int = 1000,
     rng_seed: int = 0,
     settings: CiSettings = CiSettings(),
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (valid, inside) bool arrays [r, targets] for each replicate block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, inside) bool arrays [replicates, targets], one row per replicate.
 
-    The blocks and their rows follow half_a_blocks. A replicate is invalid
-    for a target when half A cannot produce a bounded interval (group under
-    the size threshold, or curvature h >= 1) or half B has no group members;
-    a degenerate field mean in either half invalidates it for every target.
+    Halves come from half_a_blocks; per block, bincounts of row x bins + bin
+    give each row's per-bin count, sum and sum of squares, which the pattern
+    weights turn into field and target sums. A replicate is invalid for a
+    target when half A cannot produce a bounded interval (group under the
+    size threshold, or curvature h >= 1) or half B has no group members; a
+    degenerate field mean in either half invalidates it for every target.
     """
-    n = cohort.size
-    logs = cohort.log_citations
-    centre = logs.mean()
-    x = logs - centre
-    # row 0 weighs the whole field, row 1 + k target k's members
-    weights = np.vstack([np.ones(n), membership(cohort, list(targets))])
-    # [4 * (targets + 1), n]: sums, sums of squares, cited and member counts
-    columns = np.vstack([weights * x, weights * (x * x), weights * (logs > 0.0), weights])
-    totals = columns.sum(axis=1).reshape(4, -1)
-    # t critical value for each possible half-A group count on n_g + n_a - 2 df
-    t_table = special.stdtrit(np.arange(n // 2 + 1) + n // 2 - 2, 1.0 - settings.alpha)
+    centre = cohort.log_citations.mean()
+    x = cohort.log_citations - centre
+    weights, pattern_of_set = _pattern_weights(cohort.sets, tuple(targets))
+    n_bins = len(weights)
+    bins = 2 * pattern_of_set[cohort.codes] + (cohort.citations > 0)
 
-    for half_a in half_a_blocks(cohort, replicates, rng_seed):
-        r = len(half_a)
-        indicator = np.zeros((r, n))
-        indicator[np.arange(r)[:, None], half_a] = 1.0
-        sums_a = np.einsum("rn,kn->rk", indicator, columns).reshape(r, 4, -1)
-        sums_b = totals - sums_a
-        mean_a, se_a = _mean_se(*sums_a.transpose(1, 0, 2), centre)
-        mean_b, _ = _mean_se(*sums_b.transpose(1, 0, 2), centre)
-        field_a_mean, field_a_se, field_b_mean = mean_a[:, :1], se_a[:, :1], mean_b[:, :1]
-        group_a_mean, group_a_se, group_b_mean = mean_a[:, 1:], se_a[:, 1:], mean_b[:, 1:]
-        counts_a, counts_b = sums_a[:, 3, 1:], sums_b[:, 3, 1:]
+    def half_sums(idx):
+        # [rows, 4, targets + 1]: sums, sums of squares, cited and member counts
+        rows, size, xs = len(idx), len(idx) * n_bins, x[idx].ravel()
+        keys = (bins[idx] + n_bins * np.arange(rows)[:, None]).ravel()
+        count = np.bincount(keys, minlength=size).reshape(rows, n_bins)
+        sums = np.bincount(keys, xs, size).reshape(rows, n_bins)
+        squares = np.bincount(keys, xs * xs, size).reshape(rows, n_bins)
+        cited = count * (np.arange(n_bins) % 2)
+        return np.stack([sums, squares, cited, count], axis=1) @ weights
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel_j2 = np.where(field_a_se > 0.0, (field_a_se / field_a_mean) ** 2, 0.0)
-            t = t_table[counts_a.astype(np.intp)]
-            safe_group_mean = np.where(group_a_mean > 0.0, group_a_mean, 1.0)
-            if settings.form == "standard":
-                h = t * t * rel_j2
-            else:
-                h = np.where(group_a_mean > 0.0, t * (field_a_se / safe_group_mean) ** 2, np.inf)
-            value = group_a_mean / field_a_mean
-            mid = value / (1.0 - h)
-            rel_s2 = np.where(group_a_se > 0.0, (group_a_se / safe_group_mean) ** 2, 0.0)
-            se = mid * np.sqrt((1.0 - h) * rel_s2 + rel_j2)
-            value_b = group_b_mean / field_b_mean
+    blocks = half_a_blocks(cohort, replicates, rng_seed)
+    sums_a = np.concatenate([half_sums(half_a) for half_a in blocks])
+    halves = np.stack([sums_a, half_sums(np.arange(cohort.size)[None, :]) - sums_a])
+    # each [half A / half B, replicates, targets + 1]
+    sums, squares, cited, counts = np.moveaxis(halves, 2, 0)
 
-            valid = (
-                (field_a_mean > 0.0)
-                & (field_b_mean > 0.0)
-                & (counts_a >= settings.min_group_n)
-                & (counts_b >= 1.0)
-                & (h < 1.0)
-            )
-            inside = valid & (mid - t * se <= value_b) & (value_b <= mid + t * se)
-        yield valid, inside
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a half with no cited article has mean exactly 0, as a direct sum
+        # would; the clamp guards tiny negative residue from cancellation
+        mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
+        se = np.sqrt(np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0) / counts)
+        field_a, field_a_se, field_b = mean[0, :, :1], se[0, :, :1], mean[1, :, :1]
+        group_a, group_a_se, counts_a = mean[0, :, 1:], se[0, :, 1:], counts[0, :, 1:]
+        rel_j2 = np.where(field_a_se > 0.0, (field_a_se / field_a) ** 2, 0.0)
+        t = _t_table(cohort.size, settings.alpha)[counts_a.astype(np.intp)]
+        safe_group_a = np.where(group_a > 0.0, group_a, 1.0)
+        if settings.form == "standard":
+            h = t * t * rel_j2
+        else:
+            h = np.where(group_a > 0.0, t * (field_a_se / safe_group_a) ** 2, np.inf)
+        mid = group_a / field_a / (1.0 - h)
+        rel_s2 = np.where(group_a_se > 0.0, (group_a_se / safe_group_a) ** 2, 0.0)
+        half_width = t * (mid * np.sqrt((1.0 - h) * rel_s2 + rel_j2))
+        value_b = mean[1, :, 1:] / field_b
+
+        valid = (field_a > 0.0) & (field_b > 0.0) & (counts_a >= settings.min_group_n)
+        valid &= (counts[1, :, 1:] >= 1.0) & (h < 1.0)
+        inside = valid & (mid - half_width <= value_b) & (value_b <= mid + half_width)
+    return valid, inside
 
 
 def lag0_batch(
@@ -170,11 +174,7 @@ def lag0_batch(
     raising.
     """
     targets = list(targets)
-    n_valid = np.zeros(len(targets), dtype=np.int64)
-    n_inside = np.zeros(len(targets), dtype=np.int64)
-    for valid, inside in replicate_decisions(cohort, targets, replicates, rng_seed, settings):
-        n_valid += valid.sum(axis=0)
-        n_inside += inside.sum(axis=0)
+    valid, inside = replicate_decisions(cohort, targets, replicates, rng_seed, settings)
     return {
         target: Lag0Result(
             fraction=int(ins) / int(val) if val else float("nan"),
@@ -182,7 +182,7 @@ def lag0_batch(
             n_valid=int(val),
             n_excluded=replicates - int(val),
         )
-        for target, val, ins in zip(targets, n_valid, n_inside)
+        for target, val, ins in zip(targets, valid.sum(axis=0), inside.sum(axis=0))
     }
 
 
@@ -199,8 +199,7 @@ def lag0_coverage(
     Raises NoValidReplicates when every replicate was excluded; see
     lag0_batch for the exclusion rules.
     """
-    table = lag0_batch(cohort, [(country, scheme)], replicates, rng_seed, settings)
-    result = table[(country, scheme)]
+    (result,) = lag0_batch(cohort, [(country, scheme)], replicates, rng_seed, settings).values()
     if result.n_valid == 0:
         raise NoValidReplicates(
             f"all {replicates} replicates excluded for {country}/{scheme.value} "

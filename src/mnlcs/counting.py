@@ -5,17 +5,19 @@ exclusive counting takes only articles whose author countries are exactly
 that one country, dropping internationally co-authored work. Both are pure
 functions over immutable cohorts.
 
-``membership`` is the one place that decides who belongs to a group: it
-returns a bool matrix [targets, n] for a cohort and a list of (country,
-scheme) targets, deciding each of the cohort's distinct author-country
-sets once and broadcasting the answer through the cohort's set codes.
-Cells, the split-half engine and ``select_group`` all read rows of it.
+``set_membership`` is the one place that decides who belongs to a group: it
+returns a read-only bool table [targets, sets] for a cohort's distinct
+author-country sets and a tuple of (country, scheme) targets, cached so
+cohorts that share their sets decide them once. ``membership`` broadcasts
+it through the cohort's set codes to [targets, n] for cells and
+``select_group``; the split-half engine reads the table directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,17 +25,26 @@ import numpy as np
 from .model import Cohort, GroupSelection, Scheme
 
 
-def membership(cohort: Cohort, targets: Sequence[tuple[str, Scheme]]) -> np.ndarray:
-    """bool [targets, n]: inclusive is any author from the country, exclusive
-    is the country alone. Decided once per distinct author-country set."""
+@lru_cache(maxsize=128)
+def set_membership(
+    sets: tuple[frozenset[str], ...], targets: tuple[tuple[str, Scheme], ...]
+) -> np.ndarray:
+    """Read-only bool [targets, sets]: inclusive is any author from the
+    country, exclusive is the country alone."""
     table = np.array(
         [
-            [country in s if scheme is Scheme.INCLUSIVE else s == {country} for s in cohort.sets]
+            [country in s if scheme is Scheme.INCLUSIVE else s == {country} for s in sets]
             for country, scheme in targets
         ],
         dtype=bool,
-    ).reshape(len(targets), len(cohort.sets))
-    return table[:, cohort.codes]
+    ).reshape(len(targets), len(sets))
+    table.setflags(write=False)
+    return table
+
+
+def membership(cohort: Cohort, targets: Sequence[tuple[str, Scheme]]) -> np.ndarray:
+    """bool [targets, n]: row k marks the articles in target k's group."""
+    return set_membership(cohort.sets, tuple(targets))[:, cohort.codes]
 
 
 def select_group(cohort: Cohort, country: str, scheme: Scheme) -> GroupSelection:

@@ -176,13 +176,15 @@ def coverage_curve(
             )
 
     points = [] if lag0_point is None else [lag0_point]
+    journal_ids = sorted(journals)
     for offset in range(1, max_offset + 1):
         inside = 0
         n = 0
         n_base_unusable = 0
         n_later_missing = 0
-        for journal_id in sorted(journals):
-            for base_year, later_year in enumerate_pairs(years, offset):
+        pairs = enumerate_pairs(years, offset)
+        for journal_id in journal_ids:
+            for base_year, later_year in pairs:
                 base = index.get((journal_id, base_year))
                 later = index.get((journal_id, later_year))
                 if base is None or base.estimate.status is not EstimateStatus.OK:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from _oracles import canonical_order, scalar_decisions, split_half
 from conftest import cohort, rec
@@ -23,7 +23,7 @@ from mnlcs.bootstrap import (
     replicate_decisions,
 )
 from mnlcs.errors import InsufficientData, NoValidReplicates
-from mnlcs.fieller import CiSettings
+from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
 from mnlcs.rngtools import stream
 from mnlcs.synth import sample_citations
@@ -125,8 +125,7 @@ def test_lag0_batch_matches_individual_calls():
 
 
 def engine_decisions(c, targets, replicates, rng_seed, settings=CiSettings()):
-    blocks = list(replicate_decisions(c, targets, replicates, rng_seed, settings))
-    return np.vstack([v for v, _ in blocks]), np.vstack([i for _, i in blocks])
+    return replicate_decisions(c, targets, replicates, rng_seed, settings)
 
 
 def test_lag0_engine_matches_scalar_interval_path():
@@ -149,6 +148,37 @@ def test_lag0_engine_matches_scalar_interval_path():
         assert [(table[t].n_valid, table[t].n_inside) for t in targets] == list(
             zip(valid.sum(axis=0), inside.sum(axis=0))
         )
+
+
+# Up to one distinct author-country set per article; UC's articles are all
+# uncited and ZZ never occurs, so both edge groups are among the targets.
+DUAL_COUNTRIES = ["US", "JP", "DE", "GB", "FR", "UC"]
+dual_route_row = st.tuples(
+    st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 200)),
+    st.frozensets(st.sampled_from(DUAL_COUNTRIES), max_size=4),
+)
+dual_route_rows = st.integers(2, 60).flatmap(
+    lambda n: st.lists(dual_route_row, min_size=n, max_size=n)
+).map(lambda rows: [(0 if "UC" in s else c, tuple(s)) for c, s in rows])
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(
+    dual_route_rows,
+    st.sampled_from(FIELLER_FORMS),
+    st.integers(2, 5),
+    st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+    st.integers(0, 2**16),
+)
+def test_engine_matches_scalar_route_on_random_cohorts(rows, form, min_group_n, replicates, seed):
+    c = cohort(rows)
+    targets = [(country, scheme) for country in ("US", "DE", "UC", "ZZ") for scheme in Scheme]
+    settings = CiSettings(form=form, min_group_n=min_group_n)
+    valid, inside = engine_decisions(c, targets, replicates, seed, settings)
+    ref_valid, ref_inside = scalar_decisions(c, targets, replicates, seed, settings)
+    assert valid.shape == (replicates, len(targets))
+    np.testing.assert_array_equal(valid, ref_valid)
+    np.testing.assert_array_equal(inside, ref_inside)
 
 
 def tight_cohort(base, n=400, seed=0):
@@ -211,26 +241,33 @@ def test_lag0_same_with_single_threaded_blas():
 
 def test_lag0_memory_is_bounded_in_replicates():
     # 10^4 articles, 10 countries x 2 schemes, 1000 replicates: memory must
-    # stay O(block x n), not O(replicates x n)
+    # stay O(block x n), not O(replicates x n). The second cohort adds three
+    # non-target countries to every article, so almost every article has its
+    # own author-country set (about 10^4 sets) but the membership patterns
+    # over the targets stay few.
     rng = np.random.default_rng(3)
     codes = [chr(65 + i) * 2 for i in range(10)]
+    others = [a + b for a in "KLMNOPQRSTUVWXY" for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"]
     counts = rng.integers(0, 40, size=10_000)
-    pairs = [
+    few = [
         (int(cnt), tuple(rng.choice(codes, size=int(rng.integers(0, 3)), replace=False)))
         for cnt in counts
     ]
-    c = cohort(pairs)
+    many = [(cnt, ctrs + tuple(rng.choice(others, size=3, replace=False))) for cnt, ctrs in few]
     targets = [(code, s) for code in codes for s in (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)]
-    c.log_citations  # cached on the cohort: not part of the engine's working set
-    tracemalloc.start()
-    try:
-        table = lag0_batch(c, targets, replicates=1000, rng_seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table) == 20
-    assert all(r.n_valid + r.n_excluded == 1000 for r in table.values())
-    assert peak < 64 * 2**20
+    for pairs, min_sets in ((few, 1), (many, 9_000)):
+        c = cohort(pairs)
+        assert len(c.sets) >= min_sets
+        c.log_citations  # cached on the cohort: not part of the engine's working set
+        tracemalloc.start()
+        try:
+            table = lag0_batch(c, targets, replicates=1000, rng_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 20
+        assert all(r.n_valid + r.n_excluded == 1000 for r in table.values())
+        assert peak < 64 * 2**20
 
 
 def test_lag0_large_synthetic_band():

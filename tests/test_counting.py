@@ -1,11 +1,12 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import cells_oracle, record_in_group
 from conftest import cohort, rec, records
-from mnlcs.counting import membership, select_group, top_countries
+from mnlcs.counting import membership, select_group, set_membership, top_countries
 from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
 from mnlcs.stability import compute_cells
@@ -136,6 +137,22 @@ def test_membership_rows_match_per_record_oracle(cohorts):
             assert row.tolist() == [record_in_group(r, country, scheme) for r in c.records]
         inclusive, exclusive = matrix[0::2], matrix[1::2]
         assert not (exclusive & ~inclusive).any()
+
+
+def test_set_membership_table_is_read_only_and_shared(simple_cohort):
+    targets = (("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("ZZ", Scheme.INCLUSIVE))
+    table = set_membership(simple_cohort.sets, targets)
+    assert table.shape == (3, len(simple_cohort.sets)) and table.dtype == bool
+    assert [sorted(s) for s, member in zip(simple_cohort.sets, table[0]) if member] == [
+        ["GB", "US"], ["JP", "US"], ["US"]
+    ]
+    assert not table[2].any()
+    with pytest.raises(ValueError):
+        table[0, 0] = True
+    # a cohort with equal sets reads the same cached table
+    same_sets = cohort([(c + 1, tuple(r.countries)) for c, r in enumerate(simple_cohort.records)])
+    assert set_membership(same_sets.sets, targets) is table
+    np.testing.assert_array_equal(membership(simple_cohort, targets), table[:, simple_cohort.codes])
 
 
 @given(

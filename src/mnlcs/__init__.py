@@ -12,7 +12,6 @@ validate all of it.
 __version__ = "0.1.0"
 
 from .bootstrap import (
-    CoverageSimSpec,
     Lag0Result,
     coverage_probability_sim,
     lag0_batch,
@@ -33,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
-from .fieller import CiSettings, TQuantileSpec, estimate, fieller_ci, fieller_h, t_quantile
+from .fieller import CiSettings, estimate, t_quantile
 from .indicator import log_stats, log_stats_from_logs, mnlcs
 from .model import (
     CitationRecord,
@@ -75,7 +74,6 @@ __all__ = [
     "CitationRecord",
     "Cohort",
     "CoverageCurve",
-    "CoverageSimSpec",
     "CurvePoint",
     "DegenerateField",
     "DomainError",
@@ -102,7 +100,6 @@ __all__ = [
     "Scheme",
     "SeriesPoint",
     "Static",
-    "TQuantileSpec",
     "UnparseableYear",
     "ValidationError",
     "compute_cells",
@@ -110,8 +107,6 @@ __all__ = [
     "coverage_probability_sim",
     "enumerate_pairs",
     "estimate",
-    "fieller_ci",
-    "fieller_h",
     "generate",
     "ingest",
     "lag0_batch",

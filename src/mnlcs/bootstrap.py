@@ -21,7 +21,10 @@ counts, sums and sums of squares, and the 0/1 pattern weights turn these
 into field and target sums; half B is the cohort total minus half A. Memory
 is O(block x n + replicates x targets), however many sets there are. Values
 are centred on the cohort mean before they are summed, so sums of squares
-do not cancel when citation counts are large and close together.
+do not cancel when citation counts are large and close together. Half A's
+intervals then come from one fieller_interval call on the [replicates,
+targets] means and SEs, the same code every indicator cell goes through,
+with t looked up per half-A group count.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy import special
 
 from .counting import set_membership
 from .errors import InsufficientData, NoValidReplicates
-from .fieller import CiSettings, t_quantile
+from .fieller import CiSettings, fieller_interval, t_quantile
 from .model import Cohort, Scheme, _frozen
 from .rngtools import stream
 
@@ -84,8 +86,12 @@ class Lag0Result:
 
 @lru_cache(maxsize=256)
 def _t_table(n: int, alpha: float) -> np.ndarray:
-    """t critical value for each possible half-A group count on n_g + n_a - 2 df."""
-    return _frozen(special.stdtrit(np.arange(n // 2 + 1) + n // 2 - 2, 1.0 - alpha))
+    """t critical value for each possible half-A group count on n_g + n_a - 2 df.
+
+    Counts under 2 never give a valid replicate (min_group_n >= 2); they
+    take count 2's value so that every df is positive.
+    """
+    return _frozen(t_quantile(np.maximum(np.arange(n // 2 + 1), 2) + n // 2 - 2, alpha))
 
 
 @lru_cache(maxsize=128)
@@ -136,27 +142,20 @@ def replicate_decisions(
     sums, squares, cited, counts = np.moveaxis(halves, 2, 0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # a half with no cited article has mean exactly 0, as a direct sum
-        # would; the clamp guards tiny negative residue from cancellation
+        # a half with no cited article has mean and SE exactly 0, as a direct
+        # sum would; the clamp guards tiny negative residue from cancellation
         mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
-        se = np.sqrt(np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0) / counts)
-        field_a, field_a_se, field_b = mean[0, :, :1], se[0, :, :1], mean[1, :, :1]
-        group_a, group_a_se, counts_a = mean[0, :, 1:], se[0, :, 1:], counts[0, :, 1:]
-        rel_j2 = np.where(field_a_se > 0.0, (field_a_se / field_a) ** 2, 0.0)
-        t = _t_table(cohort.size, settings.alpha)[counts_a.astype(np.intp)]
-        safe_group_a = np.where(group_a > 0.0, group_a, 1.0)
-        if settings.form == "standard":
-            h = t * t * rel_j2
-        else:
-            h = np.where(group_a > 0.0, t * (field_a_se / safe_group_a) ** 2, np.inf)
-        mid = group_a / field_a / (1.0 - h)
-        rel_s2 = np.where(group_a_se > 0.0, (group_a_se / safe_group_a) ** 2, 0.0)
-        half_width = t * (mid * np.sqrt((1.0 - h) * rel_s2 + rel_j2))
-        value_b = mean[1, :, 1:] / field_b
-
-        valid = (field_a > 0.0) & (field_b > 0.0) & (counts_a >= settings.min_group_n)
-        valid &= (counts[1, :, 1:] >= 1.0) & (h < 1.0)
-        inside = valid & (mid - half_width <= value_b) & (value_b <= mid + half_width)
+        var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
+        se = np.where(cited > 0.0, np.sqrt(var / counts), 0.0)
+        value_b = mean[1, :, 1:] / mean[1, :, :1]
+    field_a, field_b, counts_a = mean[0, :, :1], mean[1, :, :1], counts[0, :, 1:]
+    t = _t_table(cohort.size, settings.alpha)[counts_a.astype(np.intp)]
+    _, low, high, h, _ = fieller_interval(
+        mean[0, :, 1:], se[0, :, 1:], field_a, se[0, :, :1], t, settings.form
+    )
+    valid = (field_a > 0.0) & (field_b > 0.0) & (counts_a >= settings.min_group_n)
+    valid &= (counts[1, :, 1:] >= 1.0) & (h < 1.0)
+    inside = valid & (low <= value_b) & (value_b <= high)
     return valid, inside
 
 
@@ -208,38 +207,6 @@ def lag0_coverage(
     return result
 
 
-@dataclass(frozen=True)
-class CoverageSimSpec:
-    """Two-sample mean-coverage simulation under Normal(mu0, sigma0^2)."""
-
-    n_first: int
-    n_second: int
-    mu0: float = 0.0
-    sigma0: float = 1.0
-    replicates: int = 10000
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_first < 2:
-            raise ValueError("n_first must be >= 2")
-        if self.n_second < 1:
-            raise ValueError("n_second must be >= 1")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be > 0")
-        if self.replicates < 100:
-            raise ValueError("replicates must be >= 100")
-
-    def run(self) -> float:
-        return coverage_probability_sim(
-            self.n_first,
-            self.n_second,
-            mu0=self.mu0,
-            sigma0=self.sigma0,
-            replicates=self.replicates,
-            rng_seed=self.rng_seed,
-        )
-
-
 def coverage_probability_sim(
     n_first: int,
     n_second: int,
@@ -255,16 +222,23 @@ def coverage_probability_sim(
     sizes the result ranges from near 0 (huge first sample, single-draw
     second sample) up to about 0.95 (small first sample, huge second one).
     """
-    spec = CoverageSimSpec(n_first, n_second, mu0, sigma0, replicates, rng_seed)
-    t = t_quantile(spec.n_first - 1, 0.025)
+    if n_first < 2:
+        raise ValueError("n_first must be >= 2")
+    if n_second < 1:
+        raise ValueError("n_second must be >= 1")
+    if sigma0 <= 0:
+        raise ValueError("sigma0 must be > 0")
+    if replicates < 100:
+        raise ValueError("replicates must be >= 100")
+    t = t_quantile(n_first - 1, 0.025)
     inside = 0
-    for rep in range(spec.replicates):
-        rng = stream(spec.rng_seed, "coverage-sim", rep)
-        first = rng.normal(spec.mu0, spec.sigma0, size=spec.n_first)
-        second = rng.normal(spec.mu0, spec.sigma0, size=spec.n_second)
+    for rep in range(replicates):
+        rng = stream(rng_seed, "coverage-sim", rep)
+        first = rng.normal(mu0, sigma0, size=n_first)
+        second = rng.normal(mu0, sigma0, size=n_second)
         m = first.mean()
-        half = t * first.std(ddof=1) / np.sqrt(spec.n_first)
+        half = t * first.std(ddof=1) / np.sqrt(n_first)
         m2 = second.mean()
         if m - half <= m2 <= m + half:
             inside += 1
-    return inside / spec.replicates
+    return inside / replicates

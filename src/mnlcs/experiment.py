@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -40,72 +40,51 @@ from .stability import (
 )
 
 
+CAPABILITY_MODES = {
+    "static": synth.Static,
+    "random_walk": synth.RandomWalk,
+    "linear_drift": synth.LinearDrift,
+    "independent_resample": synth.IndependentResample,
+}
+_MODE_NAMES = {cls: name for name, cls in CAPABILITY_MODES.items()}
+_SCALARS = {"int": int, "float": float, "str": str}
+
+
+def _from_json(cls, d: dict, **built):
+    """Dataclass ``cls`` from JSON ``d``: the fields in ``built`` as given,
+    every other field present in ``d`` converted to its annotated scalar
+    type (so "step": 1 becomes 1.0); a missing field without a default
+    raises KeyError."""
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.name not in built and (f.name in d or required):
+            built[f.name] = _SCALARS[f.type](d[f.name])
+    return cls(**built)
+
+
 def mode_to_dict(mode: synth.CapabilityMode) -> dict:
-    if isinstance(mode, synth.Static):
-        return {"mode": "static"}
-    if isinstance(mode, synth.RandomWalk):
-        return {"mode": "random_walk", "step": mode.step}
-    if isinstance(mode, synth.LinearDrift):
-        return {"mode": "linear_drift", "slope": mode.slope}
-    if isinstance(mode, synth.IndependentResample):
-        return {"mode": "independent_resample", "spread": mode.spread}
-    raise ValidationError(f"unknown capability mode {mode!r}")
+    if type(mode) not in _MODE_NAMES:
+        raise ValidationError(f"unknown capability mode {mode!r}")
+    return {"mode": _MODE_NAMES[type(mode)], **asdict(mode)}
 
 
 def mode_from_dict(d: dict) -> synth.CapabilityMode:
-    name = d.get("mode")
-    if name == "static":
-        return synth.Static()
-    if name == "random_walk":
-        return synth.RandomWalk(step=float(d["step"]))
-    if name == "linear_drift":
-        return synth.LinearDrift(slope=float(d["slope"]))
-    if name == "independent_resample":
-        return synth.IndependentResample(spread=float(d["spread"]))
-    raise ValidationError(f"unknown capability mode name {name!r}")
+    if d.get("mode") not in CAPABILITY_MODES:
+        raise ValidationError(f"unknown capability mode name {d.get('mode')!r}")
+    return _from_json(CAPABILITY_MODES[d["mode"]], d)
 
 
 def scenario_to_dict(spec: synth.ScenarioSpec) -> dict:
-    return {
-        "n_journals": spec.n_journals,
-        "year_start": spec.year_start,
-        "year_end": spec.year_end,
-        "field_size_per_year": spec.field_size_per_year,
-        "field_mu": spec.field_mu,
-        "field_sigma": spec.field_sigma,
-        "groups": [
-            {"country": g.country, "share": g.share, "mu": g.mu, "sigma": g.sigma}
-            for g in spec.groups
-        ],
-        "capability_mode": mode_to_dict(spec.capability_mode),
-        "collab_fraction": spec.collab_fraction,
-        "collab_partner": spec.collab_partner,
-        "rng_seed": spec.rng_seed,
-    }
+    return {**asdict(spec), "capability_mode": mode_to_dict(spec.capability_mode)}
 
 
 def scenario_from_dict(d: dict) -> synth.ScenarioSpec:
     try:
-        return synth.ScenarioSpec(
-            n_journals=int(d["n_journals"]),
-            year_start=int(d["year_start"]),
-            year_end=int(d["year_end"]),
-            field_size_per_year=int(d["field_size_per_year"]),
-            groups=tuple(
-                synth.GroupSpec(
-                    country=str(g["country"]),
-                    share=float(g["share"]),
-                    mu=float(g["mu"]),
-                    sigma=float(g["sigma"]),
-                )
-                for g in d["groups"]
-            ),
+        return _from_json(
+            synth.ScenarioSpec,
+            d,
+            groups=tuple(_from_json(synth.GroupSpec, g) for g in d["groups"]),
             capability_mode=mode_from_dict(d.get("capability_mode", {"mode": "static"})),
-            field_mu=float(d.get("field_mu", 1.0)),
-            field_sigma=float(d.get("field_sigma", 1.0)),
-            collab_fraction=float(d.get("collab_fraction", 0.0)),
-            collab_partner=str(d.get("collab_partner", "ZZ")),
-            rng_seed=int(d.get("rng_seed", 0)),
         )
     except KeyError as exc:
         raise ValidationError(f"scenario config missing key: {exc}") from None

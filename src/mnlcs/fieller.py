@@ -16,141 +16,70 @@ the ratio, and collapses to the symmetric delta-method interval
 R -/+ t*R*SE_s/m_s as SE_j -> 0. When h >= 1 the denominator is too noisy
 for a bounded interval and the estimate is flagged instead of fabricated.
 
-A "printed" variant, h = t * (SE_j / m_s)^2, is exposed for side-by-side
-comparison; it is dimensionally inconsistent with the SE expression above
-and fails the SE_j -> 0 limit, so "standard" is the default everywhere.
+The formula is written once, in ``fieller_interval``, elementwise on
+arrays: the split-half engine calls it on [replicates, targets] arrays,
+``estimates`` on every cell of a run at once, and ``estimate`` is a
+length-1 call of ``estimates``.
+
+A "printed" variant, h = t * (SE_j / m_s)^2, goes through the same code for
+side-by-side comparison; it is dimensionally inconsistent with the SE
+expression above and fails the SE_j -> 0 limit, so "standard" is the
+default everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
+import numpy as np
 from scipy import special
 
 from .errors import DegenerateField, DomainError
-from .indicator import mnlcs
 from .model import EstimateStatus, LogStats, MnlcsEstimate
 
 FIELLER_FORMS = ("standard", "printed")
 
 
-@dataclass(frozen=True)
-class TQuantileSpec:
-    """Degrees of freedom and per-tail alpha for a Student-t critical value."""
+def t_quantile(df, alpha: float = 0.025):
+    """Upper critical value t with P(T > t) = alpha for Student-t on df.
 
-    df: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.df <= 0:
-            raise DomainError(f"degrees of freedom must be > 0, got {self.df}")
-        if not 0.0 < self.alpha <= 0.5:
-            raise DomainError(f"alpha must be in (0, 0.5], got {self.alpha}")
-
-
-@lru_cache(maxsize=4096)
-def _t_quantile_cached(df: float, alpha: float) -> float:
-    return float(special.stdtrit(df, 1.0 - alpha))
+    ``df`` may be a number or an array; the result has its shape.
+    """
+    df = np.asarray(df, dtype=np.float64)
+    if (df <= 0).any():
+        raise DomainError(f"degrees of freedom must be > 0, got {df}")
+    if not 0.0 < alpha <= 0.5:
+        raise DomainError(f"alpha must be in (0, 0.5], got {alpha}")
+    t = special.stdtrit(df, 1.0 - alpha)
+    return float(t) if np.ndim(t) == 0 else t
 
 
-def t_quantile(df: float, alpha: float = 0.025) -> float:
-    """Upper critical value t with P(T > t) = alpha for Student-t on df."""
-    spec = TQuantileSpec(df=float(df), alpha=float(alpha))
-    return _t_quantile_cached(spec.df, spec.alpha)
+def fieller_interval(group_mean, group_se, field_mean, field_se, t, form: str = "standard"):
+    """(value, low, high, h, se) of the ratio interval, elementwise.
 
-
-def _relative_se_sq(stats: LogStats) -> float:
-    # (SE/mean)^2 with the zero-variance limit pinned to 0; mean == 0 forces
-    # SE == 0 (all-zero sample), so the 0/0 case resolves to 0 as well.
-    if stats.se is None or stats.se == 0.0:
-        return 0.0
-    return (stats.se / stats.mean) ** 2
-
-
-def fieller_h(
-    t: float,
-    field: LogStats,
-    *,
-    group: LogStats | None = None,
-    form: str = "standard",
-) -> float:
-    """Curvature term of the ratio interval.
-
-    The standard form needs only the field statistics. The printed
-    comparison form divides by the group mean instead and scales by t rather
-    than t^2; it requires ``group`` and returns inf when the group mean is
-    zero (no bounded interval exists there).
+    Inputs broadcast against each other. A zero SE counts as no noise,
+    whatever the mean; the printed form gives h = inf where the group mean
+    is zero. low, high and se mean something only where h < 1; callers
+    flag the rest as unbounded.
     """
     if form not in FIELLER_FORMS:
         raise ValueError(f"unknown form {form!r}, expected one of {FIELLER_FORMS}")
-    if field.mean <= 0.0:
-        raise DegenerateField("field mean of ln(1+c) is zero")
-    if field.se is None:
-        raise DomainError("field standard error undefined (n == 1)")
-    if form == "standard":
-        return t * t * (field.se / field.mean) ** 2
-    if group is None:
-        raise ValueError("printed form requires group statistics")
-    if group.mean == 0.0:
-        return math.inf
-    return t * (field.se / group.mean) ** 2
-
-
-def fieller_ci(
-    value: float,
-    group: LogStats,
-    field: LogStats,
-    t: float,
-    *,
-    form: str = "standard",
-) -> MnlcsEstimate:
-    """Interval for the ratio ``value`` given group and field statistics.
-
-    Returns an estimate flagged INSUFFICIENT_DATA when either sample is too
-    small for a standard error, and UNBOUNDED_FIELLER when h >= 1. The
-    stored lower bound is unclamped; reporting clamps at zero.
-    """
-    if field.mean <= 0.0:
-        raise DegenerateField("field mean of ln(1+c) is zero")
-    if group.n < 2 or field.n < 2:
-        return MnlcsEstimate(
-            value=value,
-            ci_low=None,
-            ci_high=None,
-            h=None,
-            se_mnlcs=None,
-            n_group=group.n,
-            n_field=field.n,
-            status=EstimateStatus.INSUFFICIENT_DATA,
-        )
-
-    h = fieller_h(t, field, group=group, form=form)
-    if h >= 1.0:
-        return MnlcsEstimate(
-            value=value,
-            ci_low=None,
-            ci_high=None,
-            h=h if math.isfinite(h) else None,
-            se_mnlcs=None,
-            n_group=group.n,
-            n_field=field.n,
-            status=EstimateStatus.UNBOUNDED_FIELLER,
-        )
-
-    centre = value / (1.0 - h)
-    se = centre * math.sqrt((1.0 - h) * _relative_se_sq(group) + _relative_se_sq(field))
-    return MnlcsEstimate(
-        value=value,
-        ci_low=centre - t * se,
-        ci_high=centre + t * se,
-        h=h,
-        se_mnlcs=se,
-        n_group=group.n,
-        n_field=field.n,
-        status=EstimateStatus.OK,
+    group_mean, group_se, field_mean, field_se = (
+        np.asarray(a, dtype=np.float64) for a in (group_mean, group_se, field_mean, field_se)
     )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = group_mean / field_mean
+        rel_s2 = np.where(group_se > 0.0, (group_se / group_mean) ** 2, 0.0)
+        rel_j2 = np.where(field_se > 0.0, (field_se / field_mean) ** 2, 0.0)
+        if form == "standard":
+            h = t * t * rel_j2
+        else:
+            h = np.where(group_mean > 0.0, t * (field_se / group_mean) ** 2, np.inf)
+        centre = value / (1.0 - h)
+        se = centre * np.sqrt((1.0 - h) * rel_s2 + rel_j2)
+        return value, centre - t * se, centre + t * se, h, se
 
 
 @dataclass(frozen=True)
@@ -175,6 +104,51 @@ class CiSettings:
             raise ValueError("min_group_n must be >= 2 (standard error needs n >= 2)")
 
 
+def estimates(
+    groups: Sequence[LogStats], fields: Sequence[LogStats], settings: CiSettings = CiSettings()
+) -> list[MnlcsEstimate]:
+    """estimate() for each (group, field) pair, in one interval call.
+
+    Pairs with a group under ``settings.min_group_n`` or a single-article
+    field keep their value and are flagged INSUFFICIENT_DATA; pairs with
+    h >= 1 are flagged UNBOUNDED_FIELLER. Bounds stay unclamped.
+    """
+    field_mean = np.array([f.mean for f in fields], dtype=np.float64)
+    if (field_mean <= 0.0).any():
+        raise DegenerateField("field mean of ln(1+c) is zero")
+    n_group = np.array([g.n for g in groups], dtype=np.intp)
+    n_field = np.array([f.n for f in fields], dtype=np.intp)
+    enough = (n_group >= settings.min_group_n) & (n_field >= 2)
+    t = np.full(len(n_group), np.nan)
+    t[enough] = t_quantile(n_group[enough] + n_field[enough] - 2, settings.alpha)
+    # se is None for n == 1, which becomes nan; such pairs are insufficient
+    value, low, high, h, se = fieller_interval(
+        [g.mean for g in groups], [g.se for g in groups],
+        field_mean, [f.se for f in fields], t, settings.form,
+    )
+    ok = enough & (h < 1.0)
+    return [
+        MnlcsEstimate(
+            value=v,
+            ci_low=lo if is_ok else None,
+            ci_high=hi if is_ok else None,
+            h=hh if is_enough and math.isfinite(hh) else None,
+            se_mnlcs=s if is_ok else None,
+            n_group=ng,
+            n_field=nf,
+            status=(
+                EstimateStatus.OK if is_ok
+                else EstimateStatus.UNBOUNDED_FIELLER if is_enough
+                else EstimateStatus.INSUFFICIENT_DATA
+            ),
+        )
+        for v, lo, hi, hh, s, ng, nf, is_enough, is_ok in zip(
+            value.tolist(), low.tolist(), high.tolist(), h.tolist(), se.tolist(),
+            n_group.tolist(), n_field.tolist(), enough.tolist(), ok.tolist(),
+        )
+    ]
+
+
 def estimate(
     group: LogStats, field: LogStats, settings: CiSettings = CiSettings()
 ) -> MnlcsEstimate:
@@ -183,17 +157,5 @@ def estimate(
     The degrees of freedom treat the whole journal (group included) as the
     second sample.
     """
-    value = mnlcs(group, field)
-    if group.n < settings.min_group_n or field.n < 2:
-        return MnlcsEstimate(
-            value=value,
-            ci_low=None,
-            ci_high=None,
-            h=None,
-            se_mnlcs=None,
-            n_group=group.n,
-            n_field=field.n,
-            status=EstimateStatus.INSUFFICIENT_DATA,
-        )
-    t = t_quantile(group.n + field.n - 2, settings.alpha)
-    return fieller_ci(value, group, field, t, form=settings.form)
+    (est,) = estimates([group], [field], settings)
+    return est

@@ -316,13 +316,6 @@ class MnlcsEstimate:
             return None
         return max(0.0, self.ci_low)
 
-    @property
-    def centre(self) -> float | None:
-        """Interval midpoint value/(1-h); defined only for bounded intervals."""
-        if self.status is not EstimateStatus.OK:
-            return None
-        return self.value / (1.0 - self.h)
-
     def contains(self, x: float) -> bool:
         """Closed-interval membership test against the unclamped bounds."""
         if self.status is not EstimateStatus.OK:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .bootstrap import lag0_batch
 from .counting import membership
 from .errors import DegenerateField, ValidationError
-from .fieller import CiSettings, estimate
+from .fieller import CiSettings, estimate, estimates
 from .indicator import log_stats_from_logs
 from .model import Cohort, EstimateStatus, MnlcsEstimate, Scheme
 
@@ -86,10 +86,11 @@ def compute_cells(
     positive; their status records whether an interval was possible. Cohorts
     with a zero field mean and empty group selections are skipped and
     tallied. Each cohort's groups come from one membership matrix, in
-    country-major, scheme-minor order.
+    country-major, scheme-minor order; every cell's interval then comes from
+    one call of ``estimates``.
     """
     targets = [(country, scheme) for country in countries for scheme in schemes]
-    cells = []
+    keys, groups, fields = [], [], []
     for cohort in cohorts:
         field_stats = log_stats_from_logs(cohort.log_citations)
         if field_stats.mean <= 0.0:
@@ -119,17 +120,13 @@ def compute_cells(
                         )
                     )
                 continue
-            group_stats = log_stats_from_logs(cohort.log_citations[members])
-            cells.append(
-                CellResult(
-                    journal_id=cohort.journal_id,
-                    year=cohort.year,
-                    country=country,
-                    scheme=scheme,
-                    estimate=estimate(group_stats, field_stats, settings),
-                )
-            )
-    return cells
+            keys.append((cohort.journal_id, cohort.year, country, scheme))
+            groups.append(log_stats_from_logs(cohort.log_citations[members]))
+            fields.append(field_stats)
+    return [
+        CellResult(*key, estimate=est)
+        for key, est in zip(keys, estimates(groups, fields, settings))
+    ]
 
 
 def enumerate_pairs(years: range, offset: int) -> list[tuple[int, int]]:

@@ -4,11 +4,12 @@ These deliberately avoid the code paths they are used to check: the t
 quantile comes from quadrature of the density plus bisection (the library
 uses scipy's inverse CDF), the discretised-lognormal expectation comes
 from direct series summation against the normal CDF, and split-half
-decisions are rebuilt replicate by replicate through the scalar estimate()
-chain (only the splits themselves are shared with the engine), group
-membership and cells are decided record by record, not through the
-library's membership matrix, and CSV ingest, writing and the canonical
-split order go through one CitationRecord per row, not through columns.
+decisions and cells are rebuilt one at a time through a scalar Fieller
+interval written with math.sqrt (only the splits themselves are shared with
+the engine), group membership and cells are decided record by record, not
+through the library's membership matrix, and CSV ingest, writing and the
+canonical split order go through one CitationRecord per row, not through
+columns.
 """
 
 import csv
@@ -20,10 +21,17 @@ from scipy.stats import norm
 
 from mnlcs.bootstrap import half_a_blocks
 from mnlcs.dataio import CSV_HEADER, IngestReport
-from mnlcs.errors import IngestError, ValidationError
-from mnlcs.fieller import estimate
+from mnlcs.errors import DegenerateField, IngestError, ValidationError
+from mnlcs.fieller import t_quantile
 from mnlcs.indicator import log_stats_from_logs
-from mnlcs.model import CitationRecord, Cohort, EstimateStatus, Scheme, validate_record
+from mnlcs.model import (
+    CitationRecord,
+    Cohort,
+    EstimateStatus,
+    MnlcsEstimate,
+    Scheme,
+    validate_record,
+)
 from mnlcs.stability import CellResult, ExclusionRecord
 
 
@@ -96,6 +104,60 @@ def spearman(xs, ys) -> float:
     return cov / (vx * vy)
 
 
+def _relative_se_sq(se, mean) -> float:
+    # (SE/mean)^2 with the zero-variance limit pinned to 0; mean == 0 forces
+    # SE == 0 (all-zero sample), so the 0/0 case resolves to 0 as well
+    if se is None or se == 0.0:
+        return 0.0
+    r = se / mean
+    return r * r
+
+
+def fieller_oracle(value, group, field, t, form="standard") -> MnlcsEstimate:
+    """The Fieller interval for one (group, field) pair in scalar Python.
+
+    Squares are written r * r: that is correctly rounded, as numpy's ** 2
+    is, while Python's float ** 2 calls libm pow, which can be one ulp off.
+    """
+    if field.mean <= 0.0:
+        raise DegenerateField("field mean of ln(1+c) is zero")
+
+    def flagged(status, h=None):
+        return MnlcsEstimate(value, None, None, h, None, group.n, field.n, status)
+
+    if group.n < 2 or field.n < 2:
+        return flagged(EstimateStatus.INSUFFICIENT_DATA)
+    if form == "standard":
+        h = t * t * _relative_se_sq(field.se, field.mean)
+    elif group.mean == 0.0:
+        h = math.inf
+    else:
+        r = field.se / group.mean
+        h = t * (r * r)
+    if h >= 1.0:
+        return flagged(EstimateStatus.UNBOUNDED_FIELLER, h if math.isfinite(h) else None)
+    centre = value / (1.0 - h)
+    se = centre * math.sqrt(
+        (1.0 - h) * _relative_se_sq(group.se, group.mean) + _relative_se_sq(field.se, field.mean)
+    )
+    return MnlcsEstimate(
+        value, centre - t * se, centre + t * se, h, se, group.n, field.n, EstimateStatus.OK
+    )
+
+
+def estimate_oracle(group, field, settings) -> MnlcsEstimate:
+    """fieller.estimate through fieller_oracle, one pair at a time."""
+    if field.mean <= 0.0:
+        raise DegenerateField("field mean of ln(1+c) is zero")
+    value = group.mean / field.mean
+    if group.n < settings.min_group_n or field.n < 2:
+        return MnlcsEstimate(
+            value, None, None, None, None, group.n, field.n, EstimateStatus.INSUFFICIENT_DATA
+        )
+    t = t_quantile(group.n + field.n - 2, settings.alpha)
+    return fieller_oracle(value, group, field, t, form=settings.form)
+
+
 def record_in_group(record: CitationRecord, country: str, scheme: Scheme) -> bool:
     if scheme is Scheme.INCLUSIVE:
         return country in record.countries
@@ -104,7 +166,7 @@ def record_in_group(record: CitationRecord, country: str, scheme: Scheme) -> boo
 
 def cells_oracle(cohorts, countries, schemes, settings):
     """(cells, exclusions) of compute_cells, one cell at a time: members by
-    record_in_group, then log_stats_from_logs and estimate()."""
+    record_in_group, then log_stats_from_logs and estimate_oracle()."""
     cells, exclusions = [], []
     for c in cohorts:
         field = log_stats_from_logs(c.log_citations)
@@ -121,7 +183,8 @@ def cells_oracle(cohorts, countries, schemes, settings):
                         "cells", "empty_group", 1, c.journal_id, c.year, country, scheme
                     ))
                     continue
-                est = estimate(log_stats_from_logs(c.log_citations[members]), field, settings)
+                group = log_stats_from_logs(c.log_citations[members])
+                est = estimate_oracle(group, field, settings)
                 cells.append(CellResult(c.journal_id, c.year, country, scheme, est))
     return cells, exclusions
 
@@ -140,7 +203,7 @@ def split_half(cohort: Cohort, rng_seed: int) -> tuple[Cohort, Cohort]:
 
 def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
     """Per-replicate (valid, inside) bool arrays [replicates, targets] of the
-    split-half test, one replicate and target at a time through estimate()."""
+    split-half test, one replicate and target at a time through estimate_oracle()."""
     logs = cohort.log_citations
     member = np.array(
         [[record_in_group(r, country, scheme) for r in cohort.records] for country, scheme in targets]
@@ -161,7 +224,7 @@ def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
                     continue
                 if len(ga) < settings.min_group_n or len(gb) == 0:
                     continue
-                est = estimate(log_stats_from_logs(ga), field_a, settings)
+                est = estimate_oracle(log_stats_from_logs(ga), field_a, settings)
                 if est.status is not EstimateStatus.OK:
                     continue
                 valid[rep, k] = True

@@ -15,7 +15,6 @@ import mnlcs
 from mnlcs.bootstrap import (
     BLOCK,
     _canonical_order,
-    CoverageSimSpec,
     coverage_probability_sim,
     half_a_blocks,
     lag0_batch,
@@ -319,12 +318,12 @@ def test_coverage_sim_monotone_toward_zero():
 
 def test_coverage_sim_spec_validation():
     with pytest.raises(ValueError):
-        CoverageSimSpec(1, 1)
+        coverage_probability_sim(1, 1)
     with pytest.raises(ValueError):
-        CoverageSimSpec(10, 0)
+        coverage_probability_sim(10, 0)
     with pytest.raises(ValueError):
-        CoverageSimSpec(10, 1, sigma0=0.0)
+        coverage_probability_sim(10, 1, sigma0=0.0)
     with pytest.raises(ValueError):
-        CoverageSimSpec(10, 1, replicates=50)
-    spec = CoverageSimSpec(40, 40, mu0=2.0, sigma0=3.0, replicates=200, rng_seed=5)
-    assert 0.0 <= spec.run() <= 1.0
+        coverage_probability_sim(10, 1, replicates=50)
+    run = coverage_probability_sim(40, 40, mu0=2.0, sigma0=3.0, replicates=200, rng_seed=5)
+    assert 0.0 <= run <= 1.0

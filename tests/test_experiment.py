@@ -57,6 +57,48 @@ def config(**overrides):
 )
 def test_capability_mode_round_trip(mode):
     assert mode_from_dict(mode_to_dict(mode)) == mode
+    # JSON integers take the field's float type, so "step": 1 reads as 1.0
+    as_ints = {k: v if k == "mode" else round(v) for k, v in mode_to_dict(mode).items()}
+    coerced = mode_to_dict(mode_from_dict(as_ints))
+    assert coerced == as_ints
+    assert all(type(v) is float for k, v in coerced.items() if k != "mode")
+
+
+# config_sha256 of one JSON config per capability mode, with integers where
+# the scenario has float fields; a change here changes every such manifest
+MODE_CONFIG_HASHES = {
+    "static": (
+        {"mode": "static"},
+        "e4af5acfbf0ec74ed51aeb88361b6d0795bf31a6c72c4431e2e40f26258d26b6",
+    ),
+    "random_walk": (
+        {"mode": "random_walk", "step": 1},
+        "219c69d1f0403148c29e92696b6a49f5c8eff635d0b59ce2eef57c2ea2a621e7",
+    ),
+    "linear_drift": (
+        {"mode": "linear_drift", "slope": -0.02},
+        "2d363597ab2722c8a841e0b01942180d1d12248542644b200cb2593f86eba623",
+    ),
+    "independent_resample": (
+        {"mode": "independent_resample", "spread": 0.3},
+        "9537892e4942b532d7ae5cb7e2fe293cdf9375bc7b8f47a3b564a180743307f4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODE_CONFIG_HASHES))
+def test_manifest_config_hash_per_capability_mode(name):
+    mode, expected = MODE_CONFIG_HASHES[name]
+    cfg = ExperimentConfig.from_dict({
+        "input": {"scenario": {
+            "n_journals": 3, "year_start": 2000, "year_end": 2005, "field_size_per_year": 120,
+            "groups": [{"country": "AA", "share": 0.3, "mu": 1, "sigma": 1},
+                       {"country": "BB", "share": 0.2, "mu": 1.2, "sigma": 1.0}],
+            "capability_mode": mode, "collab_fraction": 0.2, "rng_seed": 17}},
+        "countries": ["AA", "BB"], "max_offset": 4, "lag0_replicates": 30, "seed": 5,
+    })
+    assert experiment.experiment_hash(cfg) == expected
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_scenario_round_trip():

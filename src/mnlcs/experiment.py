@@ -47,6 +47,7 @@ CAPABILITY_MODES = {
     "independent_resample": synth.IndependentResample,
 }
 _MODE_NAMES = {cls: name for name, cls in CAPABILITY_MODES.items()}
+# synth uses postponed annotations, so field types arrive as these strings
 _SCALARS = {"int": int, "float": float, "str": str}
 
 
@@ -54,10 +55,12 @@ def _from_json(cls, d: dict, **built):
     """Dataclass ``cls`` from JSON ``d``: the fields in ``built`` as given,
     every other field present in ``d`` converted to its annotated scalar
     type (so "step": 1 becomes 1.0); a missing field without a default
-    raises KeyError."""
+    raises KeyError, a field of any other type TypeError."""
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         if f.name not in built and (f.name in d or required):
+            if f.type not in _SCALARS:
+                raise TypeError(f"no JSON conversion for {cls.__name__}.{f.name}: {f.type!r}")
             built[f.name] = _SCALARS[f.type](d[f.name])
     return cls(**built)
 

@@ -18,8 +18,8 @@ for a bounded interval and the estimate is flagged instead of fabricated.
 
 The formula is written once, in ``fieller_interval``, elementwise on
 arrays: the split-half engine calls it on [replicates, targets] arrays,
-``estimates`` on every cell of a run at once, and ``estimate`` is a
-length-1 call of ``estimates``.
+``estimates`` on a list of cells at once, and ``estimate`` on one pair's
+scalars; the last two share the status rules in ``_result``.
 
 A "printed" variant, h = t * (SE_j / m_s)^2, goes through the same code for
 side-by-side comparison; it is dimensionally inconsistent with the SE
@@ -71,12 +71,12 @@ def fieller_interval(group_mean, group_se, field_mean, field_se, t, form: str = 
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         value = group_mean / field_mean
-        rel_s2 = np.where(group_se > 0.0, (group_se / group_mean) ** 2, 0.0)
-        rel_j2 = np.where(field_se > 0.0, (field_se / field_mean) ** 2, 0.0)
+        rel_s2 = np.where(group_se > 0.0, np.square(group_se / group_mean), 0.0)
+        rel_j2 = np.where(field_se > 0.0, np.square(field_se / field_mean), 0.0)
         if form == "standard":
             h = t * t * rel_j2
         else:
-            h = np.where(group_mean > 0.0, t * (field_se / group_mean) ** 2, np.inf)
+            h = np.where(group_mean > 0.0, t * np.square(field_se / group_mean), np.inf)
         centre = value / (1.0 - h)
         se = centre * np.sqrt((1.0 - h) * rel_s2 + rel_j2)
         return value, centre - t * se, centre + t * se, h, se
@@ -119,32 +119,17 @@ def estimates(
     n_group = np.array([g.n for g in groups], dtype=np.intp)
     n_field = np.array([f.n for f in fields], dtype=np.intp)
     enough = (n_group >= settings.min_group_n) & (n_field >= 2)
-    t = np.full(len(n_group), np.nan)
-    t[enough] = t_quantile(n_group[enough] + n_field[enough] - 2, settings.alpha)
-    # se is None for n == 1, which becomes nan; such pairs are insufficient
+    # an insufficient pair's t (on df >= 1) and nan se (n == 1) go unused
+    t = t_quantile(np.maximum(n_group + n_field - 2, 1), settings.alpha)
     value, low, high, h, se = fieller_interval(
         [g.mean for g in groups], [g.se for g in groups],
         field_mean, [f.se for f in fields], t, settings.form,
     )
-    ok = enough & (h < 1.0)
     return [
-        MnlcsEstimate(
-            value=v,
-            ci_low=lo if is_ok else None,
-            ci_high=hi if is_ok else None,
-            h=hh if is_enough and math.isfinite(hh) else None,
-            se_mnlcs=s if is_ok else None,
-            n_group=ng,
-            n_field=nf,
-            status=(
-                EstimateStatus.OK if is_ok
-                else EstimateStatus.UNBOUNDED_FIELLER if is_enough
-                else EstimateStatus.INSUFFICIENT_DATA
-            ),
-        )
-        for v, lo, hi, hh, s, ng, nf, is_enough, is_ok in zip(
+        _result(v, lo, hi, hh, s, g.n, f.n, e)
+        for v, lo, hi, hh, s, g, f, e in zip(
             value.tolist(), low.tolist(), high.tolist(), h.tolist(), se.tolist(),
-            n_group.tolist(), n_field.tolist(), enough.tolist(), ok.tolist(),
+            groups, fields, enough.tolist(),
         )
     ]
 
@@ -155,7 +140,30 @@ def estimate(
     """Full chain: ratio value, t on n_s + n_j - 2 df, Fieller interval.
 
     The degrees of freedom treat the whole journal (group included) as the
-    second sample.
+    second sample. Same rules as ``estimates``, on one pair's scalars.
     """
-    (est,) = estimates([group], [field], settings)
-    return est
+    if field.mean <= 0.0:
+        raise DegenerateField("field mean of ln(1+c) is zero")
+    enough = group.n >= settings.min_group_n and field.n >= 2
+    t = t_quantile(max(group.n + field.n - 2, 1), settings.alpha)
+    interval = fieller_interval(group.mean, group.se, field.mean, field.se, t, settings.form)
+    return _result(*(float(x) for x in interval), group.n, field.n, enough)
+
+
+def _result(value, low, high, h, se, n_group, n_field, enough) -> MnlcsEstimate:
+    """MnlcsEstimate from one pair's kernel outputs (Python scalars)."""
+    ok = enough and h < 1.0
+    return MnlcsEstimate(
+        value=value,
+        ci_low=low if ok else None,
+        ci_high=high if ok else None,
+        h=h if enough and math.isfinite(h) else None,
+        se_mnlcs=se if ok else None,
+        n_group=n_group,
+        n_field=n_field,
+        status=(
+            EstimateStatus.OK if ok
+            else EstimateStatus.UNBOUNDED_FIELLER if enough
+            else EstimateStatus.INSUFFICIENT_DATA
+        ),
+    )

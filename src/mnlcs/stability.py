@@ -13,6 +13,7 @@ split-half baseline and is flagged as simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .bootstrap import lag0_batch
@@ -73,6 +74,11 @@ class ExclusionRecord:
     offset: int | None = None
 
 
+# cells per interval call: amortises the call's fixed cost over many cohorts
+# while the per-cell inputs held besides the results stay small
+CELL_CHUNK = 256
+
+
 def compute_cells(
     cohorts: Iterable[Cohort],
     countries: Sequence[str],
@@ -86,47 +92,50 @@ def compute_cells(
     positive; their status records whether an interval was possible. Cohorts
     with a zero field mean and empty group selections are skipped and
     tallied. Each cohort's groups come from one membership matrix, in
-    country-major, scheme-minor order; every cell's interval then comes from
-    one call of ``estimates``.
+    country-major, scheme-minor order; the cells then get their intervals
+    from one call of ``estimates`` per CELL_CHUNK cells.
     """
+    exclusions = [] if exclusions is None else exclusions
+    cells, stats = [], _cell_stats(cohorts, countries, schemes, exclusions)
+    while chunk := list(islice(stats, CELL_CHUNK)):
+        keys, groups, fields = zip(*chunk)
+        ests = estimates(groups, fields, settings)
+        cells += [CellResult(*key, estimate=est) for key, est in zip(keys, ests)]
+    return cells
+
+
+def _cell_stats(cohorts, countries, schemes, exclusions):
+    """(cell key, group LogStats, field LogStats) of every cell, in order."""
     targets = [(country, scheme) for country in countries for scheme in schemes]
-    keys, groups, fields = [], [], []
     for cohort in cohorts:
         field_stats = log_stats_from_logs(cohort.log_citations)
         if field_stats.mean <= 0.0:
-            if exclusions is not None:
-                exclusions.append(
-                    ExclusionRecord(
-                        stage="cells",
-                        reason="degenerate_field",
-                        count=len(targets),
-                        journal_id=cohort.journal_id,
-                        year=cohort.year,
-                    )
+            exclusions.append(
+                ExclusionRecord(
+                    stage="cells",
+                    reason="degenerate_field",
+                    count=len(targets),
+                    journal_id=cohort.journal_id,
+                    year=cohort.year,
                 )
+            )
             continue
         for (country, scheme), members in zip(targets, membership(cohort, targets)):
             if not members.any():
-                if exclusions is not None:
-                    exclusions.append(
-                        ExclusionRecord(
-                            stage="cells",
-                            reason="empty_group",
-                            count=1,
-                            journal_id=cohort.journal_id,
-                            year=cohort.year,
-                            country=country,
-                            scheme=scheme,
-                        )
+                exclusions.append(
+                    ExclusionRecord(
+                        stage="cells",
+                        reason="empty_group",
+                        count=1,
+                        journal_id=cohort.journal_id,
+                        year=cohort.year,
+                        country=country,
+                        scheme=scheme,
                     )
+                )
                 continue
-            keys.append((cohort.journal_id, cohort.year, country, scheme))
-            groups.append(log_stats_from_logs(cohort.log_citations[members]))
-            fields.append(field_stats)
-    return [
-        CellResult(*key, estimate=est)
-        for key, est in zip(keys, estimates(groups, fields, settings))
-    ]
+            key = (cohort.journal_id, cohort.year, country, scheme)
+            yield key, log_stats_from_logs(cohort.log_citations[members]), field_stats
 
 
 def enumerate_pairs(years: range, offset: int) -> list[tuple[int, int]]:

@@ -12,6 +12,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from _oracles import canonical_order, scalar_decisions, split_half
 from conftest import cohort, rec
 import mnlcs
+from mnlcs import bootstrap
 from mnlcs.bootstrap import (
     BLOCK,
     _canonical_order,
@@ -178,6 +179,21 @@ def test_engine_matches_scalar_route_on_random_cohorts(rows, form, min_group_n, 
     assert valid.shape == (replicates, len(targets))
     np.testing.assert_array_equal(valid, ref_valid)
     np.testing.assert_array_equal(inside, ref_inside)
+
+
+def test_engine_treats_h_at_one_as_unbounded(monkeypatch):
+    # a replicate whose interval has h exactly 1 is invalid, one ulp under is not
+    c = big_cohort(n_field=81, n_group=24, seed=19)
+    targets = [("US", Scheme.INCLUSIVE)]
+    kernel = bootstrap.fieller_interval
+    for h_pinned, any_valid in ((1.0, False), (np.nextafter(1.0, 0.0), True)):
+        def pinned(*args):
+            value, low, high, h, se = kernel(*args)
+            return value, low, high, np.full_like(h, h_pinned), se
+
+        monkeypatch.setattr(bootstrap, "fieller_interval", pinned)
+        valid, _ = engine_decisions(c, targets, 40, 3)
+        assert valid.any() == any_valid
 
 
 def tight_cohort(base, n=400, seed=0):

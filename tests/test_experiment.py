@@ -106,6 +106,15 @@ def test_scenario_round_trip():
     assert scenario_from_dict(scenario_to_dict(spec)) == spec
 
 
+def test_json_reader_rejects_non_scalar_fields():
+    # a field without a scalar conversion is a TypeError, not a "missing key"
+    d = scenario_to_dict(scenario())
+    with pytest.raises(TypeError, match="ScenarioSpec.groups"):
+        experiment._from_json(ScenarioSpec, d)
+    with pytest.raises(ValidationError, match="missing key"):
+        scenario_from_dict({k: v for k, v in d.items() if k != "n_journals"})
+
+
 def test_parse_schemes():
     assert parse_schemes("both") == (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)
     assert parse_schemes("inclusive") == (Scheme.INCLUSIVE,)

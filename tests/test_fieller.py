@@ -3,9 +3,10 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from _oracles import estimate_oracle, fieller_oracle, t_upper_quantile
+from mnlcs import fieller
 from mnlcs.errors import DegenerateField, DomainError
 from mnlcs.fieller import (
     FIELLER_FORMS,
@@ -100,12 +101,22 @@ def test_h_printed_form_uses_group_mean_and_single_t():
     )
 
 
-def test_h_at_threshold_flags_unbounded():
+def test_h_at_threshold_flags_unbounded(monkeypatch):
     # se/mean = 1/t puts h exactly at 1, which no caller accepts as bounded
     field = LogStats(n=100, mean=1.0, se=0.5)
     group = LogStats(n=20, mean=1.0, se=0.1)
     assert kernel(group, field, t=2.0).h == 1.0
-    # through estimate, an h past 1 keeps its value but gets no bounds
+    # the same numbers through the library's status rule, with t pinned to 2
+    monkeypatch.setattr(fieller, "t_quantile", lambda df, alpha: np.full(np.shape(df), 2.0))
+    for est in (estimate(group, field), *estimates([group, group], [field, field])):
+        assert est.status is EstimateStatus.UNBOUNDED_FIELLER
+        assert est.h == 1.0 and est.value == 1.0
+        assert est.ci_low is None and est.ci_high is None and est.se_mnlcs is None
+    # one ulp under the threshold is bounded
+    below = LogStats(n=100, mean=1.0, se=np.nextafter(0.5, 0.0))
+    assert estimate(group, below).h < 1.0
+    assert estimate(group, below).status is EstimateStatus.OK
+    # an h past 1 keeps its value but gets no bounds
     est = estimate(group, LogStats(n=100, mean=1.0, se=1.0))
     assert est.status is EstimateStatus.UNBOUNDED_FIELLER
     assert est.h > 1.0 and est.value == 1.0
@@ -391,6 +402,12 @@ any_size_stats = st.builds(
     ),
     st.sampled_from(FIELLER_FORMS),
     st.sampled_from([2, 3, 5]),
+)
+# a pair whose printed h is one ulp off if a scalar squares with pow()
+@example(
+    [(log_stats([17, 20, 23]), LogStats(n=12, mean=3.0456965219949965, se=0.1191043947051477))],
+    "printed",
+    2,
 )
 def test_estimates_equal_scalar_oracle_with_mixed_statuses(pairs, form, min_group_n):
     settings = CiSettings(form=form, min_group_n=min_group_n)

@@ -45,6 +45,7 @@ from .model import (
     validate_record,
 )
 from .stability import (
+    CellGrid,
     CellResult,
     CoverageCurve,
     CurvePoint,
@@ -52,7 +53,6 @@ from .stability import (
     SeriesPoint,
     compute_cells,
     coverage_curve,
-    enumerate_pairs,
     lag0_curve_points,
     series_report,
     whole_journal_estimate,
@@ -69,6 +69,7 @@ from .synth import (
 )
 
 __all__ = [
+    "CellGrid",
     "CellResult",
     "CiSettings",
     "CitationRecord",
@@ -105,7 +106,6 @@ __all__ = [
     "compute_cells",
     "coverage_curve",
     "coverage_probability_sim",
-    "enumerate_pairs",
     "estimate",
     "generate",
     "ingest",

@@ -140,11 +140,7 @@ def cmd_bootstrap(args) -> int:
 def _experiment_config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         input_csv=args.input,
-        countries=(
-            tuple(c.strip().upper() for c in args.countries.split(",") if c.strip())
-            if args.countries
-            else None
-        ),
+        countries=_resolve_countries(args, cohorts=()) if args.countries else None,
         top_k=None if args.countries else args.top_k,
         schemes=parse_schemes(args.scheme),
         year_min=args.year_min,
@@ -158,14 +154,20 @@ def _experiment_config_from_args(args) -> ExperimentConfig:
     )
 
 
-def cmd_stability(args) -> int:
-    config = _experiment_config_from_args(args)
-    result = run_experiment(config, args.out)
+def _print_result(result, row_counts: bool) -> int:
     print(f"countries: {','.join(result.countries)}")
     print(f"cells: {result.n_cells}")
     print(f"curves: {len(result.curves)}")
+    if row_counts:
+        for name, count in sorted(result.outputs.items()):
+            print(f"{name}: {count} rows")
     print(f"outputs in {result.out_dir}")
     return 0
+
+
+def cmd_stability(args) -> int:
+    result = run_experiment(_experiment_config_from_args(args), args.out)
+    return _print_result(result, row_counts=False)
 
 
 def cmd_run(args) -> int:
@@ -183,15 +185,8 @@ def cmd_run(args) -> int:
     out_dir = args.out or config_dict.get("out") or "results"
     config_dict.pop("out", None)
 
-    config = ExperimentConfig.from_dict(config_dict)
-    result = run_experiment(config, out_dir)
-    print(f"countries: {','.join(result.countries)}")
-    print(f"cells: {result.n_cells}")
-    print(f"curves: {len(result.curves)}")
-    for name, count in sorted(result.outputs.items()):
-        print(f"{name}: {count} rows")
-    print(f"outputs in {result.out_dir}")
-    return 0
+    result = run_experiment(ExperimentConfig.from_dict(config_dict), out_dir)
+    return _print_result(result, row_counts=True)
 
 
 def _add_ci_flags(p: argparse.ArgumentParser) -> None:

@@ -237,9 +237,9 @@ def write_scheme_curves_csv(path: str | Path, curves: Sequence[CoverageCurve]) -
 
 def write_series_csv(
     path: str | Path,
-    series: Sequence[tuple[str, str, str, Sequence[SeriesPoint]]],
+    series: Iterable[tuple[str, str, str, Sequence[SeriesPoint]]],
 ) -> int:
-    """Write (journal_id, country, scheme_value, points) series blocks."""
+    """Write (journal_id, country, scheme_value, points) series blocks, in one pass."""
     header = ["journal_id", "country", "scheme", "year", "value", "ci_low", "ci_high", "status"]
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as f:

@@ -10,7 +10,6 @@ manifest. Identical configuration and seed reproduce identical bytes.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +31,7 @@ from .errors import ValidationError
 from .fieller import CiSettings
 from .model import Cohort, Scheme
 from .stability import (
+    CellGrid,
     CoverageCurve,
     compute_cells,
     coverage_curve,
@@ -192,14 +192,12 @@ class ExperimentResult:
 
 
 def load_cohorts(config: ExperimentConfig) -> list[Cohort]:
-    if config.scenario is not None:
-        return synth.generate(config.scenario)
-    cohorts, _report = ingest(
-        config.input_csv,
-        year_min=config.year_min,
-        year_max=config.year_max,
-    )
-    return cohorts
+    """The run's cohorts, kept by ingest's inclusive year bounds (None is open)."""
+    low, high = config.year_min, config.year_max
+    if config.input_csv is not None:
+        return ingest(config.input_csv, year_min=low, year_max=high)[0]
+    return [c for c in synth.generate(config.scenario)
+            if (low is None or c.year >= low) and (high is None or c.year <= high)]
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
@@ -253,20 +251,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
             exclusions=exclusions,
         )
 
-    # index the cells once so no curve or series re-scans all of them
-    by_target = defaultdict(list)
-    by_series = defaultdict(list)
-    for cell in cells:
-        by_target[(cell.country, cell.scheme)].append(cell)
-        by_series[(cell.journal_id, cell.country, cell.scheme)].append(cell)
-
+    grid = CellGrid(cells, years)
     curves = []
     for country, scheme in targets:
         curve = coverage_curve(
-            by_target[(country, scheme)],
+            grid,
             country=country,
             scheme=scheme,
-            years=years,
             max_offset=config.max_offset,
             lag0_point=lag0_points[(country, scheme)],
             exclusions=exclusions,
@@ -274,15 +265,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
         if curve.points:
             curves.append(curve)
 
-    journal_ids = sorted({c.journal_id for c in cohorts})
-    series = [
+    # lazy: write_series_csv builds each series as it writes it, one at a time
+    series = (
         (journal_id, country, scheme.value,
-         series_report(by_series[(journal_id, country, scheme)], journal_id=journal_id,
-                       country=country, scheme=scheme, years=years))
-        for journal_id in journal_ids
+         series_report(grid, journal_id=journal_id, country=country, scheme=scheme))
+        for journal_id in sorted({c.journal_id for c in cohorts})
         for country in countries
         for scheme in config.schemes
-    ]
+    )
 
     outputs = {
         "cells.csv": write_cells_csv(out / "cells.csv", cells),

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +55,10 @@ def t_quantile(df, alpha: float = 0.025):
         raise DomainError(f"alpha must be in (0, 0.5], got {alpha}")
     t = special.stdtrit(df, 1.0 - alpha)
     return float(t) if np.ndim(t) == 0 else t
+
+
+# t of one pair: callers of ``estimate`` in a loop repeat a few (df, alpha)
+_scalar_t = lru_cache(maxsize=4096)(t_quantile)
 
 
 def fieller_interval(group_mean, group_se, field_mean, field_se, t, form: str = "standard"):
@@ -145,7 +150,7 @@ def estimate(
     if field.mean <= 0.0:
         raise DegenerateField("field mean of ln(1+c) is zero")
     enough = group.n >= settings.min_group_n and field.n >= 2
-    t = t_quantile(max(group.n + field.n - 2, 1), settings.alpha)
+    t = _scalar_t(max(group.n + field.n - 2, 1), settings.alpha)
     interval = fieller_interval(group.mean, group.se, field.mean, field.se, t, settings.form)
     return _result(*(float(x) for x in interval), group.n, field.n, enough)
 

@@ -8,6 +8,10 @@ the endpoints. Cells whose base interval is unbounded are excluded from
 coverage, since an unbounded interval would trivially contain everything;
 all exclusions are tallied. The offset-0 point of a curve comes from the
 split-half baseline and is flagged as simulated.
+
+Curves and series read a ``CellGrid``, built once from a run's cells: one
+[target, journal, year] array per cell field, so the pairs at offset k are
+the year columns ``[:, :-k]`` against ``[:, k:]`` and a series is one row.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .bootstrap import lag0_batch
 from .counting import membership
@@ -138,76 +144,96 @@ def _cell_stats(cohorts, countries, schemes, exclusions):
             yield key, log_stats_from_logs(cohort.log_citations[members]), field_stats
 
 
-def enumerate_pairs(years: range, offset: int) -> list[tuple[int, int]]:
-    """All (base_year, later_year) pairs in ``years`` separated by ``offset``."""
-    if offset < 1:
-        raise ValueError(f"offset must be >= 1, got {offset}")
-    return [(y, y + offset) for y in years if (y + offset) in years]
+class CellGrid:
+    """The cells of a run as [target, journal, year] arrays, for curves and series.
+
+    ``journals`` (sorted) and ``targets``, (country, scheme) pairs, map to
+    their index. The arrays: ``value``, the raw bounds ``ci_low``/``ci_high``
+    (NaN where absent), ``ci_low_reported`` (clamped at zero), ``status`` (an
+    index into ``STATUSES``) and the masks ``present`` and ``ok`` (bounded).
+    ``has_cells`` [target, journal] marks the journals with any cell for the
+    target, even outside ``years``. Of two cells with one key the later wins.
+    """
+
+    STATUSES = tuple(EstimateStatus)
+
+    def __init__(self, cells: Sequence[CellResult], years: range):
+        if years.step != 1:
+            raise ValidationError(f"years must step by 1, got {years!r}")
+        self.years = years
+        self.journals = {j: i for i, j in enumerate(sorted({c.journal_id for c in cells}))}
+        targets = dict.fromkeys((c.country, c.scheme) for c in cells)
+        self.targets = {t: i for i, t in enumerate(targets)}
+        shape = (len(self.targets), len(self.journals), len(years))
+        t = np.array([self.targets[(c.country, c.scheme)] for c in cells], dtype=np.intp)
+        j = np.array([self.journals[c.journal_id] for c in cells], dtype=np.intp)
+        y = np.array([c.year for c in cells], dtype=np.intp) - years.start
+        self.has_cells = np.zeros(shape[:2], dtype=bool)
+        self.has_cells[t, j] = True
+
+        # scatter the cells in ``years``, keeping the last of each key
+        kept = np.flatnonzero((y >= 0) & (y < len(years)))[::-1]
+        flat, first = np.unique(np.ravel_multi_index((t[kept], j[kept], y[kept]), shape),
+                                return_index=True)
+        kept = kept[first]
+        ests = [c.estimate for c in cells]
+        code = {s: i for i, s in enumerate(self.STATUSES)}
+
+        def scatter(column, fill, dtype):
+            out = np.full(shape, fill, dtype=dtype)
+            out.reshape(-1)[flat] = np.array(column, dtype=dtype)[kept]
+            return out
+
+        self.value = scatter([e.value for e in ests], np.nan, np.float64)
+        self.ci_low = scatter([e.ci_low for e in ests], np.nan, np.float64)
+        self.ci_high = scatter([e.ci_high for e in ests], np.nan, np.float64)
+        self.status = scatter([code[e.status] for e in ests], -1, np.int8)
+        self.present = self.status >= 0
+        self.ok = self.status == code[EstimateStatus.OK]
+        # max(0.0, low) of the scalar report, NaN included
+        self.ci_low_reported = np.where(self.ci_low > 0.0, self.ci_low, 0.0)
 
 
 def coverage_curve(
-    cells: Iterable[CellResult],
+    grid: CellGrid,
     *,
     country: str,
     scheme: Scheme,
-    years: range,
     max_offset: int,
     lag0_point: CurvePoint | None = None,
     exclusions: list[ExclusionRecord] | None = None,
 ) -> CoverageCurve:
     """Per-offset fraction of later values inside earlier intervals.
 
-    Base cells participate only with a bounded (OK) interval; later cells
-    only need a point value. Offsets with no valid pairs emit no point.
+    Each (year, year + offset) pair of every journal with a cell for the
+    target counts if the base cell is OK and the later cell exists; the
+    later value is tested against the raw base bounds, closed. Offsets with
+    no valid pairs emit no point.
     """
-    index: dict[tuple[str, int], CellResult] = {}
-    journals = set()
-    for cell in cells:
-        if cell.country != country or cell.scheme != scheme:
-            continue
-        index[(cell.journal_id, cell.year)] = cell
-        journals.add(cell.journal_id)
-
-    def _exclude(offset: int, reason: str, count: int):
-        if exclusions is not None and count > 0:
-            exclusions.append(
-                ExclusionRecord(
-                    stage="curve",
-                    reason=reason,
-                    count=count,
-                    country=country,
-                    scheme=scheme,
-                    offset=offset,
-                )
-            )
-
+    t = grid.targets.get((country, scheme))
+    # [journal, year] rows of the journals taking part; none if no cell names the target
+    ok, present, value, low, high = (
+        np.empty((0, len(grid.years)), a.dtype) if t is None else a[t, grid.has_cells[t]]
+        for a in (grid.ok, grid.present, grid.value, grid.ci_low, grid.ci_high)
+    )
     points = [] if lag0_point is None else [lag0_point]
-    journal_ids = sorted(journals)
     for offset in range(1, max_offset + 1):
-        inside = 0
-        n = 0
-        n_base_unusable = 0
-        n_later_missing = 0
-        pairs = enumerate_pairs(years, offset)
-        for journal_id in journal_ids:
-            for base_year, later_year in pairs:
-                base = index.get((journal_id, base_year))
-                later = index.get((journal_id, later_year))
-                if base is None or base.estimate.status is not EstimateStatus.OK:
-                    n_base_unusable += 1
-                    continue
-                if later is None:
-                    n_later_missing += 1
-                    continue
-                n += 1
-                if base.estimate.contains(later.estimate.value):
-                    inside += 1
-        _exclude(offset, "base_interval_unusable", n_base_unusable)
-        _exclude(offset, "later_value_missing", n_later_missing)
+        # base and later columns; both are empty once offset >= len(years)
+        base, later = ok[:, :-offset], value[:, offset:]
+        valid = base & present[:, offset:]
+        n_base_ok, n = int(np.count_nonzero(base)), int(np.count_nonzero(valid))
         if n > 0:
-            points.append(CurvePoint(offset, inside / n, n))
-        else:
-            _exclude(offset, "no_valid_pairs", 1)
+            inside = valid & (low[:, :-offset] <= later) & (later <= high[:, :-offset])
+            points.append(CurvePoint(offset, int(np.count_nonzero(inside)) / n, n))
+        for reason, count in (
+            ("base_interval_unusable", base.size - n_base_ok),
+            ("later_value_missing", n_base_ok - n),
+            ("no_valid_pairs", int(n == 0)),
+        ):
+            if exclusions is not None and count > 0:
+                exclusions.append(ExclusionRecord(
+                    "curve", reason, count, country=country, scheme=scheme, offset=offset
+                ))
     return CoverageCurve(country=country, scheme=scheme, points=tuple(points))
 
 
@@ -279,42 +305,25 @@ class SeriesPoint:
 
 
 def series_report(
-    cells: Iterable[CellResult],
-    *,
-    journal_id: str,
-    country: str,
-    scheme: Scheme,
-    years: range,
+    grid: CellGrid, *, journal_id: str, country: str, scheme: Scheme
 ) -> list[SeriesPoint]:
     """Ordered-by-year series for one journal/country/scheme, for plotting.
 
     Reported lower bounds are clamped at zero (the indicator is
     nonnegative); the unclamped bounds stay available on the cells.
     """
-    index = {
-        cell.year: cell
-        for cell in cells
-        if cell.journal_id == journal_id
-        and cell.country == country
-        and cell.scheme == scheme
-    }
-    points = []
-    for year in years:
-        cell = index.get(year)
-        if cell is None:
-            points.append(SeriesPoint(year, None, None, None, "missing"))
-            continue
-        est = cell.estimate
-        points.append(
-            SeriesPoint(
-                year=year,
-                value=est.value,
-                ci_low=est.ci_low_reported,
-                ci_high=est.ci_high,
-                status=est.status.value,
-            )
-        )
-    return points
+    t, j = grid.targets.get((country, scheme)), grid.journals.get(journal_id)
+    if t is None or j is None:
+        return [SeriesPoint(year, None, None, None, "missing") for year in grid.years]
+    row = (a[t, j].tolist() for a in (
+        grid.present, grid.ok, grid.value, grid.ci_low_reported, grid.ci_high, grid.status
+    ))
+    return [
+        SeriesPoint(year, value, low if ok else None, high if ok else None,
+                    grid.STATUSES[code].value)
+        if present else SeriesPoint(year, None, None, None, "missing")
+        for year, present, ok, value, low, high, code in zip(grid.years, *row)
+    ]
 
 
 def whole_journal_estimate(cohort: Cohort, settings: CiSettings = CiSettings()) -> MnlcsEstimate:

@@ -7,9 +7,10 @@ from direct series summation against the normal CDF, and split-half
 decisions and cells are rebuilt one at a time through a scalar Fieller
 interval written with math.sqrt (only the splits themselves are shared with
 the engine), group membership and cells are decided record by record, not
-through the library's membership matrix, and CSV ingest, writing and the
+through the library's membership matrix, CSV ingest, writing and the
 canonical split order go through one CitationRecord per row, not through
-columns.
+columns, and coverage curves and series look up one cell per (journal,
+year) pair in a dict, not in the library's cell grid.
 """
 
 import csv
@@ -32,7 +33,13 @@ from mnlcs.model import (
     Scheme,
     validate_record,
 )
-from mnlcs.stability import CellResult, ExclusionRecord
+from mnlcs.stability import (
+    CellResult,
+    CoverageCurve,
+    CurvePoint,
+    ExclusionRecord,
+    SeriesPoint,
+)
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -303,3 +310,72 @@ def ingest_oracle(path, *, journals=None, year_min=None, year_max=None, max_bad_
             row_errors=report.row_errors,
         )
     return group_into_cohorts(records), report
+
+
+def enumerate_pairs(years: range, offset: int) -> list[tuple[int, int]]:
+    """All (base_year, later_year) pairs in ``years`` separated by ``offset``."""
+    if offset < 1:
+        raise ValueError(f"offset must be >= 1, got {offset}")
+    return [(y, y + offset) for y in years if (y + offset) in years]
+
+
+def coverage_curve_oracle(cells, *, country, scheme, years, max_offset, lag0_point=None,
+                          exclusions=None) -> CoverageCurve:
+    """stability.coverage_curve one (journal, base year, later year) pair at a time."""
+    index = {}
+    journals = set()
+    for cell in cells:
+        if cell.country != country or cell.scheme != scheme:
+            continue
+        index[(cell.journal_id, cell.year)] = cell
+        journals.add(cell.journal_id)
+
+    def _exclude(offset, reason, count):
+        if exclusions is not None and count > 0:
+            exclusions.append(ExclusionRecord(
+                stage="curve", reason=reason, count=count, country=country, scheme=scheme,
+                offset=offset,
+            ))
+
+    points = [] if lag0_point is None else [lag0_point]
+    for offset in range(1, max_offset + 1):
+        inside = n = n_base_unusable = n_later_missing = 0
+        pairs = enumerate_pairs(years, offset)
+        for journal_id in sorted(journals):
+            for base_year, later_year in pairs:
+                base = index.get((journal_id, base_year))
+                later = index.get((journal_id, later_year))
+                if base is None or base.estimate.status is not EstimateStatus.OK:
+                    n_base_unusable += 1
+                    continue
+                if later is None:
+                    n_later_missing += 1
+                    continue
+                n += 1
+                if base.estimate.contains(later.estimate.value):
+                    inside += 1
+        _exclude(offset, "base_interval_unusable", n_base_unusable)
+        _exclude(offset, "later_value_missing", n_later_missing)
+        if n > 0:
+            points.append(CurvePoint(offset, inside / n, n))
+        else:
+            _exclude(offset, "no_valid_pairs", 1)
+    return CoverageCurve(country=country, scheme=scheme, points=tuple(points))
+
+
+def series_oracle(cells, *, journal_id, country, scheme, years) -> list[SeriesPoint]:
+    """stability.series_report from a dict of the journal's cells by year."""
+    index = {
+        cell.year: cell
+        for cell in cells
+        if cell.journal_id == journal_id and cell.country == country and cell.scheme == scheme
+    }
+    points = []
+    for year in years:
+        cell = index.get(year)
+        if cell is None:
+            points.append(SeriesPoint(year, None, None, None, "missing"))
+            continue
+        est = cell.estimate
+        points.append(SeriesPoint(year, est.value, est.ci_low_reported, est.ci_high, est.status.value))
+    return points

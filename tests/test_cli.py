@@ -164,3 +164,21 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+
+
+def test_stability_and_run_print_the_same_summary(data_csv, tmp_path, capsys):
+    args = ["--countries", "AA,BB", "--max-offset", "3", "--lag0-replicates", "10"]
+    assert main(["stability", "--input", str(data_csv), *args, "--out", str(tmp_path / "a")]) == 0
+    summary = "countries: AA,BB\ncells: 32\ncurves: 4\n"
+    assert capsys.readouterr().out == f"{summary}outputs in {tmp_path / 'a'}\n"
+
+    config = {"input": {"csv": str(data_csv)}, "countries": ["AA", "BB"], "max_offset": 3,
+              "lag0_replicates": 10}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "b")]) == 0
+    rows = {"cells.csv": 32, "curves.csv": 16, "curves_exclusive.csv": 8,
+            "curves_inclusive.csv": 8, "exclusions.csv": 5, "series.csv": 32}
+    assert capsys.readouterr().out == summary + "".join(
+        f"{name}: {n} rows\n" for name, n in rows.items()
+    ) + f"outputs in {tmp_path / 'b'}\n"

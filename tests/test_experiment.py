@@ -5,6 +5,7 @@ import pytest
 from mnlcs import experiment
 from mnlcs.dataio import write_records_csv
 from mnlcs.errors import ValidationError
+from mnlcs.fieller import CiSettings
 from mnlcs.experiment import (
     ExperimentConfig,
     mode_from_dict,
@@ -15,6 +16,7 @@ from mnlcs.experiment import (
     scenario_to_dict,
 )
 from mnlcs.model import Scheme
+from mnlcs.stability import lag0_curve_points
 from mnlcs.synth import (
     GroupSpec,
     IndependentResample,
@@ -216,3 +218,40 @@ def test_run_experiment_rejects_empty_input(tmp_path):
     )
     with pytest.raises(ValidationError):
         run_experiment(cfg, tmp_path / "out")
+
+
+def _column(path, name):
+    header, *rows = path.read_text().splitlines()
+    col = header.split(",").index(name)
+    return [row.split(",")[col] for row in rows]
+
+
+def test_scenario_input_respects_year_bounds(tmp_path):
+    # the scenario spans 2000-2005; the run keeps 2001-2003, as ingest does
+    out = run_experiment(config(year_min=2001, year_max=2003), tmp_path / "gen").out_dir
+    for name in ("cells.csv", "series.csv", "data.csv"):
+        assert set(_column(out / name, "year")) == {"2001", "2002", "2003"}, name
+
+    # the offset-0 points pool the replicates of the kept cohorts only
+    kept = [c for c in generate(scenario()) if 2001 <= c.year <= 2003]
+    targets = [(c, s) for c in ("AA", "BB") for s in (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)]
+    lag0 = lag0_curve_points(kept, targets, 30, 5, CiSettings())
+    n_zero = [n for offset, n in zip(_column(out / "curves.csv", "offset_years"),
+                                     _column(out / "curves.csv", "n_comparisons"))
+              if offset == "0"]
+    assert sorted(map(int, n_zero)) == sorted(p.n_comparisons for p in lag0.values())
+    assert sum(map(int, n_zero)) <= 30 * len(kept) * len(targets)
+
+    # the same data through CSV ingest with the same bounds gives the same bundle
+    data = tmp_path / "data.csv"
+    write_records_csv(data, generate(scenario()))
+    csv_cfg = config(scenario=None, input_csv=str(data), year_min=2001, year_max=2003)
+    from_csv = run_experiment(csv_cfg, tmp_path / "csv").out_dir
+    for name in ("cells.csv", "curves.csv", "series.csv", "exclusions.csv"):
+        assert (from_csv / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_scenario_input_respects_one_sided_year_bound(tmp_path):
+    out = run_experiment(config(year_min=2004), tmp_path / "out").out_dir
+    assert set(_column(out / "series.csv", "year")) == {"2004", "2005"}
+    assert set(_column(out / "data.csv", "year")) == {"2004", "2005"}

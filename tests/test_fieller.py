@@ -108,6 +108,7 @@ def test_h_at_threshold_flags_unbounded(monkeypatch):
     assert kernel(group, field, t=2.0).h == 1.0
     # the same numbers through the library's status rule, with t pinned to 2
     monkeypatch.setattr(fieller, "t_quantile", lambda df, alpha: np.full(np.shape(df), 2.0))
+    monkeypatch.setattr(fieller, "_scalar_t", lambda df, alpha: 2.0)  # estimate's cached t
     for est in (estimate(group, field), *estimates([group, group], [field, field])):
         assert est.status is EstimateStatus.UNBOUNDED_FIELLER
         assert est.h == 1.0 and est.value == 1.0

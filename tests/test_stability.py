@@ -1,14 +1,17 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import coverage_curve_oracle, enumerate_pairs, series_oracle
 from mnlcs.fieller import CiSettings
 from mnlcs.model import EstimateStatus, MnlcsEstimate, Scheme
 from mnlcs.stability import (
+    CellGrid,
     CellResult,
     CoverageCurve,
     CurvePoint,
     compute_cells,
     coverage_curve,
-    enumerate_pairs,
     lag0_curve_points,
     series_report,
     whole_journal_estimate,
@@ -59,7 +62,7 @@ def test_curve_counts_and_fractions():
         make_cell("J1", 2003, 0.70, 0.5, 0.9),
     ]
     curve = coverage_curve(
-        cells, country="US", scheme=Scheme.INCLUSIVE, years=years, max_offset=3
+        CellGrid(cells, years), country="US", scheme=Scheme.INCLUSIVE, max_offset=3
     )
     by_offset = {p.offset_years: p for p in curve.points}
     # offset 1: 1.10 in [0.8,1.2]; 1.25 not in [0.9,1.3]... it is (1.25 <= 1.3);
@@ -80,7 +83,7 @@ def test_curve_endpoint_membership_is_closed():
         make_cell("J1", 2001, 1.2, 0.9, 1.5),
     ]
     curve = coverage_curve(
-        cells, country="US", scheme=Scheme.INCLUSIVE, years=range(2000, 2002), max_offset=1
+        CellGrid(cells, range(2000, 2002)), country="US", scheme=Scheme.INCLUSIVE, max_offset=1
     )
     assert curve.points[0].inside_fraction == 1.0
 
@@ -93,10 +96,9 @@ def test_curve_excludes_unbounded_base_and_counts_it():
     ]
     exclusions = []
     curve = coverage_curve(
-        cells,
+        CellGrid(cells, range(2000, 2003)),
         country="US",
         scheme=Scheme.INCLUSIVE,
-        years=range(2000, 2003),
         max_offset=2,
         exclusions=exclusions,
     )
@@ -115,7 +117,7 @@ def test_curve_uses_point_values_from_interval_less_later_cells():
         make_cell("J1", 2001, 1.1, None, None, status=EstimateStatus.INSUFFICIENT_DATA),
     ]
     curve = coverage_curve(
-        cells, country="US", scheme=Scheme.INCLUSIVE, years=range(2000, 2002), max_offset=1
+        CellGrid(cells, range(2000, 2002)), country="US", scheme=Scheme.INCLUSIVE, max_offset=1
     )
     assert curve.points[0].n_comparisons == 1
     assert curve.points[0].inside_fraction == 1.0
@@ -125,15 +127,96 @@ def test_curve_counts_missing_later_values():
     cells = [make_cell("J1", 2000, 1.0, 0.8, 1.2)]
     exclusions = []
     curve = coverage_curve(
-        cells,
+        CellGrid(cells, range(2000, 2002)),
         country="US",
         scheme=Scheme.INCLUSIVE,
-        years=range(2000, 2002),
         max_offset=1,
         exclusions=exclusions,
     )
     assert curve.points == ()
     assert any(e.reason == "later_value_missing" and e.count == 1 for e in exclusions)
+
+
+# a few values and bounds, so that later values often sit on a bound
+GRID_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 2.0])
+GRID_BOUNDS = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def cell_sets(draw):
+    """(cells, years): every status, missing years, repeated keys, years
+    outside the range, and journal JX whose only cell lies outside it."""
+    years = range(2000, 2000 + draw(st.integers(1, 5)))
+    cells = []
+    for _ in range(draw(st.integers(0, 40))):
+        lo, hi = sorted((draw(GRID_BOUNDS), draw(GRID_BOUNDS)))
+        cells.append(make_cell(
+            draw(st.sampled_from(["J1", "J2", "J3"])),
+            draw(st.integers(years.start - 2, years.stop + 1)),
+            draw(GRID_VALUES), lo, hi,
+            country=draw(st.sampled_from(["AA", "BB"])),
+            scheme=draw(st.sampled_from(list(Scheme))),
+            status=draw(st.sampled_from(list(EstimateStatus))),
+        ))
+    if cells:  # a later cell with the key of an earlier one replaces it
+        old = cells[draw(st.integers(0, len(cells) - 1))]
+        cells.append(make_cell(old.journal_id, old.year, draw(GRID_VALUES), 0.0, 1.0,
+                               country=old.country, scheme=old.scheme,
+                               status=draw(st.sampled_from(list(EstimateStatus)))))
+    outside = draw(st.sampled_from([years.start - 1, years.stop]))
+    cells.insert(draw(st.integers(0, len(cells))), make_cell("JX", outside, 1.0, 0.5, 1.5))
+    return cells, years
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_sets())
+def test_grid_curves_and_series_match_per_pair_oracle(drawn):
+    cells, years = drawn
+    grid = CellGrid(cells, years)
+    lag0 = CurvePoint(0, 0.5, 10, simulated=True)
+    for country in ("AA", "BB", "US", "CC"):
+        for scheme in Scheme:
+            got, want = [], []
+            # offsets up to len(years) + 1: the last two have no pairs at all
+            curve = coverage_curve(grid, country=country, scheme=scheme,
+                                   max_offset=len(years) + 1, lag0_point=lag0, exclusions=got)
+            assert curve == coverage_curve_oracle(
+                cells, country=country, scheme=scheme, years=years,
+                max_offset=len(years) + 1, lag0_point=lag0, exclusions=want,
+            )
+            assert got == want
+            for journal_id in ("J1", "J2", "J3", "JX", "JZ"):
+                assert series_report(
+                    grid, journal_id=journal_id, country=country, scheme=scheme
+                ) == series_oracle(
+                    cells, journal_id=journal_id, country=country, scheme=scheme, years=years
+                )
+
+
+def test_grid_without_cells():
+    grid = CellGrid([], range(2000, 2003))
+    exclusions = []
+    curve = coverage_curve(grid, country="US", scheme=Scheme.INCLUSIVE, max_offset=4,
+                           exclusions=exclusions)
+    assert curve.points == ()
+    assert [(e.offset, e.reason, e.count) for e in exclusions] == [
+        (k, "no_valid_pairs", 1) for k in range(1, 5)
+    ]
+    series = series_report(grid, journal_id="J1", country="US", scheme=Scheme.INCLUSIVE)
+    assert [(p.year, p.status) for p in series] == [(y, "missing") for y in range(2000, 2003)]
+
+
+def test_grid_needs_consecutive_years():
+    with pytest.raises(ValidationError):
+        CellGrid([], range(2000, 2010, 2))
+
+
+def test_grid_holds_arrays_not_cells():
+    grid = CellGrid([make_cell("J1", 2000, 1.0, 0.8, 1.2)], range(2000, 2002))
+    arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
+    assert all(a.dtype != object for a in arrays)
+    assert not any(isinstance(v, (list, CellResult, MnlcsEstimate)) for v in vars(grid).values())
 
 
 def test_curve_validation():
@@ -205,10 +288,9 @@ def test_full_curve_on_static_scenario_is_flat_near_lag0():
     target = ("AA", Scheme.INCLUSIVE)
     lag0 = lag0_curve_points(cohorts, [target], replicates=60, rng_seed=9)[target]
     curve = coverage_curve(
-        cells,
+        CellGrid(cells, range(2000, 2010)),
         country="AA",
         scheme=Scheme.INCLUSIVE,
-        years=range(2000, 2010),
         max_offset=5,
         lag0_point=lag0,
     )
@@ -226,8 +308,8 @@ def test_series_report_marks_gaps():
         make_cell("J1", 2002, 1.1, None, None, status=EstimateStatus.INSUFFICIENT_DATA),
     ]
     series = series_report(
-        cells, journal_id="J1", country="US", scheme=Scheme.INCLUSIVE,
-        years=range(2000, 2003),
+        CellGrid(cells, range(2000, 2003)), journal_id="J1", country="US",
+        scheme=Scheme.INCLUSIVE,
     )
     assert [p.year for p in series] == [2000, 2001, 2002]
     assert series[0].status == "ok"
@@ -240,8 +322,8 @@ def test_series_report_marks_gaps():
 def test_series_single_year():
     cells = [make_cell("J1", 2000, 1.0, 0.8, 1.2)]
     series = series_report(
-        cells, journal_id="J1", country="US", scheme=Scheme.INCLUSIVE,
-        years=range(2000, 2001),
+        CellGrid(cells, range(2000, 2001)), journal_id="J1", country="US",
+        scheme=Scheme.INCLUSIVE,
     )
     assert len(series) == 1
 
@@ -249,8 +331,8 @@ def test_series_single_year():
 def test_series_lower_bound_clamped_in_report():
     cells = [make_cell("J1", 2000, 0.1, -0.05, 0.25)]
     series = series_report(
-        cells, journal_id="J1", country="US", scheme=Scheme.INCLUSIVE,
-        years=range(2000, 2001),
+        CellGrid(cells, range(2000, 2001)), journal_id="J1", country="US",
+        scheme=Scheme.INCLUSIVE,
     )
     assert series[0].ci_low == 0.0
 
@@ -268,7 +350,7 @@ def test_series_of_all_field_group_is_constant_one():
     assert all(all("AA" in r.countries for r in c.records) for c in cohorts)
     cells = compute_cells(cohorts, ["AA"], [Scheme.INCLUSIVE])
     series = series_report(
-        cells, journal_id="J1", country="AA", scheme=Scheme.INCLUSIVE,
-        years=range(2000, 2010),
+        CellGrid(cells, range(2000, 2010)), journal_id="J1", country="AA",
+        scheme=Scheme.INCLUSIVE,
     )
     assert all(p.value == pytest.approx(1.0, abs=1e-12) for p in series)

@@ -11,6 +11,8 @@ validate all of it.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .bootstrap import (
     Lag0Result,
     coverage_probability_sim,
@@ -47,6 +49,7 @@ from .model import (
 from .stability import (
     CellGrid,
     CellResult,
+    CellTable,
     CoverageCurve,
     CurvePoint,
     ExclusionRecord,
@@ -68,60 +71,8 @@ from .synth import (
     sample_citations,
 )
 
-__all__ = [
-    "CellGrid",
-    "CellResult",
-    "CiSettings",
-    "CitationRecord",
-    "Cohort",
-    "CoverageCurve",
-    "CurvePoint",
-    "DegenerateField",
-    "DomainError",
-    "EstimateStatus",
-    "ExclusionRecord",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GroupSelection",
-    "GroupSpec",
-    "IndependentResample",
-    "IngestError",
-    "InsufficientData",
-    "Lag0Result",
-    "LinearDrift",
-    "LogStats",
-    "MalformedCountry",
-    "MnlcsError",
-    "MnlcsEstimate",
-    "NegativeCitations",
-    "NoValidReplicates",
-    "RandomWalk",
-    "RankedCountries",
-    "ScenarioSpec",
-    "Scheme",
-    "SeriesPoint",
-    "Static",
-    "UnparseableYear",
-    "ValidationError",
-    "compute_cells",
-    "coverage_curve",
-    "coverage_probability_sim",
-    "estimate",
-    "generate",
-    "ingest",
-    "lag0_batch",
-    "lag0_coverage",
-    "lag0_curve_points",
-    "log_stats",
-    "log_stats_from_logs",
-    "mnlcs",
-    "run_experiment",
-    "sample_citations",
-    "select_group",
-    "series_report",
-    "t_quantile",
-    "top_countries",
-    "validate_record",
-    "whole_journal_estimate",
-    "write_records_csv",
-]
+# every name imported above; the submodules the imports bind stay out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -20,10 +20,12 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bootstrap import lag0_batch
 from .counting import top_countries
-from .dataio import fmt, ingest, write_cells_csv, write_records_csv
+from .dataio import fmt, ingest, write_cell_rows, write_cells_csv, write_records_csv
 from .errors import MnlcsError
 from .experiment import (
     ExperimentConfig,
@@ -92,19 +94,13 @@ def cmd_indicator(args) -> int:
     cohorts, _report = ingest(args.input, year_min=args.year_min, year_max=args.year_max)
     countries = _resolve_countries(args, cohorts)
     settings = CiSettings(alpha=args.alpha, form=args.fieller_form, min_group_n=args.min_group_n)
-    cells = compute_cells(cohorts, countries, parse_schemes(args.scheme), settings)
+    table = compute_cells(cohorts, countries, parse_schemes(args.scheme), settings)
     if args.out:
-        n = write_cells_csv(args.out, cells)
+        n = write_cells_csv(args.out, table)
         print(f"wrote {n} cells to {args.out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["journal_id", "year", "country", "scheme", "value", "ci_low", "ci_high", "status"])
-        for cell in cells:
-            est = cell.estimate
-            writer.writerow([
-                cell.journal_id, cell.year, cell.country, cell.scheme.value,
-                fmt(est.value), fmt(est.ci_low_reported), fmt(est.ci_high), est.status.value,
-            ])
+        fields = ["journal_id", "year", "country", "scheme", "value", "ci_low", "ci_high", "status"]
+        write_cell_rows(sys.stdout, table, np.arange(len(table)), fields)
     return 0
 
 

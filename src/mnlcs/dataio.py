@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import IngestError, ValidationError
 from .model import (
     Cohort,
@@ -29,7 +31,8 @@ from .model import (
     parse_countries,
     parse_year,
 )
-from .stability import CellResult, CoverageCurve, ExclusionRecord, SeriesPoint
+from .fieller import OK, STATUSES
+from .stability import CellTable, CoverageCurve, ExclusionRecord, SeriesPoint
 
 CSV_HEADER = ["journal_id", "year", "citations", "countries"]
 
@@ -167,49 +170,79 @@ def ingest(
     return cohorts, IngestReport(n_rows, n_kept, n_filtered, len(row_errors), row_errors)
 
 
-def write_cells_csv(path: str | Path, cells: Sequence[CellResult]) -> int:
-    header = [
-        "journal_id", "year", "country", "scheme", "n_group", "n_field",
-        "value", "ci_low", "ci_high", "h", "se_mnlcs", "status",
-    ]
-    rows = sorted(cells, key=lambda c: (c.journal_id, c.year, c.country, c.scheme.value))
+CELL_FIELDS = (
+    "journal_id", "year", "country", "scheme", "n_group", "n_field",
+    "value", "ci_low", "ci_high", "h", "se_mnlcs", "status",
+)
+
+
+def write_cell_rows(f, table: CellTable, order: np.ndarray, fields=CELL_FIELDS) -> None:
+    """Write a header and the cells ``order`` picks as CSV rows of ``fields``,
+    1024 cells at a time so that little formatted text is alive at once."""
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(fields)
+    for start in range(0, len(order), 1024):
+        columns = _cell_columns(table, order[start:start + 1024])
+        writer.writerows(zip(*(columns[name] for name in fields)))
+
+
+def _cell_columns(table: CellTable, part: np.ndarray) -> dict[str, list[str]]:
+    """The text of the cells ``part`` picks, one list per CELL_FIELDS name, as
+    ``fmt`` formats each value: bounds and se are empty unless the cell is
+    OK, h is empty where NaN, and the reported low is clamped at zero."""
+    ok = (table.status[part] == OK).tolist()
+    targets = [(country, scheme.value) for country, scheme in table.targets]
+    target = table.target[part].tolist()
+
+    def text(column):
+        return [str(x) for x in column[part].tolist()]
+
+    def bounded(column):
+        return ["" if not k else f"{x:.9g}" for x, k in zip(column[part].tolist(), ok)]
+
+    low = table.ci_low
+    return {
+        "journal_id": [table.journals[j] for j in table.journal[part].tolist()],
+        "year": text(table.year),
+        "country": [targets[t][0] for t in target],
+        "scheme": [targets[t][1] for t in target],
+        "n_group": text(table.n_group),
+        "n_field": text(table.n_field),
+        "value": [f"{x:.9g}" for x in table.value[part].tolist()],
+        # max(0.0, low) of the scalar report, -0.0 and NaN included
+        "ci_low": bounded(np.where(low > 0.0, low, 0.0)),
+        "ci_high": bounded(table.ci_high),
+        "h": ["" if x != x else f"{x:.9g}" for x in table.h[part].tolist()],
+        "se_mnlcs": bounded(table.se),
+        "status": [STATUSES[code].value for code in table.status[part].tolist()],
+    }
+
+
+def write_cells_csv(path: str | Path, table: CellTable) -> int:
+    """Write the cells sorted by (journal, year, country, scheme), stable on ties."""
+    targets = [(country, scheme.value) for country, scheme in table.targets]
+    rank = {key: i for i, key in enumerate(sorted(set(targets)))}
+    target_rank = np.array([rank[key] for key in targets], dtype=np.intp)
+    # table.journals is sorted, so journal indices sort as the ids do
+    order = np.lexsort((target_rank[table.target], table.year, table.journal))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for cell in rows:
-            est = cell.estimate
-            writer.writerow([
-                cell.journal_id,
-                cell.year,
-                cell.country,
-                cell.scheme.value,
-                est.n_group,
-                est.n_field,
-                fmt(est.value),
-                fmt(est.ci_low_reported),
-                fmt(est.ci_high),
-                fmt(est.h),
-                fmt(est.se_mnlcs),
-                est.status.value,
-            ])
-    return len(rows)
+        write_cell_rows(f, table, order)
+    return len(order)
 
 
-def write_curves_csv(path: str | Path, curves: Sequence[CoverageCurve]) -> int:
+def write_curves_csv(path: str | Path, curves: Sequence[CoverageCurve], scheme: bool = True) -> int:
+    """One row per curve point, curves sorted by (country, scheme); with
+    ``scheme`` False the scheme column is left out."""
     header = ["country", "scheme", "offset_years", "inside_fraction", "n_comparisons", "simulated"]
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(header if scheme else header[:1] + header[2:])
         for curve in sorted(curves, key=lambda c: (c.country, c.scheme.value)):
             for p in curve.points:
                 writer.writerow([
-                    curve.country,
-                    curve.scheme.value,
-                    p.offset_years,
-                    fmt(p.inside_fraction),
-                    p.n_comparisons,
-                    fmt(p.simulated),
+                    curve.country, *([curve.scheme.value] if scheme else []), p.offset_years,
+                    fmt(p.inside_fraction), p.n_comparisons, fmt(p.simulated),
                 ])
                 n += 1
     return n
@@ -217,22 +250,7 @@ def write_curves_csv(path: str | Path, curves: Sequence[CoverageCurve]) -> int:
 
 def write_scheme_curves_csv(path: str | Path, curves: Sequence[CoverageCurve]) -> int:
     """Plot-ready per-scheme view: one line per country over the offsets."""
-    header = ["country", "offset_years", "inside_fraction", "n_comparisons", "simulated"]
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for curve in sorted(curves, key=lambda c: c.country):
-            for p in curve.points:
-                writer.writerow([
-                    curve.country,
-                    p.offset_years,
-                    fmt(p.inside_fraction),
-                    p.n_comparisons,
-                    fmt(p.simulated),
-                ])
-                n += 1
-    return n
+    return write_curves_csv(path, curves, scheme=False)
 
 
 def write_series_csv(

@@ -139,45 +139,32 @@ class ExperimentConfig:
             "input": input_part,
             "countries": list(self.countries) if self.countries is not None else {"top": self.top_k},
             "schemes": [s.value for s in self.schemes],
-            "year_min": self.year_min,
-            "year_max": self.year_max,
-            "max_offset": self.max_offset,
-            "min_group_n": self.min_group_n,
-            "alpha": self.alpha,
-            "fieller_form": self.fieller_form,
-            "lag0_replicates": self.lag0_replicates,
-            "seed": self.seed,
+            **{name: getattr(self, name) for name in _PLAIN},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        input_part = d.get("input", {})
-        countries_part = d.get("countries")
-        countries: tuple[str, ...] | None = None
-        top_k: int | None = None
-        if isinstance(countries_part, dict):
-            top_k = int(countries_part["top"])
-        elif countries_part is not None:
-            countries = tuple(str(c) for c in countries_part)
-        return cls(
+        """The config of ``to_dict`` output; absent settings take their defaults."""
+        input_part, countries = d.get("input", {}), d.get("countries")
+        top = isinstance(countries, dict)
+        return _from_json(
+            cls, d,
             input_csv=input_part.get("csv"),
-            scenario=(
-                scenario_from_dict(input_part["scenario"])
-                if "scenario" in input_part
-                else None
-            ),
-            countries=countries,
-            top_k=top_k,
+            scenario=scenario_from_dict(input_part["scenario"]) if "scenario" in input_part else None,
+            countries=None if top or countries is None else tuple(str(c) for c in countries),
+            top_k=int(countries["top"]) if top else None,
             schemes=parse_schemes(d.get("schemes", "both")),
             year_min=d.get("year_min"),
             year_max=d.get("year_max"),
-            max_offset=int(d.get("max_offset", 18)),
-            min_group_n=int(d.get("min_group_n", 5)),
-            alpha=float(d.get("alpha", 0.025)),
-            fieller_form=str(d.get("fieller_form", "standard")),
-            lag0_replicates=int(d.get("lag0_replicates", 1000)),
-            seed=int(d.get("seed", 0)),
         )
+
+
+# the fields written to JSON as they are; a field added to the config enters
+# the manifest and its hash only by being listed here
+_PLAIN = (
+    "year_min", "year_max", "max_offset", "min_group_n", "alpha", "fieller_form",
+    "lag0_replicates", "seed",
+)
 
 
 @dataclass

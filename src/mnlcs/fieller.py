@@ -18,8 +18,9 @@ for a bounded interval and the estimate is flagged instead of fabricated.
 
 The formula is written once, in ``fieller_interval``, elementwise on
 arrays: the split-half engine calls it on [replicates, targets] arrays,
-``estimates`` on a list of cells at once, and ``estimate`` on one pair's
-scalars; the last two share the status rules in ``_result``.
+``interval_columns`` on the columns of every cell of a run at once, and
+``estimate`` on one pair's scalars; the last two share the status rule in
+``flag_intervals``.
 
 A "printed" variant, h = t * (SE_j / m_s)^2, goes through the same code for
 side-by-side comparison; it is dimensionally inconsistent with the SE
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -109,34 +109,40 @@ class CiSettings:
             raise ValueError("min_group_n must be >= 2 (standard error needs n >= 2)")
 
 
-def estimates(
-    groups: Sequence[LogStats], fields: Sequence[LogStats], settings: CiSettings = CiSettings()
-) -> list[MnlcsEstimate]:
-    """estimate() for each (group, field) pair, in one interval call.
+# status codes of the array paths: an index into STATUSES
+STATUSES = (EstimateStatus.OK, EstimateStatus.UNBOUNDED_FIELLER, EstimateStatus.INSUFFICIENT_DATA)
+OK, UNBOUNDED, INSUFFICIENT = range(len(STATUSES))
 
-    Pairs with a group under ``settings.min_group_n`` or a single-article
-    field keep their value and are flagged INSUFFICIENT_DATA; pairs with
-    h >= 1 are flagged UNBOUNDED_FIELLER. Bounds stay unclamped.
+
+def flag_intervals(enough, low, high, h, se):
+    """(status, low, high, h, se): each pair's status code and the kernel
+    outputs it keeps, NaN where ``estimate`` reports None. OK needs
+    ``enough`` data and h < 1 and alone keeps bounds and se; h is kept where
+    there is enough data and it is finite."""
+    ok = enough & (h < 1.0)
+    status = np.where(ok, OK, np.where(enough, UNBOUNDED, INSUFFICIENT)).astype(np.int8)
+    low, high, se = np.where(ok, (low, high, se), np.nan)
+    return status, low, high, np.where(enough & np.isfinite(h), h, np.nan), se
+
+
+def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se,
+                     settings: CiSettings = CiSettings()):
+    """(value, low, high, h, se, status) arrays of ``estimate`` for many pairs,
+    from one interval call on their columns (group se NaN where n == 1). Pairs
+    with a group under ``settings.min_group_n`` or a single-article field
+    keep their value and are flagged INSUFFICIENT_DATA; pairs with h >= 1 are
+    flagged UNBOUNDED_FIELLER. Bounds stay unclamped.
     """
-    field_mean = np.array([f.mean for f in fields], dtype=np.float64)
+    n_group, n_field, field_mean = (np.asarray(a) for a in (n_group, n_field, field_mean))
     if (field_mean <= 0.0).any():
         raise DegenerateField("field mean of ln(1+c) is zero")
-    n_group = np.array([g.n for g in groups], dtype=np.intp)
-    n_field = np.array([f.n for f in fields], dtype=np.intp)
     enough = (n_group >= settings.min_group_n) & (n_field >= 2)
-    # an insufficient pair's t (on df >= 1) and nan se (n == 1) go unused
-    t = t_quantile(np.maximum(n_group + n_field - 2, 1), settings.alpha)
-    value, low, high, h, se = fieller_interval(
-        [g.mean for g in groups], [g.se for g in groups],
-        field_mean, [f.se for f in fields], t, settings.form,
-    )
-    return [
-        _result(v, lo, hi, hh, s, g.n, f.n, e)
-        for v, lo, hi, hh, s, g, f, e in zip(
-            value.tolist(), low.tolist(), high.tolist(), h.tolist(), se.tolist(),
-            groups, fields, enough.tolist(),
-        )
-    ]
+    # t once per distinct df; an insufficient pair's t (on df >= 1) goes unused
+    df, pick = np.unique(np.maximum(n_group + n_field - 2, 1), return_inverse=True)
+    t = t_quantile(df, settings.alpha)[pick]
+    value, *interval = fieller_interval(group_mean, group_se, field_mean, field_se, t, settings.form)
+    status, *flagged = flag_intervals(enough, *interval)
+    return value, *flagged, status
 
 
 def estimate(
@@ -145,30 +151,22 @@ def estimate(
     """Full chain: ratio value, t on n_s + n_j - 2 df, Fieller interval.
 
     The degrees of freedom treat the whole journal (group included) as the
-    second sample. Same rules as ``estimates``, on one pair's scalars.
+    second sample. Same rules as ``interval_columns``, on one pair's scalars.
     """
     if field.mean <= 0.0:
         raise DegenerateField("field mean of ln(1+c) is zero")
     enough = group.n >= settings.min_group_n and field.n >= 2
     t = _scalar_t(max(group.n + field.n - 2, 1), settings.alpha)
-    interval = fieller_interval(group.mean, group.se, field.mean, field.se, t, settings.form)
-    return _result(*(float(x) for x in interval), group.n, field.n, enough)
+    value, *interval = fieller_interval(group.mean, group.se, field.mean, field.se, t, settings.form)
+    status, *flagged = flag_intervals(enough, *interval)
+    return row_estimate(float(value), *(float(x) for x in flagged), group.n, field.n, int(status))
 
 
-def _result(value, low, high, h, se, n_group, n_field, enough) -> MnlcsEstimate:
-    """MnlcsEstimate from one pair's kernel outputs (Python scalars)."""
-    ok = enough and h < 1.0
+def row_estimate(value, low, high, h, se, n_group, n_field, status) -> MnlcsEstimate:
+    """MnlcsEstimate of one pair from its flagged outputs, as Python scalars:
+    bounds and se are None unless OK, h is None where NaN."""
+    ok = status == OK
     return MnlcsEstimate(
-        value=value,
-        ci_low=low if ok else None,
-        ci_high=high if ok else None,
-        h=h if enough and math.isfinite(h) else None,
-        se_mnlcs=se if ok else None,
-        n_group=n_group,
-        n_field=n_field,
-        status=(
-            EstimateStatus.OK if ok
-            else EstimateStatus.UNBOUNDED_FIELLER if enough
-            else EstimateStatus.INSUFFICIENT_DATA
-        ),
+        value, low if ok else None, high if ok else None, None if math.isnan(h) else h,
+        se if ok else None, n_group, n_field, STATUSES[status],
     )

@@ -18,17 +18,23 @@ from .errors import DegenerateField, InsufficientData
 from .model import LogStats
 
 
+def log_moments(logs: np.ndarray) -> tuple[int, float, float]:
+    """(n, mean, se) of non-empty ln(1+c) values, se NaN when n == 1. The sums
+    are math.fsum of ``tolist()``: the array's own doubles, iterated faster."""
+    n = len(logs)
+    mean = math.fsum(logs.tolist()) / n
+    if n == 1:
+        return 1, mean, math.nan
+    centred = logs - mean
+    return n, mean, math.sqrt(math.fsum((centred * centred).tolist()) / (n - 1) / n)
+
+
 def log_stats_from_logs(logs: np.ndarray) -> LogStats:
     """LogStats from precomputed ln(1+c) values (fast path for resampling)."""
-    n = len(logs)
-    if n == 0:
+    if len(logs) == 0:
         raise InsufficientData("cannot summarise an empty sample")
-    mean = math.fsum(logs) / n
-    if n == 1:
-        return LogStats(n=1, mean=mean, se=None)
-    centred = logs - mean
-    var = math.fsum(centred * centred) / (n - 1)
-    return LogStats(n=n, mean=mean, se=math.sqrt(var / n))
+    n, mean, se = log_moments(logs)
+    return LogStats(n=n, mean=mean, se=None if n == 1 else se)
 
 
 def log_stats(citations: Iterable[int]) -> LogStats:

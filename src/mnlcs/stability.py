@@ -9,25 +9,26 @@ coverage, since an unbounded interval would trivially contain everything;
 all exclusions are tallied. The offset-0 point of a curve comes from the
 split-half baseline and is flagged as simulated.
 
-Curves and series read a ``CellGrid``, built once from a run's cells: one
-[target, journal, year] array per cell field, so the pairs at offset k are
-the year columns ``[:, :-k]`` against ``[:, k:]`` and a series is one row.
+``compute_cells`` returns a ``CellTable``, one array per cell field, so the
+intervals come from one kernel call and cells.csv is sorted and formatted a
+column at a time. Curves and series read a ``CellGrid`` scattered once from
+it: one [target, journal, year] array per field, so the pairs at offset k
+are the year columns ``[:, :-k]`` against ``[:, k:]`` and a series is a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bootstrap import lag0_batch
 from .counting import membership
 from .errors import DegenerateField, ValidationError
-from .fieller import CiSettings, estimate, estimates
-from .indicator import log_stats_from_logs
-from .model import Cohort, EstimateStatus, MnlcsEstimate, Scheme
+from .fieller import OK, STATUSES, CiSettings, estimate, interval_columns, row_estimate
+from .indicator import log_moments, log_stats_from_logs
+from .model import Cohort, MnlcsEstimate, Scheme
 
 
 @dataclass(frozen=True)
@@ -80,68 +81,130 @@ class ExclusionRecord:
     offset: int | None = None
 
 
-# cells per interval call: amortises the call's fixed cost over many cohorts
-# while the per-cell inputs held besides the results stay small
-CELL_CHUNK = 256
-
-
 def compute_cells(
     cohorts: Iterable[Cohort],
     countries: Sequence[str],
     schemes: Sequence[Scheme],
     settings: CiSettings = CiSettings(),
     exclusions: list[ExclusionRecord] | None = None,
-) -> list[CellResult]:
+) -> CellTable:
     """Estimate every (journal, year, country, scheme) cell with any group data.
 
     Cells exist whenever the group is non-empty and the field mean is
     positive; their status records whether an interval was possible. Cohorts
     with a zero field mean and empty group selections are skipped and
     tallied. Each cohort's groups come from one membership matrix, in
-    country-major, scheme-minor order; the cells then get their intervals
-    from one call of ``estimates`` per CELL_CHUNK cells.
+    country-major, scheme-minor order; each group's mean and SE are
+    compensated sums, and every cell gets its interval from one
+    ``interval_columns`` call on the resulting columns.
     """
     exclusions = [] if exclusions is None else exclusions
-    cells, stats = [], _cell_stats(cohorts, countries, schemes, exclusions)
-    while chunk := list(islice(stats, CELL_CHUNK)):
-        keys, groups, fields = zip(*chunk)
-        ests = estimates(groups, fields, settings)
-        cells += [CellResult(*key, estimate=est) for key, est in zip(keys, ests)]
-    return cells
-
-
-def _cell_stats(cohorts, countries, schemes, exclusions):
-    """(cell key, group LogStats, field LogStats) of every cell, in order."""
     targets = [(country, scheme) for country in countries for scheme in schemes]
+    # per cohort with cells: journal, year, cell count, field (n, mean, se)
+    journal, year, counts, fields = [], [], [], []
+    target, groups = [], []  # per cell: target index, group (n, mean, se)
     for cohort in cohorts:
-        field_stats = log_stats_from_logs(cohort.log_citations)
-        if field_stats.mean <= 0.0:
-            exclusions.append(
-                ExclusionRecord(
-                    stage="cells",
-                    reason="degenerate_field",
-                    count=len(targets),
-                    journal_id=cohort.journal_id,
-                    year=cohort.year,
-                )
-            )
+        logs = cohort.log_citations
+        field = log_moments(logs)
+        if field[1] <= 0.0:  # the field mean
+            exclusions.append(ExclusionRecord(
+                "cells", "degenerate_field", len(targets), cohort.journal_id, cohort.year
+            ))
             continue
-        for (country, scheme), members in zip(targets, membership(cohort, targets)):
-            if not members.any():
-                exclusions.append(
-                    ExclusionRecord(
-                        stage="cells",
-                        reason="empty_group",
-                        count=1,
-                        journal_id=cohort.journal_id,
-                        year=cohort.year,
-                        country=country,
-                        scheme=scheme,
-                    )
-                )
-                continue
-            key = (cohort.journal_id, cohort.year, country, scheme)
-            yield key, log_stats_from_logs(cohort.log_citations[members]), field_stats
+        members = membership(cohort, targets)
+        nonempty = members.any(axis=1).tolist()
+        exclusions.extend(
+            ExclusionRecord("cells", "empty_group", 1, cohort.journal_id, cohort.year, *key)
+            for key, any_member in zip(targets, nonempty) if not any_member
+        )
+        cells = [k for k, any_member in enumerate(nonempty) if any_member]
+        if cells:
+            journal.append(cohort.journal_id)
+            year.append(cohort.year)
+            counts.append(len(cells))
+            fields.append(field)
+            target += cells
+            groups += [log_moments(logs[members[k]]) for k in cells]
+
+    journals = tuple(sorted(set(journal)))
+    code = {j: i for i, j in enumerate(journals)}
+    n_group, group_mean, group_se = np.array(groups, dtype=np.float64).reshape(-1, 3).T
+    n_field, field_mean, field_se = np.repeat(
+        np.array(fields, dtype=np.float64).reshape(-1, 3), counts, axis=0
+    ).T
+    n_group, n_field = n_group.astype(np.intp), n_field.astype(np.intp)
+    return CellTable(
+        journals,
+        tuple(targets),
+        np.repeat(np.array([code[j] for j in journal], dtype=np.intp), counts),
+        np.repeat(np.array(year, dtype=np.intp), counts),
+        np.array(target, dtype=np.intp),
+        n_group,
+        n_field,
+        *interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se, settings),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """Every (journal, year, country, scheme) cell of a run as parallel arrays.
+
+    One entry per cell, in compute order: ``journal`` indexes ``journals``
+    (sorted journal ids), ``target`` indexes ``targets`` ((country, scheme)
+    pairs), and ``year``, ``n_group`` and ``n_field`` are integers. The
+    float columns ``value``, the raw bounds ``ci_low``/``ci_high``, ``h``
+    and ``se`` hold NaN where the cell's estimate reports None; ``status``
+    is an index into ``fieller.STATUSES``. ``table[i]`` and iteration build
+    ``CellResult`` rows on access; no per-cell object is kept.
+    """
+
+    journals: tuple[str, ...]
+    targets: tuple[tuple[str, Scheme], ...]
+    journal: np.ndarray
+    year: np.ndarray
+    target: np.ndarray
+    n_group: np.ndarray
+    n_field: np.ndarray
+    value: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    h: np.ndarray
+    se: np.ndarray
+    status: np.ndarray
+
+    @classmethod
+    def from_results(cls, cells: Iterable[CellResult]) -> CellTable:
+        """The table of hand-built cells, in their order."""
+        cells = list(cells)
+        journals = tuple(sorted({c.journal_id for c in cells}))
+        targets = tuple(dict.fromkeys((c.country, c.scheme) for c in cells))
+        journal, target = ({key: i for i, key in enumerate(keys)} for keys in (journals, targets))
+        rows = [
+            (journal[c.journal_id], c.year, target[(c.country, c.scheme)], e.n_group, e.n_field,
+             e.value, e.ci_low, e.ci_high, e.h, e.se_mnlcs, STATUSES.index(e.status))
+            for c, e in zip(cells, [c.estimate for c in cells])
+        ]
+        dtypes = (np.intp,) * 5 + (np.float64,) * 5 + (np.int8,)  # None becomes NaN
+        columns = zip(*rows) if rows else [()] * len(dtypes)
+        return cls(journals, targets, *map(np.array, columns, dtypes))
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, i: int) -> CellResult:
+        i = range(len(self))[i]  # IndexError outside the table
+        return next(self._rows(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[CellResult]:
+        return self._rows(slice(None))
+
+    def _rows(self, part: slice) -> Iterator[CellResult]:
+        columns = (getattr(self, name)[part].tolist() for name in (
+            "journal", "year", "target", "value", "ci_low", "ci_high", "h", "se",
+            "n_group", "n_field", "status",
+        ))
+        for j, year, t, *estimate in zip(*columns):
+            yield CellResult(self.journals[j], year, *self.targets[t], row_estimate(*estimate))
 
 
 class CellGrid:
@@ -150,24 +213,20 @@ class CellGrid:
     ``journals`` (sorted) and ``targets``, (country, scheme) pairs, map to
     their index. The arrays: ``value``, the raw bounds ``ci_low``/``ci_high``
     (NaN where absent), ``ci_low_reported`` (clamped at zero), ``status`` (an
-    index into ``STATUSES``) and the masks ``present`` and ``ok`` (bounded).
+    index into ``fieller.STATUSES``) and the masks ``present`` and ``ok`` (bounded).
     ``has_cells`` [target, journal] marks the journals with any cell for the
     target, even outside ``years``. Of two cells with one key the later wins.
     """
 
-    STATUSES = tuple(EstimateStatus)
-
-    def __init__(self, cells: Sequence[CellResult], years: range):
+    def __init__(self, table: CellTable, years: range):
         if years.step != 1:
             raise ValidationError(f"years must step by 1, got {years!r}")
         self.years = years
-        self.journals = {j: i for i, j in enumerate(sorted({c.journal_id for c in cells}))}
-        targets = dict.fromkeys((c.country, c.scheme) for c in cells)
-        self.targets = {t: i for i, t in enumerate(targets)}
+        self.journals = {j: i for i, j in enumerate(table.journals)}
+        self.targets = {t: i for i, t in enumerate(dict.fromkeys(table.targets))}
         shape = (len(self.targets), len(self.journals), len(years))
-        t = np.array([self.targets[(c.country, c.scheme)] for c in cells], dtype=np.intp)
-        j = np.array([self.journals[c.journal_id] for c in cells], dtype=np.intp)
-        y = np.array([c.year for c in cells], dtype=np.intp) - years.start
+        t = np.array([self.targets[t] for t in table.targets], dtype=np.intp)[table.target]
+        j, y = table.journal, table.year - years.start
         self.has_cells = np.zeros(shape[:2], dtype=bool)
         self.has_cells[t, j] = True
 
@@ -176,20 +235,18 @@ class CellGrid:
         flat, first = np.unique(np.ravel_multi_index((t[kept], j[kept], y[kept]), shape),
                                 return_index=True)
         kept = kept[first]
-        ests = [c.estimate for c in cells]
-        code = {s: i for i, s in enumerate(self.STATUSES)}
 
-        def scatter(column, fill, dtype):
-            out = np.full(shape, fill, dtype=dtype)
-            out.reshape(-1)[flat] = np.array(column, dtype=dtype)[kept]
+        def scatter(column, fill):
+            out = np.full(shape, fill, dtype=column.dtype)
+            out.reshape(-1)[flat] = column[kept]
             return out
 
-        self.value = scatter([e.value for e in ests], np.nan, np.float64)
-        self.ci_low = scatter([e.ci_low for e in ests], np.nan, np.float64)
-        self.ci_high = scatter([e.ci_high for e in ests], np.nan, np.float64)
-        self.status = scatter([code[e.status] for e in ests], -1, np.int8)
+        self.value = scatter(table.value, np.nan)
+        self.ci_low = scatter(table.ci_low, np.nan)
+        self.ci_high = scatter(table.ci_high, np.nan)
+        self.status = scatter(table.status, -1)
         self.present = self.status >= 0
-        self.ok = self.status == code[EstimateStatus.OK]
+        self.ok = self.status == OK
         # max(0.0, low) of the scalar report, NaN included
         self.ci_low_reported = np.where(self.ci_low > 0.0, self.ci_low, 0.0)
 
@@ -261,41 +318,26 @@ def lag0_curve_points(
         table = lag0_batch(cohort, targets, replicates, rng_seed, settings)
         for target, result in table.items():
             if exclusions is not None and result.n_excluded > 0:
-                exclusions.append(
-                    ExclusionRecord(
-                        stage="lag0",
-                        reason="replicates_excluded",
-                        count=result.n_excluded,
-                        journal_id=cohort.journal_id,
-                        year=cohort.year,
-                        country=target[0],
-                        scheme=target[1],
-                        offset=0,
-                    )
-                )
+                exclusions.append(ExclusionRecord(
+                    "lag0", "replicates_excluded", result.n_excluded, cohort.journal_id,
+                    cohort.year, *target, offset=0,
+                ))
             if result.n_valid == 0:
                 continue
             fractions[target].append(result.fraction)
             totals[target] += result.n_valid
     return {
-        target: (
-            CurvePoint(
-                offset_years=0,
-                inside_fraction=sum(fracs) / len(fracs),
-                n_comparisons=totals[target],
-                simulated=True,
-            )
-            if fracs
-            else None
-        )
+        target: CurvePoint(0, sum(fracs) / len(fracs), totals[target], simulated=True)
+        if fracs else None
         for target, fracs in fractions.items()
     }
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     """One year of a per-journal indicator time series; missing or CI-less
-    years appear with the gap marked rather than silently dropped."""
+    years appear with the gap marked rather than silently dropped. A named
+    tuple: a run builds one per (journal, target, year), and a tuple costs a
+    fraction of a frozen dataclass to build."""
 
     year: int
     value: float | None
@@ -320,7 +362,7 @@ def series_report(
     ))
     return [
         SeriesPoint(year, value, low if ok else None, high if ok else None,
-                    grid.STATUSES[code].value)
+                    STATUSES[code].value)
         if present else SeriesPoint(year, None, None, None, "missing")
         for year, present, ok, value, low, high, code in zip(grid.years, *row)
     ]

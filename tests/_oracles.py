@@ -9,8 +9,9 @@ interval written with math.sqrt (only the splits themselves are shared with
 the engine), group membership and cells are decided record by record, not
 through the library's membership matrix, CSV ingest, writing and the
 canonical split order go through one CitationRecord per row, not through
-columns, and coverage curves and series look up one cell per (journal,
-year) pair in a dict, not in the library's cell grid.
+columns, coverage curves and series look up one cell per (journal, year)
+pair in a dict, not in the library's cell grid, and cells.csv is sorted and
+written one CellResult row at a time, not from the cell table's columns.
 """
 
 import csv
@@ -21,7 +22,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from mnlcs.bootstrap import half_a_blocks
-from mnlcs.dataio import CSV_HEADER, IngestReport
+from mnlcs.dataio import CSV_HEADER, IngestReport, fmt
 from mnlcs.errors import DegenerateField, IngestError, ValidationError
 from mnlcs.fieller import t_quantile
 from mnlcs.indicator import log_stats_from_logs
@@ -379,3 +380,32 @@ def series_oracle(cells, *, journal_id, country, scheme, years) -> list[SeriesPo
         est = cell.estimate
         points.append(SeriesPoint(year, est.value, est.ci_low_reported, est.ci_high, est.status.value))
     return points
+
+
+def write_cells_csv_oracle(path, cells) -> int:
+    """dataio.write_cells_csv from CellResults: sorted by key, one row per cell."""
+    header = [
+        "journal_id", "year", "country", "scheme", "n_group", "n_field",
+        "value", "ci_low", "ci_high", "h", "se_mnlcs", "status",
+    ]
+    rows = sorted(cells, key=lambda c: (c.journal_id, c.year, c.country, c.scheme.value))
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for cell in rows:
+            est = cell.estimate
+            writer.writerow([
+                cell.journal_id,
+                cell.year,
+                cell.country,
+                cell.scheme.value,
+                est.n_group,
+                est.n_field,
+                fmt(est.value),
+                fmt(est.ci_low_reported),
+                fmt(est.ci_high),
+                fmt(est.h),
+                fmt(est.se_mnlcs),
+                est.status.value,
+            ])
+    return len(rows)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -86,15 +87,32 @@ def test_simulate_seed_override(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_indicator_stdout(data_csv, capsys):
-    code = main(
-        ["indicator", "--input", str(data_csv), "--countries", "AA",
-         "--scheme", "inclusive", "--min-group-n", "5"]
-    )
+def test_indicator_stdout(data_csv, tmp_path, capsys):
+    args = ["indicator", "--input", str(data_csv), "--countries", "AA",
+            "--scheme", "inclusive", "--min-group-n", "5"]
+    code = main(args)
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("journal_id,year,country,scheme,value")
     assert len(lines) == 1 + 8  # 2 journals x 4 years
+    # each printed cell carries the columns the cells file holds for it; the
+    # second selection leaves the 13-article BB exclusive groups without intervals
+    key = ("journal_id", "year", "country", "scheme")
+    shown = ("value", "ci_low", "ci_high", "status")
+    mixed = [*args[:3], "--countries", "AA,BB", "--min-group-n", "16"]
+    for selection, n_cells, n_insufficient in ((args, 8, 0), (mixed, 32, 8)):
+        assert main(selection) == 0
+        printed = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        out = tmp_path / "cells.csv"
+        assert main([*selection, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {n_cells} cells")
+        with open(out, encoding="utf-8", newline="") as f:
+            written = {tuple(r[k] for k in key): r for r in csv.DictReader(f)}
+        assert len(printed) == len(written) == n_cells
+        assert sum(r["status"] == "insufficient_data" for r in printed) == n_insufficient
+        for row in printed:
+            cell = written[tuple(row[k] for k in key)]
+            assert [row[k] for k in shown] == [cell[k] for k in shown]
 
 
 def test_indicator_to_file(data_csv, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import group_into_cohorts, ingest_oracle
+from _oracles import group_into_cohorts, ingest_oracle, write_cells_csv_oracle
 from mnlcs.dataio import (
     CSV_HEADER,
     config_hash,
@@ -17,8 +18,8 @@ from mnlcs.dataio import (
 )
 from mnlcs.errors import IngestError
 from mnlcs.fieller import CiSettings
-from mnlcs.stability import compute_cells
-from mnlcs.model import Scheme
+from mnlcs.stability import CellResult, CellTable, compute_cells
+from mnlcs.model import EstimateStatus, MnlcsEstimate, Scheme
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
 
 
@@ -137,6 +138,75 @@ def test_cells_csv_shape(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == n + 1
     assert lines[0].startswith("journal_id,year,country,scheme")
+
+
+# values whose 9-digit rendering is easy to get wrong, lows that clamp
+# (negative, -0.0, exactly 0, NaN), and NaN bounds and se under OK
+cell_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-7, 0.1, 123456789.123, 2.5e11]), st.floats(0.0, 1e3)
+)
+cell_lows = st.one_of(
+    st.sampled_from([-0.5, -0.0, 0.0, 5e-324, math.nan]), st.floats(-2.0, 2.0)
+)
+cell_bounds = st.one_of(st.just(math.nan), st.floats(0.0, 1e4))
+
+
+@st.composite
+def cells_to_write(draw):
+    """CellResults of every status from a few keys, so keys repeat and ties
+    must keep their order; n_group 1 and printed-form h = inf (h None while
+    unbounded) among them."""
+    cells = []
+    for _ in range(draw(st.integers(0, 30))):
+        status = draw(st.sampled_from(list(EstimateStatus)))
+        ok = status is EstimateStatus.OK
+        if ok:
+            h = draw(st.floats(0.0, 1.0, exclude_max=True))
+        elif status is EstimateStatus.UNBOUNDED_FIELLER:
+            h = draw(st.sampled_from([1.0, 3.75, None]))
+        else:
+            h = None
+        est = MnlcsEstimate(
+            value=draw(cell_values),
+            ci_low=draw(cell_lows) if ok else None,
+            ci_high=draw(cell_bounds) if ok else None,
+            h=h,
+            se_mnlcs=draw(cell_bounds) if ok else None,
+            n_group=draw(st.sampled_from([1, 2, 5, 40])),
+            n_field=draw(st.sampled_from([1, 300])),
+            status=status,
+        )
+        cells.append(CellResult(
+            draw(st.sampled_from(["J1", "J10", "J2", "a-b"])),
+            draw(st.sampled_from([1999, 2000, 2010])),
+            draw(st.sampled_from(["AA", "AB", "B"])),
+            draw(st.sampled_from(list(Scheme))),
+            est,
+        ))
+    return cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells_to_write())
+def test_cells_csv_columns_equal_row_writer(cells):
+    with tempfile.TemporaryDirectory() as d:
+        want, got = Path(d) / "rows.csv", Path(d) / "columns.csv"
+        assert write_cells_csv(got, CellTable.from_results(cells)) == len(cells)
+        assert write_cells_csv_oracle(want, cells) == len(cells)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("form", ["standard", "printed"])
+def test_cells_csv_of_computed_cells_equals_row_writer(tmp_path, form):
+    # 25 journals x 10 years x 5 targets (ZZ never writes alone): 1,250
+    # cells, more than one slice of the writer
+    spec = small_scenario()
+    cohorts = generate(ScenarioSpec(**{**vars(spec), "n_journals": 25, "year_end": 2009}))
+    settings = CiSettings(form=form, min_group_n=2)
+    table = compute_cells(cohorts, ["BB", "AA", "ZZ"], list(Scheme), settings)
+    write_cells_csv(tmp_path / "columns.csv", table)
+    assert write_cells_csv_oracle(tmp_path / "rows.csv", list(table)) == 1250
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_config_hash_is_order_insensitive():

@@ -12,8 +12,9 @@ from mnlcs.fieller import (
     FIELLER_FORMS,
     CiSettings,
     estimate,
-    estimates,
     fieller_interval,
+    interval_columns,
+    row_estimate,
     t_quantile,
 )
 from mnlcs.indicator import log_stats, log_stats_from_logs, mnlcs
@@ -75,6 +76,21 @@ def test_t_quantile_array_matches_scalar_calls():
 Interval = namedtuple("Interval", "value low high h se")
 
 
+def column_estimates(groups, fields, settings=CiSettings()):
+    """interval_columns on the columns of (group, field) LogStats pairs, read
+    back one MnlcsEstimate per pair as a CellTable row is."""
+    columns = interval_columns(
+        [g.n for g in groups], [g.mean for g in groups], [g.se for g in groups],
+        [f.n for f in fields], [f.mean for f in fields], [f.se for f in fields], settings,
+    )
+    return [
+        row_estimate(value, low, high, h, se, g.n, f.n, status)
+        for value, low, high, h, se, status, g, f in zip(
+            *(c.tolist() for c in columns), groups, fields
+        )
+    ]
+
+
 def kernel(group, field, t, form="standard"):
     """fieller_interval on one (group, field) pair, as Python floats."""
     return Interval(
@@ -109,7 +125,7 @@ def test_h_at_threshold_flags_unbounded(monkeypatch):
     # the same numbers through the library's status rule, with t pinned to 2
     monkeypatch.setattr(fieller, "t_quantile", lambda df, alpha: np.full(np.shape(df), 2.0))
     monkeypatch.setattr(fieller, "_scalar_t", lambda df, alpha: 2.0)  # estimate's cached t
-    for est in (estimate(group, field), *estimates([group, group], [field, field])):
+    for est in (estimate(group, field), *column_estimates([group, group], [field, field])):
         assert est.status is EstimateStatus.UNBOUNDED_FIELLER
         assert est.h == 1.0 and est.value == 1.0
         assert est.ci_low is None and est.ci_high is None and est.se_mnlcs is None
@@ -233,7 +249,7 @@ def test_degenerate_field_raises():
     with pytest.raises(DegenerateField):
         estimate(group, field)
     with pytest.raises(DegenerateField):
-        estimates([group, group], [LogStats(n=5, mean=1.0, se=0.1), field])
+        column_estimates([group, group], [LogStats(n=5, mean=1.0, se=0.1), field])
 
 
 def test_small_samples_flagged_insufficient():
@@ -413,10 +429,10 @@ any_size_stats = st.builds(
 def test_estimates_equal_scalar_oracle_with_mixed_statuses(pairs, form, min_group_n):
     settings = CiSettings(form=form, min_group_n=min_group_n)
     groups, fields = zip(*pairs)
-    assert estimates(groups, fields, settings) == [
+    assert column_estimates(groups, fields, settings) == [
         estimate_oracle(group, field, settings) for group, field in pairs
     ]
-    assert [estimate(group, field, settings) for group, field in pairs] == estimates(
+    assert [estimate(group, field, settings) for group, field in pairs] == column_estimates(
         groups, fields, settings
     )
 
@@ -429,7 +445,7 @@ def test_estimates_mixed_statuses_in_one_call():
         LogStats(n=40, mean=0.0, se=0.0),  # printed form: h = inf
         LogStats(n=40, mean=0.04, se=0.01),  # printed form: h >= 1
     ]
-    ests = estimates(groups, [field] * 4, CiSettings(form="printed"))
+    ests = column_estimates(groups, [field] * 4, CiSettings(form="printed"))
     assert [e.status for e in ests] == [
         EstimateStatus.OK,
         EstimateStatus.INSUFFICIENT_DATA,

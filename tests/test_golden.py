@@ -1,0 +1,123 @@
+"""Byte-level golden bundles of a small scenario run.
+
+The SHA-256 of every bundle file, for the standard and printed interval
+forms and for ``min_group_n`` 2, on 4 journals x 5 years x 300 articles with
+the benchmark's group mix: ten groups with shares 0.10 down to 0.01, a 0.3
+collaboration fraction with partner ZZ, the top 10 countries, both schemes.
+Small groups give insufficient_data cells; a fourth variant, printed form
+with group II mostly uncited (mu -1), adds unbounded_fieller cells next to
+them. No split-half replicates run, so the bundle rests on generation,
+cells, curves, series and the writers.
+
+A declared change to the synthetic RNG layout changes data.csv and every
+file computed from it; that change must re-record these digests.
+"""
+
+import hashlib
+
+import pytest
+
+from mnlcs.experiment import ExperimentConfig, run_experiment
+
+SCENARIO = {
+    "n_journals": 4,
+    "year_start": 2000,
+    "year_end": 2004,
+    "field_size_per_year": 300,
+    "field_mu": 1.0,
+    "field_sigma": 1.0,
+    "groups": [
+        {"country": code * 2, "share": round(0.10 - 0.01 * i, 2), "mu": 0.6 + 0.1 * i,
+         "sigma": 1.0}
+        for i, code in enumerate("ABCDEFGHIJ")
+    ],
+    "capability_mode": {"mode": "static"},
+    "collab_fraction": 0.3,
+    "collab_partner": "ZZ",
+    "rng_seed": 7,
+}
+
+CONFIG = {
+    "input": {"scenario": SCENARIO},
+    "countries": {"top": 10},
+    "schemes": ["inclusive", "exclusive"],
+    "max_offset": 4,
+    "lag0_replicates": 0,
+    "seed": 7,
+}
+
+VARIANTS = {
+    "standard": {},
+    "printed": {"fieller_form": "printed"},
+    "min_group_n_2": {"min_group_n": 2},
+    "printed_uncited_group": {"fieller_form": "printed"},
+}
+
+
+def variant_config(variant: str) -> dict:
+    config = {**CONFIG, **VARIANTS[variant]}
+    if variant == "printed_uncited_group":
+        groups = [dict(g) for g in SCENARIO["groups"]]
+        groups[8]["mu"] = -1.0
+        config["input"] = {"scenario": {**SCENARIO, "groups": groups}}
+    return config
+
+
+# recorded on the code before cells became columnar
+GOLDEN = {
+    "min_group_n_2": {
+        "cells.csv": "f23594607259ff6d6411b6bc04a5f4568e0760d059b7ce89427462b0a87aa2e9",
+        "curves.csv": "c4c2878bba5da830c3d8ca17b0f9d0455912ea2cc794d11a1ea2d25f362b3779",
+        "curves_exclusive.csv": "85d892c7e5ee7ab1edca8aa8955f1fd7dcf4f1b2dd7ab0e30de761c53be31ef4",
+        "curves_inclusive.csv": "480f2d795878f4dc05d2eeb97da34024ed75a96b8400d5ba6b88741db189e37d",
+        "data.csv": "d9088cb6bd99c7d0f3a1b7886f93c5f617528c698831eee16c0e7822c2f27e5c",
+        "exclusions.csv": "35ccb975a19a322bbf63f50fd1b0ac87cea15e4ff712d326986f1f0da024140a",
+        "manifest.json": "49a01eb57de69d00e8c7e47f4619633b3fa4ee890320fe2be1a88919525a3839",
+        "resolved.json": "5f541b4c38235342931414f58a884641834f7458832a2b1b91fa7f5c6587bccd",
+        "series.csv": "5ddc3f0d956df5a9728ee67e2972c8aedd5ba36f215c1b7ad76273341c5ad5c4",
+    },
+    "printed": {
+        "cells.csv": "844c5f8fd847e89de1d7c63712505e5ea1e8abd3fe9faa8d5b22a6c68a0ad57b",
+        "curves.csv": "b2e875849fff550b62e5a354c48940d5d20f39cfa55c937a86d31df7ad2fb0ef",
+        "curves_exclusive.csv": "3b3b46c0d24ba612f33c9806e9b32a02235f8e558d38e854399d8f8823ddc613",
+        "curves_inclusive.csv": "02239add9b1778f1fe606af93498fc71339964af05b6c0774e28b4bfd846cb62",
+        "data.csv": "d9088cb6bd99c7d0f3a1b7886f93c5f617528c698831eee16c0e7822c2f27e5c",
+        "exclusions.csv": "e37b67633b77fed1e62ab1a94fa539b740ceccca8a9bcf52ce603ff5bd28cea5",
+        "manifest.json": "a7dd63b437b4644e86a8279826f900581247f606628baf0cd6e46876057b119a",
+        "resolved.json": "5f541b4c38235342931414f58a884641834f7458832a2b1b91fa7f5c6587bccd",
+        "series.csv": "181a2f1c69440fc2e84749daafbde99e3f69bd4d03075955defe010b6fde1dbf",
+    },
+    "printed_uncited_group": {
+        "cells.csv": "d22487847b2e8d74c86cf0c2ffbb64e32aede98d51f7713cd285fb8f01eee30e",
+        "curves.csv": "b3b81fd4da57f985431210722305e0934797299142e8d3876ac5787ce6d35eec",
+        "curves_exclusive.csv": "1da9bf3b0a29186036ebc319e73a95f5593122a4aad92acf88aa34079e9299c5",
+        "curves_inclusive.csv": "ee2f7e672d53fa7037600a581d470b2cf2316cf65a629b4269ad731846c546d1",
+        "data.csv": "a03b695c42ec136f0f344ba8ad896b27d792fcd423fa14b7663a11ccfbd3fd35",
+        "exclusions.csv": "d6c11aa8ea345ad40f447ec2c8945d69aedaea55f9ad59d985b1c63af12de915",
+        "manifest.json": "74160465cad027e0954dd77b5fd00e2c5e87273a3de1aeca26e7cfbf47245523",
+        "resolved.json": "5f541b4c38235342931414f58a884641834f7458832a2b1b91fa7f5c6587bccd",
+        "series.csv": "5ac033146b54472827e5a599a23ba4600b3d756e0acfd3eccf86b46c76101ca7",
+    },
+    "standard": {
+        "cells.csv": "79b2fbb6114b7eb7182e62f0ed29928370ea3d5ba5b40ec49c45d972f6234fd8",
+        "curves.csv": "707eb5104169249a1a393dc6745d54ee995daa3f8d8a7bca03f29b9e1659fb0b",
+        "curves_exclusive.csv": "81085c640b5ec6b904b62c0134d05aa873b7ea50376ff648e5c370f4e78edaa7",
+        "curves_inclusive.csv": "480f2d795878f4dc05d2eeb97da34024ed75a96b8400d5ba6b88741db189e37d",
+        "data.csv": "d9088cb6bd99c7d0f3a1b7886f93c5f617528c698831eee16c0e7822c2f27e5c",
+        "exclusions.csv": "e37b67633b77fed1e62ab1a94fa539b740ceccca8a9bcf52ce603ff5bd28cea5",
+        "manifest.json": "7ca76bc3849102399d14c2a70025cc988b73f1b21fb5281f1c75d1864db5fd4f",
+        "resolved.json": "5f541b4c38235342931414f58a884641834f7458832a2b1b91fa7f5c6587bccd",
+        "series.csv": "6d068ab0010dcfb3cdf1474c2fa714856c344fb3fb12c632176e7f0966e38e5c",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_bundle_bytes_match_golden(variant, tmp_path):
+    config = ExperimentConfig.from_dict(variant_config(variant))
+    run_experiment(config, tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == GOLDEN[variant]

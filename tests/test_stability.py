@@ -8,6 +8,7 @@ from mnlcs.model import EstimateStatus, MnlcsEstimate, Scheme
 from mnlcs.stability import (
     CellGrid,
     CellResult,
+    CellTable,
     CoverageCurve,
     CurvePoint,
     compute_cells,
@@ -33,6 +34,10 @@ def make_cell(journal, year, value, lo, hi, country="US", scheme=Scheme.INCLUSIV
         status=status,
     )
     return CellResult(journal, year, country, scheme, est)
+
+
+def grid_of(cells, years):
+    return CellGrid(CellTable.from_results(cells), years)
 
 
 def test_enumerate_pairs_nineteen_year_range():
@@ -62,7 +67,7 @@ def test_curve_counts_and_fractions():
         make_cell("J1", 2003, 0.70, 0.5, 0.9),
     ]
     curve = coverage_curve(
-        CellGrid(cells, years), country="US", scheme=Scheme.INCLUSIVE, max_offset=3
+        grid_of(cells, years), country="US", scheme=Scheme.INCLUSIVE, max_offset=3
     )
     by_offset = {p.offset_years: p for p in curve.points}
     # offset 1: 1.10 in [0.8,1.2]; 1.25 not in [0.9,1.3]... it is (1.25 <= 1.3);
@@ -83,7 +88,7 @@ def test_curve_endpoint_membership_is_closed():
         make_cell("J1", 2001, 1.2, 0.9, 1.5),
     ]
     curve = coverage_curve(
-        CellGrid(cells, range(2000, 2002)), country="US", scheme=Scheme.INCLUSIVE, max_offset=1
+        grid_of(cells, range(2000, 2002)), country="US", scheme=Scheme.INCLUSIVE, max_offset=1
     )
     assert curve.points[0].inside_fraction == 1.0
 
@@ -96,7 +101,7 @@ def test_curve_excludes_unbounded_base_and_counts_it():
     ]
     exclusions = []
     curve = coverage_curve(
-        CellGrid(cells, range(2000, 2003)),
+        grid_of(cells, range(2000, 2003)),
         country="US",
         scheme=Scheme.INCLUSIVE,
         max_offset=2,
@@ -117,7 +122,7 @@ def test_curve_uses_point_values_from_interval_less_later_cells():
         make_cell("J1", 2001, 1.1, None, None, status=EstimateStatus.INSUFFICIENT_DATA),
     ]
     curve = coverage_curve(
-        CellGrid(cells, range(2000, 2002)), country="US", scheme=Scheme.INCLUSIVE, max_offset=1
+        grid_of(cells, range(2000, 2002)), country="US", scheme=Scheme.INCLUSIVE, max_offset=1
     )
     assert curve.points[0].n_comparisons == 1
     assert curve.points[0].inside_fraction == 1.0
@@ -127,7 +132,7 @@ def test_curve_counts_missing_later_values():
     cells = [make_cell("J1", 2000, 1.0, 0.8, 1.2)]
     exclusions = []
     curve = coverage_curve(
-        CellGrid(cells, range(2000, 2002)),
+        grid_of(cells, range(2000, 2002)),
         country="US",
         scheme=Scheme.INCLUSIVE,
         max_offset=1,
@@ -172,7 +177,7 @@ def cell_sets(draw):
 @given(cell_sets())
 def test_grid_curves_and_series_match_per_pair_oracle(drawn):
     cells, years = drawn
-    grid = CellGrid(cells, years)
+    grid = grid_of(cells, years)
     lag0 = CurvePoint(0, 0.5, 10, simulated=True)
     for country in ("AA", "BB", "US", "CC"):
         for scheme in Scheme:
@@ -194,7 +199,7 @@ def test_grid_curves_and_series_match_per_pair_oracle(drawn):
 
 
 def test_grid_without_cells():
-    grid = CellGrid([], range(2000, 2003))
+    grid = grid_of([], range(2000, 2003))
     exclusions = []
     curve = coverage_curve(grid, country="US", scheme=Scheme.INCLUSIVE, max_offset=4,
                            exclusions=exclusions)
@@ -208,15 +213,43 @@ def test_grid_without_cells():
 
 def test_grid_needs_consecutive_years():
     with pytest.raises(ValidationError):
-        CellGrid([], range(2000, 2010, 2))
+        grid_of([], range(2000, 2010, 2))
 
 
 def test_grid_holds_arrays_not_cells():
-    grid = CellGrid([make_cell("J1", 2000, 1.0, 0.8, 1.2)], range(2000, 2002))
+    grid = grid_of([make_cell("J1", 2000, 1.0, 0.8, 1.2)], range(2000, 2002))
     arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 8
     assert all(a.dtype != object for a in arrays)
     assert not any(isinstance(v, (list, CellResult, MnlcsEstimate)) for v in vars(grid).values())
+
+
+def test_table_holds_arrays_not_cells():
+    table = compute_cells(generate(scenario()), ["AA", "BB"], list(Scheme))
+    assert len(table) == 4 * 10 * 2 * 2
+    columns = {k: v for k, v in vars(table).items() if k not in ("journals", "targets")}
+    assert len(columns) == 11
+    for column in columns.values():
+        assert isinstance(column, np.ndarray) and column.dtype != object
+        assert column.shape == (len(table),)
+    assert table.journals == ("J1", "J2", "J3", "J4")
+    assert table.targets == tuple((c, s) for c in ("AA", "BB") for s in Scheme)
+
+
+def test_table_rows_round_trip_through_from_results():
+    cells = [
+        make_cell("J2", 2001, 1.0, -0.2, 1.2),
+        make_cell("J1", 2000, 0.5, None, None, country="BB",
+                  status=EstimateStatus.INSUFFICIENT_DATA),
+        make_cell("J2", 2001, 0.7, None, None, status=EstimateStatus.UNBOUNDED_FIELLER),
+    ]
+    table = CellTable.from_results(cells)
+    assert list(table) == cells
+    assert [table[i] for i in (0, 1, 2, -1)] == [*cells, cells[-1]]
+    assert table.journals == ("J1", "J2")
+    with pytest.raises(IndexError):
+        table[3]
+    assert list(CellTable.from_results([])) == []
 
 
 def test_curve_validation():
@@ -308,7 +341,7 @@ def test_series_report_marks_gaps():
         make_cell("J1", 2002, 1.1, None, None, status=EstimateStatus.INSUFFICIENT_DATA),
     ]
     series = series_report(
-        CellGrid(cells, range(2000, 2003)), journal_id="J1", country="US",
+        grid_of(cells, range(2000, 2003)), journal_id="J1", country="US",
         scheme=Scheme.INCLUSIVE,
     )
     assert [p.year for p in series] == [2000, 2001, 2002]
@@ -322,7 +355,7 @@ def test_series_report_marks_gaps():
 def test_series_single_year():
     cells = [make_cell("J1", 2000, 1.0, 0.8, 1.2)]
     series = series_report(
-        CellGrid(cells, range(2000, 2001)), journal_id="J1", country="US",
+        grid_of(cells, range(2000, 2001)), journal_id="J1", country="US",
         scheme=Scheme.INCLUSIVE,
     )
     assert len(series) == 1
@@ -331,7 +364,7 @@ def test_series_single_year():
 def test_series_lower_bound_clamped_in_report():
     cells = [make_cell("J1", 2000, 0.1, -0.05, 0.25)]
     series = series_report(
-        CellGrid(cells, range(2000, 2001)), journal_id="J1", country="US",
+        grid_of(cells, range(2000, 2001)), journal_id="J1", country="US",
         scheme=Scheme.INCLUSIVE,
     )
     assert series[0].ci_low == 0.0

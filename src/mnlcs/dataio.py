@@ -1,22 +1,35 @@
 """CSV schemas, ingestion and result serialization.
 
-Input schema (UTF-8, LF, no quoting):
+Input schema (UTF-8, one header line):
 
     journal_id,year,citations,countries
 
 where countries is a semicolon-separated list of ISO alpha-2 codes or
-recognised country names, possibly empty. Output files render numbers with
-9 significant digits so byte-level golden comparisons survive double
-rounding, and every experiment directory carries a manifest recording the
-resolved configuration and its hash.
+recognised country names, possibly empty. ``write_records_csv`` quotes a
+field only where csv.writer would, as in a journal id with a quote.
+
+``ingest`` reads the rows ``_CHUNK`` lines at a time. A plain chunk (no
+quote, CR or NUL, three commas a line) splits into its four columns with
+one join, replace and split; from the first other chunk on, csv.reader
+reads the rest of the file, since a quoted field can span lines. After
+that both routes are one path: each column's strings become int codes,
+every distinct string parsed once (``_Column``), and row errors, filters
+and cohort grouping are array operations on the codes' values.
+
+Output files render numbers with 9 significant digits so byte-level golden
+comparisons survive double rounding, and every experiment directory carries
+a manifest recording the resolved configuration and its hash.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,6 +37,7 @@ import numpy as np
 
 from .errors import IngestError, ValidationError
 from .model import (
+    YEAR_MAX_DEFAULT,
     Cohort,
     check_citations,
     check_journal_id,
@@ -49,18 +63,31 @@ def fmt(x: object) -> str:
 
 
 def write_records_csv(path: str | Path, cohorts: Iterable[Cohort]) -> int:
-    """Write cohorts in the input schema; returns the number of rows."""
+    """Write cohorts in the input schema; returns the number of rows.
+
+    csv.writer quotes each cohort's journal id, year and set labels once;
+    the rows of a cohort are then joined from those pieces and the counts.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def csv_line(*fields) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(fields)
+        return buffer.getvalue()
+
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        f.write(csv_line(*CSV_HEADER))
         for cohort in cohorts:
-            year = str(cohort.year)
-            labels = [";".join(sorted(s)) for s in cohort.sets]
-            writer.writerows(
-                [cohort.journal_id, year, c, labels[k]]
-                for c, k in zip(cohort.citations.tolist(), cohort.codes.tolist())
-            )
+            head = csv_line(cohort.journal_id, cohort.year, "")[:-1]  # "id,year,"
+            tails = [csv_line("", ";".join(sorted(s))) for s in cohort.sets]  # ",labels\n"
+            f.write("".join(chain.from_iterable(zip(
+                repeat(head),
+                map(str, cohort.citations.tolist()),
+                map(tails.__getitem__, cohort.codes.tolist()),
+            ))))
             n += cohort.size
     return n
 
@@ -74,6 +101,120 @@ class IngestReport:
     n_filtered: int = 0
     n_bad: int = 0
     row_errors: list[tuple[int, str]] = field(default_factory=list)
+
+
+# lines (records, once csv.reader reads) that ingest takes at a time
+_CHUNK = 2048
+# (journal code, year) pairs key cohorts as code * _YEAR_SPAN + year
+_YEAR_SPAN = YEAR_MAX_DEFAULT + 1
+
+
+def _plain_columns(lines: list[str]) -> list[list[str]] | None:
+    """The four columns of ``lines`` if csv.reader would read each of them
+    as its text split at its three commas, else None.
+
+    That holds when the lines have no quote, CR or NUL, exactly three commas
+    each, and none is longer than the csv field size limit. The first field
+    of every line after the first keeps the newline before it; the journal
+    id rule strips it, as it strips blanks.
+    """
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text or "\0" in text or (
+        len(text) > limit and max(map(len, lines)) > limit
+    ):
+        return None
+    n = len(lines)
+    # each newline now starts a field and no field holds two, so the lines
+    # have three commas each exactly when the fields 4, 8, ... hold the n - 1
+    # newlines between them and the field count fits
+    fields = text.replace("\n", ",\n").split(",")
+    if len(fields) != 4 * n + text.endswith("\n") or "".join(fields[4:4 * n:4]).count("\n") != n - 1:
+        return None
+    return [fields[k:4 * n:4] for k in range(4)]
+
+
+def _csv_chunks(records, line: int):
+    """csv.reader ``records`` in chunks, as ``_chunks`` yields them."""
+    while chunk := list(islice(records, _CHUNK)):
+        rows, lines, errors = [], [], []
+        for line_no, row in enumerate(chunk, start=line):
+            if len(row) == len(CSV_HEADER):
+                rows.append(row)
+                lines.append(line_no)
+            elif row:
+                errors.append((line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
+        line += len(chunk)
+        yield lines, list(zip(*rows)) or [()] * len(CSV_HEADER), errors
+
+
+def _chunks(f):
+    """The rows after the header, ``_CHUNK`` lines at a time, as (lines,
+    columns, errors): the line number of each row with four fields, their
+    four columns, and (line, message) of each row with another number of
+    fields. Blank rows are skipped but numbered, as csv.reader's records.
+
+    A plain chunk (see ``_plain_columns``) is split as one string. The first
+    other chunk and every line after it go through csv.reader, since a
+    quoted field can span lines.
+    """
+    line = 2
+    while lines := list(islice(f, _CHUNK)):
+        columns = _plain_columns(lines)
+        if columns is None:
+            yield from _csv_chunks(csv.reader(chain(lines, f)), line)
+            return
+        yield range(line, line + len(lines)), columns, []
+        line += len(lines)
+
+
+class _Column(dict):
+    """The code of each distinct string of one CSV column, given when the
+    string is first seen and parsed: ``values[code]`` is what ``parse``
+    returned (0 where it raised) and ``errors[code]`` the ValidationError
+    text or None. ``value`` and ``bad`` hold the same as arrays."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+        self.values: list = []
+        self.errors: list[str | None] = []
+        self.value = np.zeros(0, dtype=np.int64)
+        self.bad = np.zeros(0, dtype=bool)
+
+    def __missing__(self, raw: str) -> int:
+        try:
+            value, error = self.parse(raw), None
+        except ValidationError as exc:
+            value, error = 0, str(exc)
+        code = self[raw] = len(self.values)
+        self.values.append(value)
+        self.errors.append(error)
+        return code
+
+    def codes(self, column) -> np.ndarray:
+        """The code of each string of ``column``, with ``value`` and ``bad``
+        extended to the strings first seen there."""
+        codes = np.fromiter(map(self.__getitem__, column), dtype=np.intp, count=len(column))
+        new = len(self.values) - len(self.bad)
+        if new:
+            try:
+                tail = np.array(self.values[-new:], dtype=np.int64)
+            except OverflowError:
+                # a count beyond int64: Cohort raises on it, as on a list
+                tail = np.array(self.values[-new:], dtype=object)
+            self.value = np.concatenate((self.value, tail))
+            self.bad = np.concatenate((self.bad, [e is not None for e in self.errors[-new:]]))
+        return codes
+
+
+def _sign_error(citations: int) -> str | None:
+    """``check_citations``' message for ``citations``, or None."""
+    try:
+        check_citations(citations)
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
 def ingest(
@@ -91,69 +232,80 @@ def ingest(
     numbers; more than ``max_bad_rows`` of them aborts with IngestError.
     An empty file with a valid header yields zero cohorts.
 
-    Rows are checked by the rules of ``validate_record``, in its order, but
-    go straight into per-cohort columns: each distinct valid journal, year,
-    citations and countries string is parsed once (citation counts repeat a
-    lot), and no per-row record is built.
+    The header goes through csv.reader, the rows through ``_chunks``:
+    ``_CHUNK`` lines at a time, each plain chunk split into its four columns
+    in one pass, the rest of the file from the first other chunk on through
+    csv.reader. Each column's strings become int codes (``_Column``): every
+    distinct journal, year, citations and countries string is parsed once,
+    and a row's fields are its codes' values. Boolean masks then find each
+    row's first error in ``validate_record``'s order (year, citations,
+    countries, journal id, negative count) and apply the filters; messages
+    are built for bad rows only. Kept rows join their cohort's int32 columns
+    chunk by chunk, stable within each cohort.
     """
     journal_filter = set(journals) if journals is not None else None
+    ids: dict[str, int] = {}
+    sets: dict[frozenset[str], int] = {}
+
+    def journal_code(raw: str) -> int:
+        """Code of the journal id; -1 for a valid id the filter drops."""
+        journal_id = check_journal_id(raw.strip())
+        if journal_filter is not None and journal_id not in journal_filter:
+            return -1
+        return ids.setdefault(journal_id, len(ids))
+
+    year_col = _Column(parse_year)
+    count_col = _Column(parse_citations)
+    set_col = _Column(lambda raw: sets.setdefault(parse_countries(raw), len(sets)))
+    journal_col = _Column(journal_code)
+    # each kept cohort's citation and set codes, keyed as _YEAR_SPAN says
+    cohort_columns: dict[int, tuple[array, array]] = {}
     n_rows = n_kept = n_filtered = 0
     row_errors: list[tuple[int, str]] = []
-    journal_ids: dict[str, str] = {}
-    years: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    set_codes: dict[str, int] = {}
-    sets: list[frozenset[str]] = []
-    columns: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
 
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = next(csv.reader(f))
         except StopIteration:
             raise IngestError(f"{path}: empty file, expected header {CSV_HEADER}") from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
 
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            n_rows += 1
-            if len(row) != len(CSV_HEADER):
-                row_errors.append((line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
-                continue
-            journal_raw, year_raw, citations_raw, countries_raw = row
-            try:
-                year = years.get(year_raw)
-                if year is None:
-                    year = years[year_raw] = parse_year(year_raw)
-                citations = counts.get(citations_raw)
-                if citations is None:
-                    citations = counts[citations_raw] = parse_citations(citations_raw)
-                code = set_codes.get(countries_raw)
-                if code is None:
-                    sets.append(parse_countries(countries_raw))
-                    code = set_codes[countries_raw] = len(sets) - 1
-                journal_id = journal_ids.get(journal_raw)
-                if journal_id is None:
-                    journal_id = journal_ids[journal_raw] = check_journal_id(journal_raw.strip())
-                check_citations(citations)
-            except ValidationError as exc:
-                row_errors.append((line_no, str(exc)))
-                continue
-            if (
-                (journal_filter is not None and journal_id not in journal_filter)
-                or (year_min is not None and year < year_min)
-                or (year_max is not None and year > year_max)
-            ):
-                n_filtered += 1
-                continue
-            column = columns.get((journal_id, year))
-            if column is None:
-                column = columns[(journal_id, year)] = ([], [])
-            column[0].append(citations)
-            column[1].append(code)
-            n_kept += 1
+        for lines, (journal_raw, year_raw, citations_raw, countries_raw), errors in _chunks(f):
+            n_rows += len(lines) + len(errors)
+            y, c = year_col.codes(year_raw), count_col.codes(citations_raw)
+            s, j = set_col.codes(countries_raw), journal_col.codes(journal_raw)
+            negative = (count_col.value < 0)[c]
+            bad = year_col.bad[y] | count_col.bad[c] | set_col.bad[s] | journal_col.bad[j] | negative
+            if bad.any() or errors:
+                stages = ((year_col, y), (count_col, c), (set_col, s), (journal_col, j))
+                for i in np.flatnonzero(bad).tolist():
+                    error = next(filter(None, (col.errors[codes[i]] for col, codes in stages)), None)
+                    errors.append((lines[i], error or _sign_error(count_col.values[c[i]])))
+                row_errors += sorted(errors)
+
+            journal, year = journal_col.value[j], year_col.value[y]
+            keep = ~bad & (journal >= 0)
+            if year_min is not None:
+                keep &= year >= year_min
+            if year_max is not None:
+                keep &= year <= year_max
+            rows = np.flatnonzero(keep)
+            n_kept += len(rows)
+            n_filtered += len(lines) - int(np.count_nonzero(bad)) - len(rows)
+
+            key = journal[rows] * _YEAR_SPAN + year[rows]
+            order = np.argsort(key, kind="stable")
+            rows, key = rows[order], key[order]
+            citations = c[rows].astype(np.intc)
+            codes = set_col.value[s[rows]].astype(np.intc)
+            starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+            for start, stop in zip(starts, starts[1:] + [len(rows)]):
+                cohort = cohort_columns.get(int(key[start]))
+                if cohort is None:
+                    cohort = cohort_columns[int(key[start])] = (array("i"), array("i"))
+                cohort[0].frombytes(citations[start:stop].tobytes())
+                cohort[1].frombytes(codes[start:stop].tobytes())
 
     if len(row_errors) > max_bad_rows:
         first = row_errors[: 10]
@@ -162,11 +314,12 @@ def ingest(
             f"{path}: {len(row_errors)} malformed rows exceed tolerance {max_bad_rows} ({detail})",
             row_errors=row_errors,
         )
-    all_sets = tuple(sets)
-    cohorts = [
-        Cohort(journal_id, year, *columns[(journal_id, year)], all_sets)
-        for journal_id, year in sorted(columns)
-    ]
+    names, all_sets = list(ids), tuple(sets)
+    cohorts = []
+    for key in sorted(cohort_columns, key=lambda k: (names[k // _YEAR_SPAN], k % _YEAR_SPAN)):
+        citations, codes = (np.frombuffer(a, dtype=np.intc) for a in cohort_columns.pop(key))
+        journal, year = divmod(key, _YEAR_SPAN)
+        cohorts.append(Cohort(names[journal], year, count_col.value[citations], codes, all_sets))
     return cohorts, IngestReport(n_rows, n_kept, n_filtered, len(row_errors), row_errors)
 
 

@@ -120,9 +120,10 @@ def flag_intervals(enough, low, high, h, se):
     ``enough`` data and h < 1 and alone keeps bounds and se; h is kept where
     there is enough data and it is finite."""
     ok = enough & (h < 1.0)
-    status = np.where(ok, OK, np.where(enough, UNBOUNDED, INSUFFICIENT)).astype(np.int8)
-    low, high, se = np.where(ok, (low, high, se), np.nan)
-    return status, low, high, np.where(enough & np.isfinite(h), h, np.nan), se
+    status = np.int8(INSUFFICIENT) - enough - ok  # OK = 0 < UNBOUNDED < INSUFFICIENT = 2
+    keep = np.where(ok, 1.0, np.nan)  # x * 1.0 is x, -0.0 and inf included
+    finite = h < np.inf  # h is >= 0, +inf or NaN
+    return status, low * keep, high * keep, np.where(enough & finite, h, np.nan), se * keep
 
 
 def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se,

@@ -24,7 +24,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -147,16 +148,34 @@ def validate_record(
     )
 
 
+@lru_cache(maxsize=64)
+def _set_order(sets: tuple[frozenset, ...]) -> tuple[np.ndarray, tuple]:
+    """(rank, ranked) of a sets tuple: ``ranked`` holds its distinct sets
+    sorted by their sorted country tuples, and ``sets[i]`` equals
+    ``ranked[rank[i]]``. Cohorts that share a sets tuple share this order."""
+    keys = [tuple(sorted(s)) for s in sets]
+    ranked = sorted(set(keys))
+    index = {key: r for r, key in enumerate(ranked)}
+    rank = np.array([index[key] for key in keys], dtype=np.intp)
+    rank.setflags(write=False)
+    return rank, tuple(frozenset(key) for key in ranked)
+
+
+@lru_cache(maxsize=1024)
+def _check_countries(countries: frozenset[str]) -> None:
+    """``check_country_code`` on each code of a set; a passed set is cached."""
+    for code in countries:
+        check_country_code(code)
+
+
 def _canonical_sets(codes: np.ndarray, sets: tuple) -> tuple[np.ndarray, tuple]:
     """Drop unused sets, merge equal ones and sort the rest by their sorted
     country tuples, remapping ``codes`` to match."""
-    used = np.flatnonzero(np.bincount(codes, minlength=len(sets)))
-    keys = [tuple(sorted(sets[i])) for i in used]
-    ranked = sorted(set(keys))
-    rank = {key: r for r, key in enumerate(ranked)}
-    remap = np.zeros(len(sets), dtype=np.intp)
-    remap[used] = [rank[key] for key in keys]
-    return remap[codes], tuple(frozenset(key) for key in ranked)
+    rank, ranked = _set_order(tuple(map(frozenset, sets)))
+    ranks = rank[codes]
+    used = np.zeros(len(ranked), dtype=bool)
+    used[ranks] = True
+    return (np.cumsum(used, dtype=np.intp) - 1)[ranks], tuple(compress(ranked, used))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -198,8 +217,7 @@ class Cohort:
             raise ValidationError(f"set codes must lie in [0, {len(sets)})")
         codes, sets = _canonical_sets(codes, sets)
         for s in sets:
-            for code in s:
-                check_country_code(code)
+            _check_countries(s)
         object.__setattr__(self, "journal_id", journal_id)
         object.__setattr__(self, "year", year)
         object.__setattr__(self, "citations", _frozen(citations))

@@ -10,8 +10,10 @@ the engine), group membership and cells are decided record by record, not
 through the library's membership matrix, CSV ingest, writing and the
 canonical split order go through one CitationRecord per row, not through
 columns, coverage curves and series look up one cell per (journal, year)
-pair in a dict, not in the library's cell grid, and cells.csv is sorted and
-written one CellResult row at a time, not from the cell table's columns.
+pair in a dict, not in the library's cell grid, cells.csv is sorted and
+written one CellResult row at a time, not from the cell table's columns, and
+a cohort's canonical sets are ranked from its used sets alone, not looked
+up in the cached order of its whole sets tuple.
 """
 
 import csv
@@ -254,6 +256,31 @@ def record_to_row(record: CitationRecord) -> list[str]:
         str(record.citations),
         ";".join(sorted(record.countries)),
     ]
+
+
+def write_records_csv_oracle(path, cohorts) -> int:
+    """dataio.write_records_csv through csv.writer, one record a row."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for cohort in cohorts:
+            writer.writerows(record_to_row(record) for record in cohort.records)
+            n += cohort.size
+    return n
+
+
+def canonical_sets_oracle(codes, sets):
+    """model._canonical_sets from the used sets alone: drop unused sets,
+    merge equal ones, sort the rest by their sorted country tuples."""
+    codes = np.asarray(codes, dtype=np.intp)
+    used = np.flatnonzero(np.bincount(codes, minlength=len(sets)))
+    keys = [tuple(sorted(sets[i])) for i in used]
+    ranked = sorted(set(keys))
+    rank = {key: r for r, key in enumerate(ranked)}
+    remap = np.zeros(len(sets), dtype=np.intp)
+    remap[used] = [rank[key] for key in keys]
+    return remap[codes], tuple(frozenset(key) for key in ranked)
 
 
 def group_into_cohorts(records) -> list[Cohort]:

@@ -3,11 +3,18 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import group_into_cohorts, ingest_oracle, write_cells_csv_oracle
+from _oracles import (
+    group_into_cohorts,
+    ingest_oracle,
+    write_cells_csv_oracle,
+    write_records_csv_oracle,
+)
+from mnlcs import dataio
 from mnlcs.dataio import (
     CSV_HEADER,
     config_hash,
@@ -19,7 +26,7 @@ from mnlcs.dataio import (
 from mnlcs.errors import IngestError
 from mnlcs.fieller import CiSettings
 from mnlcs.stability import CellResult, CellTable, compute_cells
-from mnlcs.model import EstimateStatus, MnlcsEstimate, Scheme
+from mnlcs.model import Cohort, EstimateStatus, MnlcsEstimate, Scheme
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
 
 
@@ -44,6 +51,29 @@ def test_round_trip_generate_write_ingest(tmp_path):
     assert report.n_bad == 0
     assert report.n_kept == n
     assert back == cohorts
+
+
+def test_round_trip_larger_than_one_chunk(tmp_path):
+    spec = ScenarioSpec(**{**vars(small_scenario()), "n_journals": 4, "field_size_per_year": 300})
+    cohorts = generate(spec)
+    path = tmp_path / "data.csv"
+    assert write_records_csv(path, cohorts) == 3600 > dataio._CHUNK
+    back, report = ingest(path)
+    assert (report.n_rows, report.n_kept, report.n_bad) == (3600, 3600, 0)
+    assert back == cohorts
+
+
+def test_records_csv_equals_row_writer(tmp_path):
+    # journal ids that csv.writer must quote, repeated sets, an empty set
+    sets = (frozenset(), frozenset({"US", "JP"}), frozenset({"DE"}))
+    cohorts = [
+        *generate(small_scenario()),
+        Cohort('J"1', 1999, [3, 0, 12, 3], [1, 0, 2, 1], sets),
+        Cohort(" J 2 ", 2001, [7], [2], sets),
+    ]
+    assert write_records_csv(tmp_path / "joined.csv", cohorts) == 245
+    assert write_records_csv_oracle(tmp_path / "rows.csv", cohorts) == 245
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_empty_file_with_header_is_fine(tmp_path):
@@ -253,30 +283,101 @@ csv_rows = st.lists(
 
 
 def ingest_outcome(ingest_fn, path, **kwargs):
+    """The cohorts and report, or the error: IngestError by its text and row
+    errors, a csv.Error or OverflowError by its type and text."""
     try:
         return ingest_fn(path, **kwargs)
     except IngestError as exc:
         return str(exc), exc.row_errors
+    except (csv.Error, OverflowError) as exc:
+        return type(exc), str(exc)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    csv_rows,
-    st.sampled_from([None, ["J1"], ["J1", "J2"], []]),
-    st.sampled_from([None, 2000]),
-    st.sampled_from([None, 2000, 2001]),
-    st.sampled_from([0, 5, 1000, 1000]),
-)
-def test_ingest_matches_per_row_oracle(rows, journals, year_min, year_max, max_bad_rows):
+def assert_ingest_matches_oracle(rows, **kwargs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         with open(path, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
-        kwargs = dict(journals=journals, year_min=year_min, year_max=year_max,
-                      max_bad_rows=max_bad_rows)
         assert ingest_outcome(ingest, path, **kwargs) == ingest_outcome(ingest_oracle, path, **kwargs)
+
+
+ingest_arguments = dict(
+    rows=csv_rows,
+    journals=st.sampled_from([None, ["J1"], ["J1", "J2"], []]),
+    year_min=st.sampled_from([None, 2000]),
+    year_max=st.sampled_from([None, 2000, 2001]),
+    max_bad_rows=st.sampled_from([0, 5, 1000, 1000]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**ingest_arguments)
+def test_ingest_matches_per_row_oracle(rows, **kwargs):
+    assert_ingest_matches_oracle(rows, **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**ingest_arguments)
+def test_ingest_in_small_chunks_matches_per_row_oracle(rows, **kwargs):
+    # three lines a chunk: plain chunks, then csv.reader from the first
+    # chunk with a quote, blank row or other field count on
+    with mock.patch.object(dataio, "_CHUNK", 3):
+        assert_ingest_matches_oracle(rows, **kwargs)
+
+
+HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+PLAIN_LINES = "J1,2000,5,US\nJ1,2000,oops,US\nJ2,2001,0,\nJ1,2000,7,JP;US\n"
+LATER_LINES = "J1,1999,2,DE\nJ1,2000,-1,US\nJ2,2001,3,\nJ1,2000,1,Atlantis\n"
+TOKENIZER_FILES = {
+    "quoted field in a later chunk": PLAIN_LINES + '"J,1",2000,5,US\nJ1,2000,"4",US\n' + LATER_LINES,
+    "quoted newline in a later chunk": PLAIN_LINES + 'J1,2000,5,"US;\nJP"\nJ1,x,1,US\n' + LATER_LINES,
+    "CRLF": (PLAIN_LINES + LATER_LINES).replace("\n", "\r\n"),
+    "lone CR in a later chunk": PLAIN_LINES + "J1,2000,5,US\rJ1,2000,6,JP\n" + LATER_LINES,
+    "no trailing newline": PLAIN_LINES + LATER_LINES.rstrip("\n"),
+    "no trailing newline, short last chunk": PLAIN_LINES + "J1,2000,9,US",
+    "blank lines inside and between chunks": "\n" + PLAIN_LINES[:26] + "\n\n" + PLAIN_LINES[26:]
+    + "\n" + LATER_LINES + "\n",
+    "field count in a later chunk": PLAIN_LINES + "J1,2000,5,US,JP\nJ1,2000\n" + LATER_LINES,
+    "field counts that balance in a later chunk": PLAIN_LINES + "J1,2000,5,US,JP\nJ1,2000,5\n"
+    + LATER_LINES,
+    "NUL in a later chunk": PLAIN_LINES + "J1,2000,5,U\0S\n" + LATER_LINES,
+    "field over the csv limit in a later chunk": PLAIN_LINES + "J1,2000,5,"
+    + "US;" * (csv.field_size_limit() // 3 + 1) + "\n" + LATER_LINES,
+    "count beyond int64": PLAIN_LINES + "J1,2000,99999999999999999999,US\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [3, 4, 2048])
+@pytest.mark.parametrize("max_bad_rows", [0, 100])
+@pytest.mark.parametrize("name", TOKENIZER_FILES)
+def test_tokenizer_routes_match_per_row_oracle(tmp_path, monkeypatch, name, max_bad_rows, chunk):
+    monkeypatch.setattr(dataio, "_CHUNK", chunk)
+    path = tmp_path / "data.csv"
+    path.write_bytes((HEADER_LINE + TOKENIZER_FILES[name]).encode("utf-8"))
+    got = ingest_outcome(ingest, path, max_bad_rows=max_bad_rows)
+    assert got == ingest_outcome(ingest_oracle, path, max_bad_rows=max_bad_rows)
+
+
+def test_line_numbers_after_the_switch_to_csv_reader(tmp_path, monkeypatch):
+    # lines 2-5 are a plain chunk; the quoted newline makes lines 6-7 one
+    # record, so later rows are numbered by record, as csv.reader counts
+    monkeypatch.setattr(dataio, "_CHUNK", 4)
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER_LINE + TOKENIZER_FILES["quoted newline in a later chunk"], encoding="utf-8")
+    cohorts, report = ingest(path, max_bad_rows=100)
+    assert report.row_errors == [
+        (3, "unparseable citations: 'oops'"),
+        (7, "unparseable year: 'x'"),
+        (9, "citations must be >= 0, got -1"),
+        (11, "unrecognised country token: 'Atlantis'"),
+    ]
+    assert (report.n_rows, report.n_kept) == (10, 6)
+    assert [(c.journal_id, c.year, c.size) for c in cohorts] == [
+        ("J1", 1999, 1), ("J1", 2000, 3), ("J2", 2001, 2),
+    ]
+    assert cohorts[1].sets[cohorts[1].codes[2]] == {"US", "JP"}
 
 
 def test_ingest_reports_year_error_before_journal_error(tmp_path):

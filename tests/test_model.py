@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from _oracles import record_in_group, record_to_row
+from _oracles import canonical_sets_oracle, record_in_group, record_to_row
 from conftest import cohort, rec, records
 from mnlcs.counting import select_group
 from mnlcs.dataio import CSV_HEADER
@@ -12,6 +12,7 @@ from mnlcs.errors import (
     UnparseableYear,
     ValidationError,
 )
+from mnlcs import model
 from mnlcs.model import (
     CitationRecord,
     Cohort,
@@ -22,6 +23,7 @@ from mnlcs.model import (
     Scheme,
     validate_record,
 )
+from mnlcs.synth import GroupSpec, ScenarioSpec, generate
 
 
 def test_validate_record_dedups_countries():
@@ -213,3 +215,46 @@ def test_cohort_validates_columns():
         Cohort("J1", 2000, [1], [0], (frozenset({"us"}),))
     # an unused set is dropped before its codes are checked
     assert Cohort("J1", 2000, [1], [0], (frozenset(), frozenset({"us"}))).sets == (frozenset(),)
+
+
+# sets tuples drawn from a few small sets, so equal sets repeat in any order
+# and some sets go unused
+set_tuples = st.lists(
+    st.frozensets(st.sampled_from(["US", "JP", "DE"]), max_size=2), min_size=1, max_size=6
+).map(tuple)
+
+
+@given(set_tuples, st.data())
+def test_canonical_sets_match_per_cohort_oracle(sets, data):
+    codes = np.array(data.draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=8)))
+    want_codes, want_sets = canonical_sets_oracle(codes, sets)
+    for _ in range(2):  # the second call finds the set order cached
+        got_codes, got_sets = model._canonical_sets(codes, sets)
+        np.testing.assert_array_equal(got_codes, want_codes)
+        assert got_sets == want_sets
+
+
+def test_cohorts_sharing_sets_check_only_the_sets_they_use():
+    sets = (frozenset(), frozenset({"US"}), frozenset({"usa"}), frozenset({"US"}))
+    for _ in range(2):
+        assert Cohort("J1", 2000, [1, 2], [0, 3], sets).sets == (frozenset(), frozenset({"US"}))
+        with pytest.raises(MalformedCountry):
+            Cohort("J1", 2001, [1, 2], [0, 2], sets)
+    # equal sets listed in other orders merge to the same columns
+    a = Cohort("J1", 2000, [4, 5, 6], [1, 3, 0], sets)
+    b = Cohort("J1", 2000, [4, 5, 6], [0, 0, 1], [{"US"}, frozenset()])
+    assert a == b and b.codes.tolist() == [1, 1, 0]
+
+
+def test_generated_cohorts_equal_cohorts_from_their_records():
+    spec = ScenarioSpec(
+        n_journals=2, year_start=2000, year_end=2001, field_size_per_year=30,
+        groups=(GroupSpec("AA", 0.3, 1.0, 1.0), GroupSpec("BB", 0.2, 1.0, 1.0)),
+        collab_fraction=0.5, rng_seed=4,
+    )
+    cohorts = generate(spec)
+    for cohort in cohorts:
+        again = Cohort.from_records(cohort.journal_id, cohort.year, cohort.records[::-1])
+        assert again != cohort
+        assert Cohort.from_records(cohort.journal_id, cohort.year, again.records[::-1]) == cohort
+    assert cohorts[0] != cohorts[1]

@@ -36,8 +36,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .counting import set_membership
-from .errors import InsufficientData, NoValidReplicates
-from .fieller import CiSettings, fieller_interval, t_quantile
+from .errors import DomainError, InsufficientData, NoValidReplicates
+from .fieller import DEFAULT_SETTINGS, CiSettings, fieller_interval, t_quantile
 from .model import Cohort, Scheme, _frozen
 from .rngtools import stream
 
@@ -64,7 +64,7 @@ def half_a_blocks(cohort: Cohort, replicates: int, rng_seed: int) -> Iterator[np
     if cohort.size < 2:
         raise InsufficientData("cannot split a cohort of size < 2")
     if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+        raise DomainError("replicates must be >= 1")
     n = cohort.size
     order = _canonical_order(cohort)
     for block, start in enumerate(range(0, replicates, BLOCK)):
@@ -108,7 +108,7 @@ def replicate_decisions(
     targets: Iterable[tuple[str, Scheme]],
     replicates: int = 1000,
     rng_seed: int = 0,
-    settings: CiSettings = CiSettings(),
+    settings: CiSettings = DEFAULT_SETTINGS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(valid, inside) bool arrays [replicates, targets], one row per replicate.
 
@@ -164,7 +164,7 @@ def lag0_batch(
     targets: Iterable[tuple[str, Scheme]],
     replicates: int = 1000,
     rng_seed: int = 0,
-    settings: CiSettings = CiSettings(),
+    settings: CiSettings = DEFAULT_SETTINGS,
 ) -> dict[tuple[str, Scheme], Lag0Result]:
     """Split-half coverage for several (country, scheme) targets at once.
 
@@ -191,7 +191,7 @@ def lag0_coverage(
     scheme: Scheme,
     replicates: int = 1000,
     rng_seed: int = 0,
-    settings: CiSettings = CiSettings(),
+    settings: CiSettings = DEFAULT_SETTINGS,
 ) -> Lag0Result:
     """Fraction of splits where half B's value lies in half A's interval.
 

@@ -24,16 +24,15 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import lag0_batch
-from .counting import top_countries
 from .dataio import fmt, ingest, write_cell_rows, write_cells_csv, write_records_csv
 from .errors import MnlcsError
 from .experiment import (
     ExperimentConfig,
-    parse_schemes,
+    load_cohorts,
+    resolve_countries,
     run_experiment,
     scenario_from_dict,
 )
-from .fieller import CiSettings
 from .stability import compute_cells
 from .synth import generate
 
@@ -48,10 +47,25 @@ def _load_json(path: str) -> dict:
         return json.load(f)
 
 
-def _resolve_countries(args, cohorts) -> tuple[str, ...]:
-    if args.countries:
-        return tuple(c.strip().upper() for c in args.countries.split(",") if c.strip())
-    ranked = top_countries(cohorts, args.top_k)
+def _config(args, **extra) -> ExperimentConfig:
+    """The ``mnlcs run`` config of a CSV command's selection and interval
+    flags, with ``extra`` settings on top."""
+    countries = [c for c in (args.countries or "").split(",") if c.strip()]
+    return ExperimentConfig.from_dict({
+        "input": {"csv": args.input},
+        "countries": countries or {"top": args.top_k},
+        "schemes": args.scheme,
+        "year_min": args.year_min,
+        "year_max": args.year_max,
+        "min_group_n": args.min_group_n,
+        "alpha": args.alpha,
+        "fieller_form": args.fieller_form,
+        **extra,
+    })
+
+
+def _countries(config: ExperimentConfig, cohorts) -> tuple[str, ...]:
+    ranked = resolve_countries(config, cohorts)
     if not ranked.complete:
         print(
             f"note: only {len(ranked.countries)} distinct countries available "
@@ -91,10 +105,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_indicator(args) -> int:
-    cohorts, _report = ingest(args.input, year_min=args.year_min, year_max=args.year_max)
-    countries = _resolve_countries(args, cohorts)
-    settings = CiSettings(alpha=args.alpha, form=args.fieller_form, min_group_n=args.min_group_n)
-    table = compute_cells(cohorts, countries, parse_schemes(args.scheme), settings)
+    config = _config(args)
+    cohorts = load_cohorts(config)
+    table = compute_cells(cohorts, _countries(config, cohorts), config.schemes, config.settings)
     if args.out:
         n = write_cells_csv(args.out, table)
         print(f"wrote {n} cells to {args.out}")
@@ -105,11 +118,9 @@ def cmd_indicator(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    cohorts, _report = ingest(args.input, year_min=args.year_min, year_max=args.year_max)
-    countries = _resolve_countries(args, cohorts)
-    schemes = parse_schemes(args.scheme)
-    settings = CiSettings(alpha=args.alpha, form=args.fieller_form, min_group_n=args.min_group_n)
-    targets = [(c, s) for c in countries for s in schemes]
+    config = _config(args)
+    cohorts = load_cohorts(config)
+    targets = [(c, s) for c in _countries(config, cohorts) for s in config.schemes]
 
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -118,7 +129,7 @@ def cmd_bootstrap(args) -> int:
         for cohort in cohorts:
             if cohort.size < 2:
                 continue
-            table = lag0_batch(cohort, targets, args.replicates, args.seed, settings)
+            table = lag0_batch(cohort, targets, args.replicates, args.seed, config.settings)
             for (country, scheme), res in sorted(
                 table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
             ):
@@ -133,23 +144,6 @@ def cmd_bootstrap(args) -> int:
     return 0
 
 
-def _experiment_config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        input_csv=args.input,
-        countries=_resolve_countries(args, cohorts=()) if args.countries else None,
-        top_k=None if args.countries else args.top_k,
-        schemes=parse_schemes(args.scheme),
-        year_min=args.year_min,
-        year_max=args.year_max,
-        max_offset=args.max_offset,
-        min_group_n=args.min_group_n,
-        alpha=args.alpha,
-        fieller_form=args.fieller_form,
-        lag0_replicates=args.lag0_replicates,
-        seed=args.seed,
-    )
-
-
 def _print_result(result, row_counts: bool) -> int:
     print(f"countries: {','.join(result.countries)}")
     print(f"cells: {result.n_cells}")
@@ -162,7 +156,9 @@ def _print_result(result, row_counts: bool) -> int:
 
 
 def cmd_stability(args) -> int:
-    result = run_experiment(_experiment_config_from_args(args), args.out)
+    config = _config(args, max_offset=args.max_offset,
+                     lag0_replicates=args.lag0_replicates, seed=args.seed)
+    result = run_experiment(config, args.out)
     return _print_result(result, row_counts=False)
 
 

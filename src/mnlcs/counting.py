@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .model import Cohort, GroupSelection, Scheme
 
 
@@ -83,7 +84,7 @@ def inclusive_counts(cohorts: Iterable[Cohort]) -> Counter[str]:
 def top_countries(cohorts: Iterable[Cohort], k: int) -> RankedCountries:
     """Rank countries by inclusive article count, ties broken lexicographically."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise DomainError(f"k must be >= 1, got {k}")
     counts = inclusive_counts(cohorts)
     ranked = sorted(counts, key=lambda c: (-counts[c], c))
     return RankedCountries(countries=tuple(ranked[:k]), requested=k)

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import synth
-from .counting import top_countries
+from .counting import RankedCountries, top_countries
+from .countries import normalize_country_token
 from .dataio import (
-    config_hash,
     ingest,
     write_cells_csv,
     write_curves_csv,
@@ -104,7 +104,8 @@ def parse_schemes(value: str | Sequence[str]) -> tuple[Scheme, ...]:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment parameters; ``to_dict`` is the canonical form that
-    gets hashed into the manifest."""
+    gets hashed into the manifest. Explicit countries are normalised by the
+    CSV's rule (``countries.normalize_country_token``) and must be distinct."""
 
     input_csv: str | None = None
     scenario: synth.ScenarioSpec | None = None
@@ -123,12 +124,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.input_csv is None) == (self.scenario is None):
             raise ValidationError("config needs exactly one of input_csv or scenario")
-        if self.countries is None and self.top_k is None:
-            raise ValidationError("config needs countries or top_k")
+        if self.countries is None and (self.top_k is None or self.top_k < 1):
+            raise ValidationError("config needs countries or top_k >= 1")
+        if self.countries is not None:
+            codes = tuple(normalize_country_token(c) for c in self.countries)
+            if len(set(codes)) < len(codes):
+                raise ValidationError(f"duplicate countries: {list(self.countries)}")
+            object.__setattr__(self, "countries", codes)
         if self.max_offset < 1:
             raise ValidationError("max_offset must be >= 1")
         if self.lag0_replicates < 0:
             raise ValidationError("lag0_replicates must be >= 0")
+        self.settings  # CiSettings checks alpha, form and min_group_n
+
+    @property
+    def settings(self) -> CiSettings:
+        return CiSettings(alpha=self.alpha, form=self.fieller_form, min_group_n=self.min_group_n)
 
     def to_dict(self) -> dict:
         if self.scenario is not None:
@@ -144,19 +155,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """The config of ``to_dict`` output; absent settings take their defaults."""
+        """The config of ``to_dict`` output; absent settings take their defaults.
+        A setting that does not convert raises ValidationError."""
         input_part, countries = d.get("input", {}), d.get("countries")
         top = isinstance(countries, dict)
-        return _from_json(
-            cls, d,
-            input_csv=input_part.get("csv"),
-            scenario=scenario_from_dict(input_part["scenario"]) if "scenario" in input_part else None,
-            countries=None if top or countries is None else tuple(str(c) for c in countries),
-            top_k=int(countries["top"]) if top else None,
-            schemes=parse_schemes(d.get("schemes", "both")),
-            year_min=d.get("year_min"),
-            year_max=d.get("year_max"),
-        )
+        try:
+            return _from_json(
+                cls, d,
+                input_csv=input_part.get("csv"),
+                scenario=scenario_from_dict(input_part["scenario"]) if "scenario" in input_part else None,
+                countries=None if top or countries is None else tuple(str(c) for c in countries),
+                top_k=int(countries["top"]) if top else None,
+                schemes=parse_schemes(d.get("schemes", "both")),
+                year_min=d.get("year_min"),
+                year_max=d.get("year_max"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad config: {exc!r}") from None
 
 
 # the fields written to JSON as they are; a field added to the config enters
@@ -187,6 +202,13 @@ def load_cohorts(config: ExperimentConfig) -> list[Cohort]:
             if (low is None or c.year >= low) and (high is None or c.year <= high)]
 
 
+def resolve_countries(config: ExperimentConfig, cohorts: list[Cohort]) -> RankedCountries:
+    """The config's own countries, or its ``top_k`` ranked over ``cohorts``."""
+    if config.countries is not None:
+        return RankedCountries(config.countries, requested=len(config.countries))
+    return top_countries(cohorts, config.top_k)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
     """Run the full pipeline and write the results bundle into ``out_dir``.
 
@@ -211,17 +233,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
         cohort_years = [c.year for c in cohorts]
         years = range(min(cohort_years), max(cohort_years) + 1)
 
-    if config.countries is not None:
-        countries = config.countries
-        complete = True
-    else:
-        ranked = top_countries(cohorts, config.top_k)
-        countries = ranked.countries
-        complete = ranked.complete
-
-    settings = CiSettings(
-        alpha=config.alpha, form=config.fieller_form, min_group_n=config.min_group_n
-    )
+    ranked = resolve_countries(config, cohorts)
+    countries, complete, settings = ranked.countries, ranked.complete, config.settings
 
     exclusions = []
     cells = compute_cells(cohorts, countries, config.schemes, settings, exclusions)
@@ -296,7 +309,3 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
         curves=curves,
         outputs=outputs,
     )
-
-
-def experiment_hash(config: ExperimentConfig) -> str:
-    return config_hash(config.to_dict())

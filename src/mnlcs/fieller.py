@@ -104,9 +104,12 @@ class CiSettings:
         if not 0.0 < self.alpha <= 0.5:
             raise DomainError(f"alpha must be in (0, 0.5], got {self.alpha}")
         if self.form not in FIELLER_FORMS:
-            raise ValueError(f"unknown form {self.form!r}")
+            raise DomainError(f"unknown form {self.form!r}")
         if self.min_group_n < 2:
-            raise ValueError("min_group_n must be >= 2 (standard error needs n >= 2)")
+            raise DomainError("min_group_n must be >= 2 (standard error needs n >= 2)")
+
+
+DEFAULT_SETTINGS = CiSettings()
 
 
 # status codes of the array paths: an index into STATUSES
@@ -127,7 +130,7 @@ def flag_intervals(enough, low, high, h, se):
 
 
 def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se,
-                     settings: CiSettings = CiSettings()):
+                     settings: CiSettings = DEFAULT_SETTINGS):
     """(value, low, high, h, se, status) arrays of ``estimate`` for many pairs,
     from one interval call on their columns (group se NaN where n == 1). Pairs
     with a group under ``settings.min_group_n`` or a single-article field
@@ -147,7 +150,7 @@ def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_s
 
 
 def estimate(
-    group: LogStats, field: LogStats, settings: CiSettings = CiSettings()
+    group: LogStats, field: LogStats, settings: CiSettings = DEFAULT_SETTINGS
 ) -> MnlcsEstimate:
     """Full chain: ratio value, t on n_s + n_j - 2 df, Fieller interval.
 

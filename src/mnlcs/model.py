@@ -44,8 +44,8 @@ YEAR_MIN_DEFAULT = 1000
 YEAR_MAX_DEFAULT = 2999
 
 # The CSV schema is unquoted, so identifiers must not collide with delimiters.
-_JOURNAL_ID_RE = re.compile(r"^[^,;\r\n]+$")
-_COUNTRY_CODE_RE = re.compile(r"^[A-Z]{2}$")
+_JOURNAL_ID_RE = re.compile(r"[^,;\r\n]+")
+_COUNTRY_CODE_RE = re.compile(r"[A-Z]{2}")
 
 
 class Scheme(str, enum.Enum):
@@ -63,13 +63,13 @@ class EstimateStatus(str, enum.Enum):
 
 def check_journal_id(journal_id: str) -> str:
     """Return ``journal_id`` if it can live in the unquoted CSV schema."""
-    if not journal_id or not _JOURNAL_ID_RE.match(journal_id):
+    if not journal_id or not _JOURNAL_ID_RE.fullmatch(journal_id):
         raise ValidationError(f"bad journal_id: {journal_id!r}")
     return journal_id
 
 
 def check_country_code(code: str) -> None:
-    if not _COUNTRY_CODE_RE.match(code):
+    if not _COUNTRY_CODE_RE.fullmatch(code):
         raise MalformedCountry(f"country code must be ISO alpha-2: {code!r}")
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .bootstrap import lag0_batch
 from .counting import membership
 from .errors import DegenerateField, ValidationError
-from .fieller import OK, STATUSES, CiSettings, estimate, interval_columns, row_estimate
+from .fieller import DEFAULT_SETTINGS, OK, STATUSES, CiSettings, estimate, interval_columns, row_estimate
 from .indicator import log_moments, log_stats_from_logs
 from .model import Cohort, MnlcsEstimate, Scheme
 
@@ -85,7 +85,7 @@ def compute_cells(
     cohorts: Iterable[Cohort],
     countries: Sequence[str],
     schemes: Sequence[Scheme],
-    settings: CiSettings = CiSettings(),
+    settings: CiSettings = DEFAULT_SETTINGS,
     exclusions: list[ExclusionRecord] | None = None,
 ) -> CellTable:
     """Estimate every (journal, year, country, scheme) cell with any group data.
@@ -299,7 +299,7 @@ def lag0_curve_points(
     targets: Sequence[tuple[str, Scheme]],
     replicates: int,
     rng_seed: int,
-    settings: CiSettings = CiSettings(),
+    settings: CiSettings = DEFAULT_SETTINGS,
     exclusions: list[ExclusionRecord] | None = None,
 ) -> dict[tuple[str, Scheme], CurvePoint | None]:
     """Offset-0 points: split-half coverage averaged over journal-years.
@@ -368,7 +368,7 @@ def series_report(
     ]
 
 
-def whole_journal_estimate(cohort: Cohort, settings: CiSettings = CiSettings()) -> MnlcsEstimate:
+def whole_journal_estimate(cohort: Cohort, settings: CiSettings = DEFAULT_SETTINGS) -> MnlcsEstimate:
     """Indicator of the whole cohort against itself; identically 1 by design."""
     field_stats = log_stats_from_logs(cohort.log_citations)
     if field_stats.mean <= 0.0:

@@ -200,3 +200,44 @@ def test_stability_and_run_print_the_same_summary(data_csv, tmp_path, capsys):
     assert capsys.readouterr().out == summary + "".join(
         f"{name}: {n} rows\n" for name, n in rows.items()
     ) + f"outputs in {tmp_path / 'b'}\n"
+
+
+@pytest.mark.parametrize("selection", [(["--countries", "aa,BB"], ["AA", "bb"]),
+                                       (["--top-k", "2"], {"top": 2})])
+def test_stability_and_run_write_the_same_bundle(data_csv, tmp_path, selection):
+    flags, countries = selection
+    settings = ["--max-offset", "3", "--lag0-replicates", "10", "--seed", "4", "--min-group-n", "6"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["stability", "--input", str(data_csv), *flags, *settings, "--out", str(a)]) == 0
+    config = {"input": {"csv": str(data_csv)}, "countries": countries, "max_offset": 3,
+              "lag0_replicates": 10, "seed": 4, "min_group_n": 6}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(b)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert "manifest.json" in names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("bootstrap", ["--countries", "AA", "--replicates", "0"]),
+    ("indicator", ["--top-k", "0"]),
+    ("stability", ["--top-k", "0"]),
+    ("indicator", ["--min-group-n", "1"]),
+    ("stability", ["--countries", "US,us"]),
+    ("run", {"max_offset": "x"}),
+])
+def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, command, flags):
+    if command == "run":
+        config_path = tmp_path / "config.json"
+        config = {"input": {"csv": str(data_csv)}, "countries": ["AA"], **flags}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["run", "--config", str(config_path)]
+    else:
+        argv = [command, "--input", str(data_csv), *flags]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code != 0
+    assert "Traceback" not in err
+    assert set(json.loads(err)) == {"error", "message"}  # one object, nothing else

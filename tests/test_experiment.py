@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mnlcs import experiment
-from mnlcs.dataio import write_records_csv
+from mnlcs.dataio import config_hash, write_records_csv
 from mnlcs.errors import ValidationError
 from mnlcs.fieller import CiSettings
 from mnlcs.experiment import (
@@ -99,7 +99,7 @@ def test_manifest_config_hash_per_capability_mode(name):
             "capability_mode": mode, "collab_fraction": 0.2, "rng_seed": 17}},
         "countries": ["AA", "BB"], "max_offset": 4, "lag0_replicates": 30, "seed": 5,
     })
-    assert experiment.experiment_hash(cfg) == expected
+    assert config_hash(cfg.to_dict()) == expected
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
@@ -255,3 +255,29 @@ def test_scenario_input_respects_one_sided_year_bound(tmp_path):
     out = run_experiment(config(year_min=2004), tmp_path / "out").out_dir
     assert set(_column(out / "series.csv", "year")) == {"2004", "2005"}
     assert set(_column(out / "data.csv", "year")) == {"2004", "2005"}
+
+
+def test_config_countries_follow_the_csv_rule(tmp_path):
+    spec = scenario_to_dict(scenario())
+    spec["groups"] = [{"country": "US", "share": 0.3, "mu": 1.0, "sigma": 1.0},
+                      {"country": "JP", "share": 0.2, "mu": 1.2, "sigma": 1.0}]
+    cfg = ExperimentConfig.from_dict({"input": {"scenario": spec}, "countries": ["us", "Japan"],
+                                      "max_offset": 3, "lag0_replicates": 0})
+    assert cfg.countries == ("US", "JP")
+    result = run_experiment(cfg, tmp_path / "out")
+    assert result.countries == ("US", "JP")
+    assert "empty_group" not in _column(result.out_dir / "exclusions.csv", "reason")
+
+
+@pytest.mark.parametrize("countries", [("US", "us"), ("US", "United States"), ("GB", "AA", "Great Britain")])
+def test_config_rejects_duplicate_countries(countries):
+    with pytest.raises(ValidationError, match="duplicate"):
+        config(countries=countries)
+
+
+@pytest.mark.parametrize("override", [{"max_offset": "x"}, {"countries": {"top": "ten"}},
+                                      {"schemes": ["both"]}, {"min_group_n": 1}])
+def test_from_dict_raises_validation_error_on_bad_settings(override):
+    d = {**config().to_dict(), **override}
+    with pytest.raises(ValidationError):
+        ExperimentConfig.from_dict(d)

@@ -178,6 +178,15 @@ def test_record_rejects_lowercase_country_code():
         CitationRecord("J1", 2000, 0, frozenset({"us"}))
 
 
+@pytest.mark.parametrize("journal_id, country", [("J1\n", "US"), ("J1", "US\n"), ("J1\n", "US\n")])
+def test_identifiers_reject_a_trailing_newline(journal_id, country):
+    # the whole identifier must match, not a prefix before a final newline
+    with pytest.raises(ValidationError):
+        Cohort(journal_id, 2000, [1], [0], (frozenset({country}),))
+    with pytest.raises(ValidationError):
+        CitationRecord(journal_id, 2000, 1, frozenset({country}))
+
+
 def test_cohort_arrays_are_read_only(simple_cohort):
     for column in (simple_cohort.citations, simple_cohort.codes, simple_cohort.log_citations):
         with pytest.raises(ValueError):

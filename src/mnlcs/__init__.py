@@ -21,7 +21,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .fieller import CiSettings, estimate
 from .indicator import log_stats
 from .model import CitationRecord, Cohort, Scheme
-from .stability import CellGrid, CellResult, CellTable, compute_cells, coverage_curve, series_report
+from .stability import CellGrid, compute_cells, coverage_curve, series_report
 from .synth import generate
 
 # every name imported above; the submodules the imports bind stay out

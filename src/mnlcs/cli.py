@@ -6,7 +6,6 @@ Subcommands:
     simulate       generate a synthetic dataset from a scenario config
     indicator      compute indicator cells (value + interval) from a CSV
     bootstrap      split-half offset-0 coverage per journal-year
-    stability      cells + coverage curves + series for a CSV dataset
     run            full experiment from a JSON config, with a manifest
 
 Exit code 0 on success; failures print a machine-readable JSON object on
@@ -20,11 +19,9 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bootstrap import lag0_batch
-from .dataio import fmt, ingest, write_cell_rows, write_cells_csv, write_records_csv
+from .dataio import cell_order, fmt, ingest, write_cell_rows, write_cells_csv, write_records_csv
 from .errors import MnlcsError
 from .experiment import (
     ExperimentConfig,
@@ -47,9 +44,8 @@ def _load_json(path: str) -> dict:
         return json.load(f)
 
 
-def _config(args, **extra) -> ExperimentConfig:
-    """The ``mnlcs run`` config of a CSV command's selection and interval
-    flags, with ``extra`` settings on top."""
+def _config(args) -> ExperimentConfig:
+    """The ``mnlcs run`` config of a CSV command's selection and interval flags."""
     countries = [c for c in (args.countries or "").split(",") if c.strip()]
     return ExperimentConfig.from_dict({
         "input": {"csv": args.input},
@@ -60,7 +56,6 @@ def _config(args, **extra) -> ExperimentConfig:
         "min_group_n": args.min_group_n,
         "alpha": args.alpha,
         "fieller_form": args.fieller_form,
-        **extra,
     })
 
 
@@ -107,13 +102,13 @@ def cmd_simulate(args) -> int:
 def cmd_indicator(args) -> int:
     config = _config(args)
     cohorts = load_cohorts(config)
-    table = compute_cells(cohorts, _countries(config, cohorts), config.schemes, config.settings)
+    grid = compute_cells(cohorts, _countries(config, cohorts), config.schemes, config.settings)
     if args.out:
-        n = write_cells_csv(args.out, table)
+        n = write_cells_csv(args.out, grid)
         print(f"wrote {n} cells to {args.out}")
     else:
         fields = ["journal_id", "year", "country", "scheme", "value", "ci_low", "ci_high", "status"]
-        write_cell_rows(sys.stdout, table, np.arange(len(table)), fields)
+        write_cell_rows(sys.stdout, grid, cell_order(grid), fields)
     return 0
 
 
@@ -144,24 +139,6 @@ def cmd_bootstrap(args) -> int:
     return 0
 
 
-def _print_result(result, row_counts: bool) -> int:
-    print(f"countries: {','.join(result.countries)}")
-    print(f"cells: {result.n_cells}")
-    print(f"curves: {len(result.curves)}")
-    if row_counts:
-        for name, count in sorted(result.outputs.items()):
-            print(f"{name}: {count} rows")
-    print(f"outputs in {result.out_dir}")
-    return 0
-
-
-def cmd_stability(args) -> int:
-    config = _config(args, max_offset=args.max_offset,
-                     lag0_replicates=args.lag0_replicates, seed=args.seed)
-    result = run_experiment(config, args.out)
-    return _print_result(result, row_counts=False)
-
-
 def cmd_run(args) -> int:
     config_dict = _load_json(args.config)
     if args.seed is not None:
@@ -178,7 +155,13 @@ def cmd_run(args) -> int:
     config_dict.pop("out", None)
 
     result = run_experiment(ExperimentConfig.from_dict(config_dict), out_dir)
-    return _print_result(result, row_counts=True)
+    print(f"countries: {','.join(result.countries)}")
+    print(f"cells: {result.n_cells}")
+    print(f"curves: {len(result.curves)}")
+    for name, count in sorted(result.outputs.items()):
+        print(f"{name}: {count} rows")
+    print(f"outputs in {result.out_dir}")
+    return 0
 
 
 def _add_ci_flags(p: argparse.ArgumentParser) -> None:
@@ -237,16 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_bootstrap)
-
-    p = sub.add_parser("stability", help="full stability analysis of a CSV dataset")
-    p.add_argument("--input", required=True)
-    _add_selection_flags(p)
-    _add_ci_flags(p)
-    p.add_argument("--max-offset", type=int, default=18)
-    p.add_argument("--lag0-replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("run", help="full experiment from a JSON config")
     p.add_argument("--config", required=True)

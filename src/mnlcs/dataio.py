@@ -18,7 +18,10 @@ and cohort grouping are array operations on the codes' values.
 
 Output files render numbers with 9 significant digits so byte-level golden
 comparisons survive double rounding, and every experiment directory carries
-a manifest recording the resolved configuration and its hash.
+a manifest recording the resolved configuration and its hash. cells.csv is
+written from the ``CellGrid``'s arrays: ``cell_order`` picks the present
+cells by flat index in (journal, year, country, scheme) order, and each
+column is formatted for 1024 cells at a time.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .model import (
     parse_countries,
     parse_year,
 )
-from .fieller import OK, STATUSES
-from .stability import CellTable, CoverageCurve, ExclusionRecord, SeriesPoint
+from .fieller import STATUSES
+from .stability import CellGrid, CoverageCurve, ExclusionRecord, SeriesPoint
 
 CSV_HEADER = ["journal_id", "year", "citations", "countries"]
 
@@ -329,57 +332,65 @@ CELL_FIELDS = (
 )
 
 
-def write_cell_rows(f, table: CellTable, order: np.ndarray, fields=CELL_FIELDS) -> None:
-    """Write a header and the cells ``order`` picks as CSV rows of ``fields``,
-    1024 cells at a time so that little formatted text is alive at once."""
+def cell_order(grid: CellGrid) -> np.ndarray:
+    """Flat [target, journal, year] indices of the grid's cells, sorted by
+    (journal, year, country, scheme): ``np.nonzero`` over the cells with the
+    target axis last, in (country, scheme) order. Journals and years are
+    axes in sorted order and targets are distinct, so no two cells tie."""
+    targets = list(grid.targets)
+    rank = sorted(range(len(targets)), key=lambda t: (targets[t][0], targets[t][1].value))
+    j, y, r = np.nonzero(grid.present[rank].transpose(1, 2, 0))
+    return np.ravel_multi_index((np.array(rank, dtype=np.intp)[r], j, y), grid.present.shape)
+
+
+def write_cell_rows(f, grid: CellGrid, flat: np.ndarray, fields=CELL_FIELDS) -> None:
+    """Write a header and the cells at the ``flat`` grid indices as CSV rows
+    of ``fields``, 1024 cells at a time so that little formatted text is
+    alive at once."""
     writer = csv.writer(f, lineterminator="\n")
     writer.writerow(fields)
-    for start in range(0, len(order), 1024):
-        columns = _cell_columns(table, order[start:start + 1024])
+    for start in range(0, len(flat), 1024):
+        columns = _cell_columns(grid, flat[start:start + 1024])
         writer.writerows(zip(*(columns[name] for name in fields)))
 
 
-def _cell_columns(table: CellTable, part: np.ndarray) -> dict[str, list[str]]:
-    """The text of the cells ``part`` picks, one list per CELL_FIELDS name, as
-    ``fmt`` formats each value: bounds and se are empty unless the cell is
-    OK, h is empty where NaN, and the reported low is clamped at zero."""
-    ok = (table.status[part] == OK).tolist()
-    targets = [(country, scheme.value) for country, scheme in table.targets]
-    target = table.target[part].tolist()
+def _cell_columns(grid: CellGrid, flat: np.ndarray) -> dict[str, list[str]]:
+    """The text of the cells at the ``flat`` grid indices, one list per
+    CELL_FIELDS name, as ``fmt`` formats each value: bounds and se are empty
+    unless the cell is OK, h is empty where NaN, and the reported low is
+    clamped at zero."""
+    ok = grid.ok.reshape(-1)[flat].tolist()
+    targets = [(country, scheme.value) for country, scheme in grid.targets]
+    journals = list(grid.journals)
+    target, journal, year = (a.tolist() for a in np.unravel_index(flat, grid.present.shape))
 
-    def text(column):
-        return [str(x) for x in column[part].tolist()]
+    def at(column):
+        return column.reshape(-1)[flat].tolist()
 
     def bounded(column):
-        return ["" if not k else f"{x:.9g}" for x, k in zip(column[part].tolist(), ok)]
+        return ["" if not k else f"{x:.9g}" for x, k in zip(at(column), ok)]
 
-    low = table.ci_low
     return {
-        "journal_id": [table.journals[j] for j in table.journal[part].tolist()],
-        "year": text(table.year),
+        "journal_id": [journals[j] for j in journal],
+        "year": [str(grid.years.start + y) for y in year],
         "country": [targets[t][0] for t in target],
         "scheme": [targets[t][1] for t in target],
-        "n_group": text(table.n_group),
-        "n_field": text(table.n_field),
-        "value": [f"{x:.9g}" for x in table.value[part].tolist()],
-        # max(0.0, low) of the scalar report, -0.0 and NaN included
-        "ci_low": bounded(np.where(low > 0.0, low, 0.0)),
-        "ci_high": bounded(table.ci_high),
-        "h": ["" if x != x else f"{x:.9g}" for x in table.h[part].tolist()],
-        "se_mnlcs": bounded(table.se),
-        "status": [STATUSES[code].value for code in table.status[part].tolist()],
+        "n_group": [str(n) for n in at(grid.n_group)],
+        "n_field": [str(n) for n in at(grid.n_field)],
+        "value": [f"{x:.9g}" for x in at(grid.value)],
+        "ci_low": bounded(grid.ci_low_reported),
+        "ci_high": bounded(grid.ci_high),
+        "h": ["" if x != x else f"{x:.9g}" for x in at(grid.h)],
+        "se_mnlcs": bounded(grid.se),
+        "status": [STATUSES[code].value for code in at(grid.status)],
     }
 
 
-def write_cells_csv(path: str | Path, table: CellTable) -> int:
-    """Write the cells sorted by (journal, year, country, scheme), stable on ties."""
-    targets = [(country, scheme.value) for country, scheme in table.targets]
-    rank = {key: i for i, key in enumerate(sorted(set(targets)))}
-    target_rank = np.array([rank[key] for key in targets], dtype=np.intp)
-    # table.journals is sorted, so journal indices sort as the ids do
-    order = np.lexsort((target_rank[table.target], table.year, table.journal))
+def write_cells_csv(path: str | Path, grid: CellGrid) -> int:
+    """Write the grid's cells sorted by (journal, year, country, scheme)."""
+    order = cell_order(grid)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        write_cell_rows(f, table, order)
+        write_cell_rows(f, grid, order)
     return len(order)
 
 

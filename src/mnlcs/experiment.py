@@ -31,7 +31,6 @@ from .errors import ValidationError
 from .fieller import CiSettings
 from .model import Cohort, Scheme
 from .stability import (
-    CellGrid,
     CoverageCurve,
     compute_cells,
     coverage_curve,
@@ -47,8 +46,11 @@ CAPABILITY_MODES = {
     "independent_resample": synth.IndependentResample,
 }
 _MODE_NAMES = {cls: name for name, cls in CAPABILITY_MODES.items()}
-# synth uses postponed annotations, so field types arrive as these strings
-_SCALARS = {"int": int, "float": float, "str": str}
+# synth and this module use postponed annotations, so field types arrive as these strings
+_SCALARS = {
+    "int": int, "float": float, "str": str,
+    "int | None": lambda v: None if v is None else int(v),
+}
 
 
 def _from_json(cls, d: dict, **built):
@@ -105,7 +107,8 @@ def parse_schemes(value: str | Sequence[str]) -> tuple[Scheme, ...]:
 class ExperimentConfig:
     """Resolved experiment parameters; ``to_dict`` is the canonical form that
     gets hashed into the manifest. Explicit countries are normalised by the
-    CSV's rule (``countries.normalize_country_token``) and must be distinct."""
+    CSV's rule (``countries.normalize_country_token``) and must be distinct,
+    as must the schemes."""
 
     input_csv: str | None = None
     scenario: synth.ScenarioSpec | None = None
@@ -131,6 +134,8 @@ class ExperimentConfig:
             if len(set(codes)) < len(codes):
                 raise ValidationError(f"duplicate countries: {list(self.countries)}")
             object.__setattr__(self, "countries", codes)
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValidationError(f"duplicate schemes: {[s.value for s in self.schemes]}")
         if self.max_offset < 1:
             raise ValidationError("max_offset must be >= 1")
         if self.lag0_replicates < 0:
@@ -167,8 +172,6 @@ class ExperimentConfig:
                 countries=None if top or countries is None else tuple(str(c) for c in countries),
                 top_k=int(countries["top"]) if top else None,
                 schemes=parse_schemes(d.get("schemes", "both")),
-                year_min=d.get("year_min"),
-                year_max=d.get("year_max"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad config: {exc!r}") from None
@@ -227,17 +230,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     if not cohorts:
         raise ValidationError("no cohorts to analyse (empty input after filters)")
 
-    if config.year_min is not None and config.year_max is not None:
-        years = range(config.year_min, config.year_max + 1)
-    else:
-        cohort_years = [c.year for c in cohorts]
-        years = range(min(cohort_years), max(cohort_years) + 1)
-
     ranked = resolve_countries(config, cohorts)
     countries, complete, settings = ranked.countries, ranked.complete, config.settings
 
+    years = None  # the cohorts' span unless both bounds are set
+    if config.year_min is not None and config.year_max is not None:
+        years = range(config.year_min, config.year_max + 1)
     exclusions = []
-    cells = compute_cells(cohorts, countries, config.schemes, settings, exclusions)
+    grid = compute_cells(cohorts, countries, config.schemes, settings, exclusions, years)
+    years = grid.years
 
     targets = [(country, scheme) for country in countries for scheme in config.schemes]
     lag0_points: dict = {t: None for t in targets}
@@ -251,7 +252,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
             exclusions=exclusions,
         )
 
-    grid = CellGrid(cells, years)
     curves = []
     for country, scheme in targets:
         curve = coverage_curve(
@@ -275,7 +275,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     )
 
     outputs = {
-        "cells.csv": write_cells_csv(out / "cells.csv", cells),
+        "cells.csv": write_cells_csv(out / "cells.csv", grid),
         "curves.csv": write_curves_csv(out / "curves.csv", curves),
         "series.csv": write_series_csv(out / "series.csv", series),
         "exclusions.csv": write_exclusions_csv(out / "exclusions.csv", exclusions),
@@ -305,7 +305,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
         countries=tuple(countries),
         countries_complete=complete,
         years=years,
-        n_cells=len(cells),
+        n_cells=outputs["cells.csv"],
         curves=curves,
         outputs=outputs,
     )

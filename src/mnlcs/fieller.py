@@ -20,7 +20,8 @@ The formula is written once, in ``fieller_interval``, elementwise on
 arrays: the split-half engine calls it on [replicates, targets] arrays,
 ``interval_columns`` on the columns of every cell of a run at once, and
 ``estimate`` on one pair's scalars; the last two share the status rule in
-``flag_intervals``.
+``flag_intervals``. Only ``estimate`` builds an ``MnlcsEstimate``; a run's
+cells stay arrays (``stability.CellGrid``).
 
 A "printed" variant, h = t * (SE_j / m_s)^2, goes through the same code for
 side-by-side comparison; it is dimensionally inconsistent with the SE
@@ -162,15 +163,10 @@ def estimate(
     enough = group.n >= settings.min_group_n and field.n >= 2
     t = _scalar_t(max(group.n + field.n - 2, 1), settings.alpha)
     value, *interval = fieller_interval(group.mean, group.se, field.mean, field.se, t, settings.form)
-    status, *flagged = flag_intervals(enough, *interval)
-    return row_estimate(float(value), *(float(x) for x in flagged), group.n, field.n, int(status))
-
-
-def row_estimate(value, low, high, h, se, n_group, n_field, status) -> MnlcsEstimate:
-    """MnlcsEstimate of one pair from its flagged outputs, as Python scalars:
-    bounds and se are None unless OK, h is None where NaN."""
-    ok = status == OK
+    status, low, high, h, se = flag_intervals(enough, *interval)
+    ok = status == OK  # bounds and se are None unless OK, h is None where NaN
     return MnlcsEstimate(
-        value, low if ok else None, high if ok else None, None if math.isnan(h) else h,
-        se if ok else None, n_group, n_field, STATUSES[status],
+        float(value), float(low) if ok else None, float(high) if ok else None,
+        None if math.isnan(h) else float(h), float(se) if ok else None,
+        group.n, field.n, STATUSES[status],
     )

@@ -9,37 +9,27 @@ coverage, since an unbounded interval would trivially contain everything;
 all exclusions are tallied. The offset-0 point of a curve comes from the
 split-half baseline and is flagged as simulated.
 
-``compute_cells`` returns a ``CellTable``, one array per cell field, so the
-intervals come from one kernel call and cells.csv is sorted and formatted a
-column at a time. Curves and series read a ``CellGrid`` scattered once from
-it: one [target, journal, year] array per field, so the pairs at offset k
-are the year columns ``[:, :-k]`` against ``[:, k:]`` and a series is a row.
+``compute_cells`` returns a ``CellGrid``, one [target, journal, year]
+array per cell field, filled from one interval-kernel call on the columns
+of every cell. The pairs at offset k are then the year columns ``[:, :-k]``
+against ``[:, k:]``, a series is a row, and cells.csv is sorted and
+formatted a column at a time.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bootstrap import lag0_batch
 from .counting import membership
 from .errors import DegenerateField, ValidationError
-from .fieller import DEFAULT_SETTINGS, OK, STATUSES, CiSettings, estimate, interval_columns, row_estimate
+from .fieller import DEFAULT_SETTINGS, OK, STATUSES, CiSettings, estimate, interval_columns
 from .indicator import log_moments, log_stats_from_logs
 from .model import Cohort, MnlcsEstimate, Scheme
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """Indicator estimate for one (journal, year, country, scheme)."""
-
-    journal_id: str
-    year: int
-    country: str
-    scheme: Scheme
-    estimate: MnlcsEstimate
 
 
 @dataclass(frozen=True)
@@ -82,12 +72,13 @@ class ExclusionRecord:
 
 
 def compute_cells(
-    cohorts: Iterable[Cohort],
+    cohorts: Sequence[Cohort],
     countries: Sequence[str],
     schemes: Sequence[Scheme],
     settings: CiSettings = DEFAULT_SETTINGS,
     exclusions: list[ExclusionRecord] | None = None,
-) -> CellTable:
+    years: range | None = None,
+) -> CellGrid:
     """Estimate every (journal, year, country, scheme) cell with any group data.
 
     Cells exist whenever the group is non-empty and the field mean is
@@ -96,13 +87,31 @@ def compute_cells(
     tallied. Each cohort's groups come from one membership matrix, in
     country-major, scheme-minor order; each group's mean and SE are
     compensated sums, and every cell gets its interval from one
-    ``interval_columns`` call on the resulting columns.
+    ``interval_columns`` call on the resulting columns. ``years`` (None is
+    the cohorts' span) is the grid's year axis. Two cohorts with one
+    (journal, year), a repeated (country, scheme) target or a cohort year
+    outside ``years`` raise ValidationError.
     """
     exclusions = [] if exclusions is None else exclusions
     targets = [(country, scheme) for country in countries for scheme in schemes]
-    # per cohort with cells: journal, year, cell count, field (n, mean, se)
-    journal, year, counts, fields = [], [], [], []
-    target, groups = [], []  # per cell: target index, group (n, mean, se)
+    if len(set(targets)) < len(targets):
+        raise ValidationError(f"duplicate (country, scheme) targets: {targets}")
+    if len({(c.journal_id, c.year) for c in cohorts}) < len(cohorts):
+        raise ValidationError("two cohorts share one (journal, year)")
+    cohort_years = [c.year for c in cohorts]
+    if years is None:
+        years = range(min(cohort_years), max(cohort_years) + 1) if cohorts else range(0)
+    if years.step != 1:
+        raise ValidationError(f"years must step by 1, got {years!r}")
+    if any(year not in years for year in cohort_years):
+        raise ValidationError(f"a cohort year lies outside {years!r}")
+
+    journals = sorted({c.journal_id for c in cohorts})
+    code = {j: i for i, j in enumerate(journals)}
+    # per cohort with cells: its [journal, year] position, cell count, field (n, mean, se)
+    position, counts, fields = [], [], []
+    # per cell: target index, group (n, mean, se) as doubles, a tenth of a tuple's memory
+    target, groups = [], array("d")
     for cohort in cohorts:
         logs = cohort.log_citations
         field = log_moments(logs)
@@ -119,135 +128,66 @@ def compute_cells(
         )
         cells = [k for k, any_member in enumerate(nonempty) if any_member]
         if cells:
-            journal.append(cohort.journal_id)
-            year.append(cohort.year)
+            position.append(code[cohort.journal_id] * len(years) + cohort.year - years.start)
             counts.append(len(cells))
             fields.append(field)
             target += cells
-            groups += [log_moments(logs[members[k]]) for k in cells]
+            for k in cells:
+                groups.extend(log_moments(logs[members[k]]))
 
-    journals = tuple(sorted(set(journal)))
-    code = {j: i for i, j in enumerate(journals)}
-    n_group, group_mean, group_se = np.array(groups, dtype=np.float64).reshape(-1, 3).T
+    n_group, group_mean, group_se = np.array(groups).reshape(-1, 3).T
     n_field, field_mean, field_se = np.repeat(
         np.array(fields, dtype=np.float64).reshape(-1, 3), counts, axis=0
     ).T
     n_group, n_field = n_group.astype(np.intp), n_field.astype(np.intp)
-    return CellTable(
-        journals,
-        tuple(targets),
-        np.repeat(np.array([code[j] for j in journal], dtype=np.intp), counts),
-        np.repeat(np.array(year, dtype=np.intp), counts),
-        np.array(target, dtype=np.intp),
-        n_group,
-        n_field,
+    # flat [target, journal, year] index of each cell
+    flat = np.array(target, dtype=np.intp) * (len(journals) * len(years)) + np.repeat(
+        np.array(position, dtype=np.intp), counts
+    )
+    return CellGrid(
+        years, journals, targets, flat, n_group, n_field,
         *interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se, settings),
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CellTable:
-    """Every (journal, year, country, scheme) cell of a run as parallel arrays.
-
-    One entry per cell, in compute order: ``journal`` indexes ``journals``
-    (sorted journal ids), ``target`` indexes ``targets`` ((country, scheme)
-    pairs), and ``year``, ``n_group`` and ``n_field`` are integers. The
-    float columns ``value``, the raw bounds ``ci_low``/``ci_high``, ``h``
-    and ``se`` hold NaN where the cell's estimate reports None; ``status``
-    is an index into ``fieller.STATUSES``. ``table[i]`` and iteration build
-    ``CellResult`` rows on access; no per-cell object is kept.
-    """
-
-    journals: tuple[str, ...]
-    targets: tuple[tuple[str, Scheme], ...]
-    journal: np.ndarray
-    year: np.ndarray
-    target: np.ndarray
-    n_group: np.ndarray
-    n_field: np.ndarray
-    value: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    h: np.ndarray
-    se: np.ndarray
-    status: np.ndarray
-
-    @classmethod
-    def from_results(cls, cells: Iterable[CellResult]) -> CellTable:
-        """The table of hand-built cells, in their order."""
-        cells = list(cells)
-        journals = tuple(sorted({c.journal_id for c in cells}))
-        targets = tuple(dict.fromkeys((c.country, c.scheme) for c in cells))
-        journal, target = ({key: i for i, key in enumerate(keys)} for keys in (journals, targets))
-        rows = [
-            (journal[c.journal_id], c.year, target[(c.country, c.scheme)], e.n_group, e.n_field,
-             e.value, e.ci_low, e.ci_high, e.h, e.se_mnlcs, STATUSES.index(e.status))
-            for c, e in zip(cells, [c.estimate for c in cells])
-        ]
-        dtypes = (np.intp,) * 5 + (np.float64,) * 5 + (np.int8,)  # None becomes NaN
-        columns = zip(*rows) if rows else [()] * len(dtypes)
-        return cls(journals, targets, *map(np.array, columns, dtypes))
-
-    def __len__(self) -> int:
-        return len(self.status)
-
-    def __getitem__(self, i: int) -> CellResult:
-        i = range(len(self))[i]  # IndexError outside the table
-        return next(self._rows(slice(i, i + 1)))
-
-    def __iter__(self) -> Iterator[CellResult]:
-        return self._rows(slice(None))
-
-    def _rows(self, part: slice) -> Iterator[CellResult]:
-        columns = (getattr(self, name)[part].tolist() for name in (
-            "journal", "year", "target", "value", "ci_low", "ci_high", "h", "se",
-            "n_group", "n_field", "status",
-        ))
-        for j, year, t, *estimate in zip(*columns):
-            yield CellResult(self.journals[j], year, *self.targets[t], row_estimate(*estimate))
-
-
 class CellGrid:
-    """The cells of a run as [target, journal, year] arrays, for curves and series.
+    """The cells of a run as [target, journal, year] arrays.
 
     ``journals`` (sorted) and ``targets``, (country, scheme) pairs, map to
-    their index. The arrays: ``value``, the raw bounds ``ci_low``/``ci_high``
-    (NaN where absent), ``ci_low_reported`` (clamped at zero), ``status`` (an
-    index into ``fieller.STATUSES``) and the masks ``present`` and ``ok`` (bounded).
-    ``has_cells`` [target, journal] marks the journals with any cell for the
-    target, even outside ``years``. Of two cells with one key the later wins.
+    their index; ``years`` is the year axis. The arrays: ``n_group`` and
+    ``n_field``, ``value``, the raw bounds ``ci_low``/``ci_high``, ``h``
+    and ``se`` (NaN where the cell's estimate reports None or there is no
+    cell), ``ci_low_reported`` (clamped at zero), ``status`` (an index into
+    ``fieller.STATUSES``, -1 where there is no cell) and the masks
+    ``present`` and ``ok`` (bounded). ``has_cells`` [target, journal] marks
+    the journals with any cell for the target.
+
+    Built from one entry per cell: its ``flat`` index into the
+    [target, journal, year] shape, distinct across cells, and its columns.
     """
 
-    def __init__(self, table: CellTable, years: range):
-        if years.step != 1:
-            raise ValidationError(f"years must step by 1, got {years!r}")
+    def __init__(self, years: range, journals: Sequence[str],
+                 targets: Sequence[tuple[str, Scheme]], flat: np.ndarray,
+                 n_group, n_field, value, ci_low, ci_high, h, se, status):
         self.years = years
-        self.journals = {j: i for i, j in enumerate(table.journals)}
-        self.targets = {t: i for i, t in enumerate(dict.fromkeys(table.targets))}
+        self.journals = {j: i for i, j in enumerate(journals)}
+        self.targets = {t: i for i, t in enumerate(targets)}
         shape = (len(self.targets), len(self.journals), len(years))
-        t = np.array([self.targets[t] for t in table.targets], dtype=np.intp)[table.target]
-        j, y = table.journal, table.year - years.start
-        self.has_cells = np.zeros(shape[:2], dtype=bool)
-        self.has_cells[t, j] = True
-
-        # scatter the cells in ``years``, keeping the last of each key
-        kept = np.flatnonzero((y >= 0) & (y < len(years)))[::-1]
-        flat, first = np.unique(np.ravel_multi_index((t[kept], j[kept], y[kept]), shape),
-                                return_index=True)
-        kept = kept[first]
 
         def scatter(column, fill):
             out = np.full(shape, fill, dtype=column.dtype)
-            out.reshape(-1)[flat] = column[kept]
+            out.reshape(-1)[flat] = column
             return out
 
-        self.value = scatter(table.value, np.nan)
-        self.ci_low = scatter(table.ci_low, np.nan)
-        self.ci_high = scatter(table.ci_high, np.nan)
-        self.status = scatter(table.status, -1)
+        self.n_group, self.n_field = scatter(n_group, 0), scatter(n_field, 0)
+        self.value, self.ci_low, self.ci_high, self.h, self.se = (
+            scatter(column, np.nan) for column in (value, ci_low, ci_high, h, se)
+        )
+        self.status = scatter(status, -1)
         self.present = self.status >= 0
         self.ok = self.status == OK
-        # max(0.0, low) of the scalar report, NaN included
+        self.has_cells = self.present.any(axis=2)
+        # max(0.0, low) of the scalar report, -0.0 and NaN included
         self.ci_low_reported = np.where(self.ci_low > 0.0, self.ci_low, 0.0)
 
 

@@ -11,13 +11,14 @@ through the library's membership matrix, CSV ingest, writing and the
 canonical split order go through one CitationRecord per row, not through
 columns, coverage curves and series look up one cell per (journal, year)
 pair in a dict, not in the library's cell grid, cells.csv is sorted and
-written one CellResult row at a time, not from the cell table's columns, and
-a cohort's canonical sets are ranked from its used sets alone, not looked
-up in the cached order of its whole sets tuple.
+written one ``CellRow`` (this module's own cell record) at a time, not from
+the grid's arrays, and a cohort's canonical sets are ranked from its used
+sets alone, not looked up in the cached order of its whole sets tuple.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -26,7 +27,7 @@ from scipy.stats import norm
 from mnlcs.bootstrap import half_a_blocks
 from mnlcs.dataio import CSV_HEADER, IngestReport, fmt
 from mnlcs.errors import DegenerateField, IngestError, ValidationError
-from mnlcs.fieller import t_quantile
+from mnlcs.fieller import STATUSES, t_quantile
 from mnlcs.indicator import log_stats_from_logs
 from mnlcs.model import (
     CitationRecord,
@@ -37,12 +38,71 @@ from mnlcs.model import (
     validate_record,
 )
 from mnlcs.stability import (
-    CellResult,
+    CellGrid,
     CoverageCurve,
     CurvePoint,
     ExclusionRecord,
     SeriesPoint,
 )
+
+
+@dataclass(frozen=True)
+class CellRow:
+    """One (journal, year, country, scheme) cell and its estimate."""
+
+    journal_id: str
+    year: int
+    country: str
+    scheme: Scheme
+    estimate: MnlcsEstimate
+
+
+def cell_key(cell: CellRow) -> tuple:
+    """The (journal, year, country, scheme) order of cells.csv."""
+    return cell.journal_id, cell.year, cell.country, cell.scheme.value
+
+
+def grid_of(cells, years, journals=()) -> CellGrid:
+    """The CellGrid of CellRows with distinct keys inside ``years``; the
+    ``journals`` without cells join its journal axis."""
+    journal_ids = sorted({c.journal_id for c in cells} | set(journals))
+    targets = list(dict.fromkeys((c.country, c.scheme) for c in cells))
+    flat = [
+        (targets.index((c.country, c.scheme)) * len(journal_ids) + journal_ids.index(c.journal_id))
+        * len(years) + years.index(c.year)
+        for c in cells
+    ]
+    estimates = [c.estimate for c in cells]
+    columns = [
+        np.array([getattr(e, name) for e in estimates], dtype=dtype)  # None becomes NaN
+        for name, dtype in (("n_group", np.intp), ("n_field", np.intp), ("value", float),
+                            ("ci_low", float), ("ci_high", float), ("h", float),
+                            ("se_mnlcs", float))
+    ]
+    status = np.array([STATUSES.index(e.status) for e in estimates], dtype=np.int8)
+    return CellGrid(years, journal_ids, targets, np.array(flat, dtype=np.intp), *columns, status)
+
+
+def grid_cells(grid: CellGrid) -> list[CellRow]:
+    """The grid's cells as CellRows, one array element at a time, in
+    (target, journal, year) order."""
+    rows = []
+    for (country, scheme), t in grid.targets.items():
+        for journal_id, j in grid.journals.items():
+            for y, year in enumerate(grid.years):
+                code = int(grid.status[t, j, y])
+                if code < 0:
+                    continue
+                ok = STATUSES[code] is EstimateStatus.OK
+                value, low, high, h, se = (
+                    float(a[t, j, y]) for a in (grid.value, grid.ci_low, grid.ci_high, grid.h, grid.se)
+                )
+                rows.append(CellRow(journal_id, year, country, scheme, MnlcsEstimate(
+                    value, low if ok else None, high if ok else None,
+                    None if math.isnan(h) else h, se if ok else None,
+                    int(grid.n_group[t, j, y]), int(grid.n_field[t, j, y]), STATUSES[code],
+                )))
+    return rows
 
 
 def t_pdf(x: float, df: float) -> float:
@@ -195,7 +255,7 @@ def cells_oracle(cohorts, countries, schemes, settings):
                     continue
                 group = log_stats_from_logs(c.log_citations[members])
                 est = estimate_oracle(group, field, settings)
-                cells.append(CellResult(c.journal_id, c.year, country, scheme, est))
+                cells.append(CellRow(c.journal_id, c.year, country, scheme, est))
     return cells, exclusions
 
 
@@ -410,12 +470,12 @@ def series_oracle(cells, *, journal_id, country, scheme, years) -> list[SeriesPo
 
 
 def write_cells_csv_oracle(path, cells) -> int:
-    """dataio.write_cells_csv from CellResults: sorted by key, one row per cell."""
+    """dataio.write_cells_csv from CellRows: sorted by key, one row per cell."""
     header = [
         "journal_id", "year", "country", "scheme", "n_group", "n_field",
         "value", "ci_low", "ci_high", "h", "se_mnlcs", "status",
     ]
-    rows = sorted(cells, key=lambda c: (c.journal_id, c.year, c.country, c.scheme.value))
+    rows = sorted(cells, key=cell_key)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)

@@ -95,11 +95,10 @@ def test_indicator_stdout(data_csv, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("journal_id,year,country,scheme,value")
     assert len(lines) == 1 + 8  # 2 journals x 4 years
-    # each printed cell carries the columns the cells file holds for it; the
-    # second selection leaves the 13-article BB exclusive groups without intervals
-    key = ("journal_id", "year", "country", "scheme")
-    shown = ("value", "ci_low", "ci_high", "status")
-    mixed = [*args[:3], "--countries", "AA,BB", "--min-group-n", "16"]
+    # the printed cells are the cells file's, in its order, with its columns;
+    # the second selection leaves the 13-article BB exclusive groups without intervals
+    shown = ("journal_id", "year", "country", "scheme", "value", "ci_low", "ci_high", "status")
+    mixed = [*args[:3], "--countries", "BB,AA", "--min-group-n", "16"]
     for selection, n_cells, n_insufficient in ((args, 8, 0), (mixed, 32, 8)):
         assert main(selection) == 0
         printed = list(csv.DictReader(capsys.readouterr().out.splitlines()))
@@ -107,12 +106,10 @@ def test_indicator_stdout(data_csv, tmp_path, capsys):
         assert main([*selection, "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith(f"wrote {n_cells} cells")
         with open(out, encoding="utf-8", newline="") as f:
-            written = {tuple(r[k] for k in key): r for r in csv.DictReader(f)}
-        assert len(printed) == len(written) == n_cells
+            written = list(csv.DictReader(f))
+        assert len(printed) == n_cells
         assert sum(r["status"] == "insufficient_data" for r in printed) == n_insufficient
-        for row in printed:
-            cell = written[tuple(row[k] for k in key)]
-            assert [row[k] for k in shown] == [cell[k] for k in shown]
+        assert [[r[k] for k in shown] for r in printed] == [[r[k] for k in shown] for r in written]
 
 
 def test_indicator_to_file(data_csv, tmp_path, capsys):
@@ -136,18 +133,6 @@ def test_bootstrap_csv(data_csv, tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "journal_id,year,country,scheme,fraction,n_valid,n_excluded"
     assert len(lines) == 1 + 8
-
-
-def test_stability_command(data_csv, tmp_path, capsys):
-    out_dir = tmp_path / "res"
-    code = main(
-        ["stability", "--input", str(data_csv), "--countries", "AA,BB",
-         "--max-offset", "3", "--lag0-replicates", "10", "--seed", "2",
-         "--out", str(out_dir)]
-    )
-    assert code == 0
-    for name in ("cells.csv", "curves.csv", "series.csv", "exclusions.csv", "manifest.json"):
-        assert (out_dir / name).exists()
 
 
 def test_run_command_with_scenario_config(tmp_path, capsys):
@@ -184,12 +169,7 @@ def test_version_flag(capsys):
     assert exc_info.value.code == 0
 
 
-def test_stability_and_run_print_the_same_summary(data_csv, tmp_path, capsys):
-    args = ["--countries", "AA,BB", "--max-offset", "3", "--lag0-replicates", "10"]
-    assert main(["stability", "--input", str(data_csv), *args, "--out", str(tmp_path / "a")]) == 0
-    summary = "countries: AA,BB\ncells: 32\ncurves: 4\n"
-    assert capsys.readouterr().out == f"{summary}outputs in {tmp_path / 'a'}\n"
-
+def test_run_prints_the_summary_and_row_counts(data_csv, tmp_path, capsys):
     config = {"input": {"csv": str(data_csv)}, "countries": ["AA", "BB"], "max_offset": 3,
               "lag0_replicates": 10}
     config_path = tmp_path / "config.json"
@@ -197,36 +177,20 @@ def test_stability_and_run_print_the_same_summary(data_csv, tmp_path, capsys):
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "b")]) == 0
     rows = {"cells.csv": 32, "curves.csv": 16, "curves_exclusive.csv": 8,
             "curves_inclusive.csv": 8, "exclusions.csv": 5, "series.csv": 32}
-    assert capsys.readouterr().out == summary + "".join(
+    assert capsys.readouterr().out == "countries: AA,BB\ncells: 32\ncurves: 4\n" + "".join(
         f"{name}: {n} rows\n" for name, n in rows.items()
     ) + f"outputs in {tmp_path / 'b'}\n"
-
-
-@pytest.mark.parametrize("selection", [(["--countries", "aa,BB"], ["AA", "bb"]),
-                                       (["--top-k", "2"], {"top": 2})])
-def test_stability_and_run_write_the_same_bundle(data_csv, tmp_path, selection):
-    flags, countries = selection
-    settings = ["--max-offset", "3", "--lag0-replicates", "10", "--seed", "4", "--min-group-n", "6"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["stability", "--input", str(data_csv), *flags, *settings, "--out", str(a)]) == 0
-    config = {"input": {"csv": str(data_csv)}, "countries": countries, "max_offset": 3,
-              "lag0_replicates": 10, "seed": 4, "min_group_n": 6}
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["run", "--config", str(config_path), "--out", str(b)]) == 0
-    names = sorted(p.name for p in a.iterdir())
-    assert "manifest.json" in names and names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command, flags", [
     ("bootstrap", ["--countries", "AA", "--replicates", "0"]),
     ("indicator", ["--top-k", "0"]),
-    ("stability", ["--top-k", "0"]),
+    ("run", {"countries": {"top": 0}}),
     ("indicator", ["--min-group-n", "1"]),
-    ("stability", ["--countries", "US,us"]),
+    ("indicator", ["--countries", "US,us"]),
     ("run", {"max_offset": "x"}),
+    ("run", {"schemes": ["inclusive", "inclusive"]}),
+    ("run", {"year_min": "x"}),
 ])
 def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, command, flags):
     if command == "run":

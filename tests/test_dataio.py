@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    CellRow,
+    grid_cells,
+    grid_of,
     group_into_cohorts,
     ingest_oracle,
     write_cells_csv_oracle,
@@ -25,7 +28,7 @@ from mnlcs.dataio import (
 )
 from mnlcs.errors import IngestError
 from mnlcs.fieller import CiSettings
-from mnlcs.stability import CellResult, CellTable, compute_cells
+from mnlcs.stability import compute_cells
 from mnlcs.model import Cohort, EstimateStatus, MnlcsEstimate, Scheme
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
 
@@ -162,9 +165,9 @@ def test_fmt_nine_significant_digits():
 
 def test_cells_csv_shape(tmp_path):
     cohorts = generate(small_scenario())
-    cells = compute_cells(cohorts, ["AA", "BB"], list(Scheme), CiSettings())
+    grid = compute_cells(cohorts, ["AA", "BB"], list(Scheme), CiSettings())
     path = tmp_path / "cells.csv"
-    n = write_cells_csv(path, cells)
+    n = write_cells_csv(path, grid)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == n + 1
     assert lines[0].startswith("journal_id,year,country,scheme")
@@ -183,11 +186,14 @@ cell_bounds = st.one_of(st.just(math.nan), st.floats(0.0, 1e4))
 
 @st.composite
 def cells_to_write(draw):
-    """CellResults of every status from a few keys, so keys repeat and ties
-    must keep their order; n_group 1 and printed-form h = inf (h None while
+    """CellRows of every status with distinct keys drawn from a few journals,
+    years and countries; n_group 1 and printed-form h = inf (h None while
     unbounded) among them."""
+    keys = st.tuples(st.sampled_from(["J1", "J10", "J2", "a-b"]),
+                     st.sampled_from([1999, 2000, 2010]),
+                     st.sampled_from(["AA", "AB", "B"]), st.sampled_from(list(Scheme)))
     cells = []
-    for _ in range(draw(st.integers(0, 30))):
+    for journal, year, country, scheme in draw(st.lists(keys, max_size=30, unique=True)):
         status = draw(st.sampled_from(list(EstimateStatus)))
         ok = status is EstimateStatus.OK
         if ok:
@@ -206,13 +212,7 @@ def cells_to_write(draw):
             n_field=draw(st.sampled_from([1, 300])),
             status=status,
         )
-        cells.append(CellResult(
-            draw(st.sampled_from(["J1", "J10", "J2", "a-b"])),
-            draw(st.sampled_from([1999, 2000, 2010])),
-            draw(st.sampled_from(["AA", "AB", "B"])),
-            draw(st.sampled_from(list(Scheme))),
-            est,
-        ))
+        cells.append(CellRow(journal, year, country, scheme, est))
     return cells
 
 
@@ -221,7 +221,7 @@ def cells_to_write(draw):
 def test_cells_csv_columns_equal_row_writer(cells):
     with tempfile.TemporaryDirectory() as d:
         want, got = Path(d) / "rows.csv", Path(d) / "columns.csv"
-        assert write_cells_csv(got, CellTable.from_results(cells)) == len(cells)
+        assert write_cells_csv(got, grid_of(cells, range(1999, 2011))) == len(cells)
         assert write_cells_csv_oracle(want, cells) == len(cells)
         assert got.read_bytes() == want.read_bytes()
 
@@ -233,9 +233,9 @@ def test_cells_csv_of_computed_cells_equals_row_writer(tmp_path, form):
     spec = small_scenario()
     cohorts = generate(ScenarioSpec(**{**vars(spec), "n_journals": 25, "year_end": 2009}))
     settings = CiSettings(form=form, min_group_n=2)
-    table = compute_cells(cohorts, ["BB", "AA", "ZZ"], list(Scheme), settings)
-    write_cells_csv(tmp_path / "columns.csv", table)
-    assert write_cells_csv_oracle(tmp_path / "rows.csv", list(table)) == 1250
+    grid = compute_cells(cohorts, ["BB", "AA", "ZZ"], list(Scheme), settings)
+    write_cells_csv(tmp_path / "columns.csv", grid)
+    assert write_cells_csv_oracle(tmp_path / "rows.csv", grid_cells(grid)) == 1250
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 

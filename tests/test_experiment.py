@@ -276,8 +276,20 @@ def test_config_rejects_duplicate_countries(countries):
 
 
 @pytest.mark.parametrize("override", [{"max_offset": "x"}, {"countries": {"top": "ten"}},
-                                      {"schemes": ["both"]}, {"min_group_n": 1}])
+                                      {"schemes": ["both"]}, {"min_group_n": 1},
+                                      {"schemes": ["exclusive", "exclusive"]},
+                                      {"year_min": "x"}, {"year_max": [2001]}])
 def test_from_dict_raises_validation_error_on_bad_settings(override):
     d = {**config().to_dict(), **override}
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict(d)
+
+
+def test_from_dict_converts_year_bounds_as_other_int_settings():
+    d = config().to_dict()
+    as_int = ExperimentConfig.from_dict({**d, "year_min": 2001, "year_max": 2004})
+    as_text = ExperimentConfig.from_dict({**d, "year_min": "2001", "year_max": "2004"})
+    assert as_text == as_int and (as_text.year_min, as_text.year_max) == (2001, 2004)
+    assert config_hash(as_text.to_dict()) == config_hash(as_int.to_dict())
+    assert ExperimentConfig.from_dict({**d, "year_min": 2001.5}).year_min == 2001
+    assert ExperimentConfig.from_dict({**d, "year_min": None}).year_min is None

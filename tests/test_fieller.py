@@ -13,12 +13,12 @@ from mnlcs.fieller import (
     CiSettings,
     estimate,
     fieller_interval,
+    STATUSES,
     interval_columns,
-    row_estimate,
     t_quantile,
 )
 from mnlcs.indicator import log_stats, log_stats_from_logs, mnlcs
-from mnlcs.model import EstimateStatus, LogStats
+from mnlcs.model import EstimateStatus, LogStats, MnlcsEstimate
 from mnlcs.rngtools import stream
 from mnlcs.synth import sample_citations
 
@@ -78,17 +78,20 @@ Interval = namedtuple("Interval", "value low high h se")
 
 def column_estimates(groups, fields, settings=CiSettings()):
     """interval_columns on the columns of (group, field) LogStats pairs, read
-    back one MnlcsEstimate per pair as a CellTable row is."""
+    back one MnlcsEstimate per pair: bounds and se None unless OK, h None
+    where NaN."""
     columns = interval_columns(
         [g.n for g in groups], [g.mean for g in groups], [g.se for g in groups],
         [f.n for f in fields], [f.mean for f in fields], [f.se for f in fields], settings,
     )
-    return [
-        row_estimate(value, low, high, h, se, g.n, f.n, status)
-        for value, low, high, h, se, status, g, f in zip(
-            *(c.tolist() for c in columns), groups, fields
-        )
-    ]
+    estimates = []
+    for value, low, high, h, se, status, g, f in zip(*(c.tolist() for c in columns), groups, fields):
+        ok = STATUSES[status] is EstimateStatus.OK
+        estimates.append(MnlcsEstimate(
+            value, low if ok else None, high if ok else None, None if math.isnan(h) else h,
+            se if ok else None, g.n, f.n, STATUSES[status],
+        ))
+    return estimates
 
 
 def kernel(group, field, t, form="standard"):

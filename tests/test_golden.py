@@ -6,7 +6,10 @@ the benchmark's group mix: ten groups with shares 0.10 down to 0.01, a 0.3
 collaboration fraction with partner ZZ, the top 10 countries, both schemes.
 Small groups give insufficient_data cells; a fourth variant, printed form
 with group II mostly uncited (mu -1), adds unbounded_fieller cells next to
-them. No split-half replicates run, so the bundle rests on generation,
+them. A fifth variant sets a year window of 1998-2007, wider than the
+2000-2004 data, so the year axis has empty years at both ends; its curve
+exclusion counts and "missing" series rows depend on that axis. No
+split-half replicates run, so the bundle rests on generation,
 cells, curves, series and the writers.
 
 A declared change to the synthetic RNG layout changes data.csv and every
@@ -51,6 +54,7 @@ VARIANTS = {
     "printed": {"fieller_form": "printed"},
     "min_group_n_2": {"min_group_n": 2},
     "printed_uncited_group": {"fieller_form": "printed"},
+    "wide_years": {"year_min": 1998, "year_max": 2007},
 }
 
 
@@ -108,6 +112,18 @@ GOLDEN = {
         "manifest.json": "7ca76bc3849102399d14c2a70025cc988b73f1b21fb5281f1c75d1864db5fd4f",
         "resolved.json": "5f541b4c38235342931414f58a884641834f7458832a2b1b91fa7f5c6587bccd",
         "series.csv": "6d068ab0010dcfb3cdf1474c2fa714856c344fb3fb12c632176e7f0966e38e5c",
+    },
+    # recorded on the code before compute_cells filled the grid itself
+    "wide_years": {
+        "cells.csv": "79b2fbb6114b7eb7182e62f0ed29928370ea3d5ba5b40ec49c45d972f6234fd8",
+        "curves.csv": "707eb5104169249a1a393dc6745d54ee995daa3f8d8a7bca03f29b9e1659fb0b",
+        "curves_exclusive.csv": "81085c640b5ec6b904b62c0134d05aa873b7ea50376ff648e5c370f4e78edaa7",
+        "curves_inclusive.csv": "480f2d795878f4dc05d2eeb97da34024ed75a96b8400d5ba6b88741db189e37d",
+        "data.csv": "d9088cb6bd99c7d0f3a1b7886f93c5f617528c698831eee16c0e7822c2f27e5c",
+        "exclusions.csv": "e31fd7a5e0c786ed7b68c32902be1c4834c299b192a4a0b934ebc3dcebe309f3",
+        "manifest.json": "e310c99cce79f5ad51299cad1ab54a7ec23db5b4cc6db8c3b4b17c0942f0beff",
+        "resolved.json": "76cb66acf45aa42acb306b3b41826e40d95ea8ebbabeb7af205d8827fd42a69e",
+        "series.csv": "96d5d8da1ade71d0ef0cb6ace6e435fa5a9f2bcc9dea8e04ddcd902d2c1c0751",
     },
 }
 

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import coverage_curve_oracle, enumerate_pairs, series_oracle
-from mnlcs.fieller import CiSettings
+from _oracles import CellRow, coverage_curve_oracle, enumerate_pairs, grid_of, series_oracle
+from mnlcs.fieller import OK, CiSettings
 from mnlcs.model import EstimateStatus, MnlcsEstimate, Scheme
 from mnlcs.stability import (
-    CellGrid,
-    CellResult,
-    CellTable,
     CoverageCurve,
     CurvePoint,
     compute_cells,
@@ -33,11 +30,7 @@ def make_cell(journal, year, value, lo, hi, country="US", scheme=Scheme.INCLUSIV
         n_field=200,
         status=status,
     )
-    return CellResult(journal, year, country, scheme, est)
-
-
-def grid_of(cells, years):
-    return CellGrid(CellTable.from_results(cells), years)
+    return CellRow(journal, year, country, scheme, est)
 
 
 def test_enumerate_pairs_nineteen_year_range():
@@ -149,27 +142,18 @@ GRID_BOUNDS = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
 
 @st.composite
 def cell_sets(draw):
-    """(cells, years): every status, missing years, repeated keys, years
-    outside the range, and journal JX whose only cell lies outside it."""
+    """(cells, years): every status, missing years and distinct keys inside
+    ``years``."""
     years = range(2000, 2000 + draw(st.integers(1, 5)))
+    keys = st.tuples(st.sampled_from(["J1", "J2", "J3"]), st.sampled_from(years),
+                     st.sampled_from(["AA", "BB"]), st.sampled_from(list(Scheme)))
     cells = []
-    for _ in range(draw(st.integers(0, 40))):
+    for journal, year, country, scheme in draw(st.lists(keys, max_size=40, unique=True)):
         lo, hi = sorted((draw(GRID_BOUNDS), draw(GRID_BOUNDS)))
         cells.append(make_cell(
-            draw(st.sampled_from(["J1", "J2", "J3"])),
-            draw(st.integers(years.start - 2, years.stop + 1)),
-            draw(GRID_VALUES), lo, hi,
-            country=draw(st.sampled_from(["AA", "BB"])),
-            scheme=draw(st.sampled_from(list(Scheme))),
+            journal, year, draw(GRID_VALUES), lo, hi, country=country, scheme=scheme,
             status=draw(st.sampled_from(list(EstimateStatus))),
         ))
-    if cells:  # a later cell with the key of an earlier one replaces it
-        old = cells[draw(st.integers(0, len(cells) - 1))]
-        cells.append(make_cell(old.journal_id, old.year, draw(GRID_VALUES), 0.0, 1.0,
-                               country=old.country, scheme=old.scheme,
-                               status=draw(st.sampled_from(list(EstimateStatus)))))
-    outside = draw(st.sampled_from([years.start - 1, years.stop]))
-    cells.insert(draw(st.integers(0, len(cells))), make_cell("JX", outside, 1.0, 0.5, 1.5))
     return cells, years
 
 
@@ -177,7 +161,7 @@ def cell_sets(draw):
 @given(cell_sets())
 def test_grid_curves_and_series_match_per_pair_oracle(drawn):
     cells, years = drawn
-    grid = grid_of(cells, years)
+    grid = grid_of(cells, years, journals=["JX"])  # JX has no cells
     lag0 = CurvePoint(0, 0.5, 10, simulated=True)
     for country in ("AA", "BB", "US", "CC"):
         for scheme in Scheme:
@@ -211,45 +195,57 @@ def test_grid_without_cells():
     assert [(p.year, p.status) for p in series] == [(y, "missing") for y in range(2000, 2003)]
 
 
-def test_grid_needs_consecutive_years():
-    with pytest.raises(ValidationError):
-        grid_of([], range(2000, 2010, 2))
-
-
 def test_grid_holds_arrays_not_cells():
     grid = grid_of([make_cell("J1", 2000, 1.0, 0.8, 1.2)], range(2000, 2002))
     arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 12
     assert all(a.dtype != object for a in arrays)
-    assert not any(isinstance(v, (list, CellResult, MnlcsEstimate)) for v in vars(grid).values())
+    assert not any(isinstance(v, (list, CellRow, MnlcsEstimate)) for v in vars(grid).values())
 
 
-def test_table_holds_arrays_not_cells():
-    table = compute_cells(generate(scenario()), ["AA", "BB"], list(Scheme))
-    assert len(table) == 4 * 10 * 2 * 2
-    columns = {k: v for k, v in vars(table).items() if k not in ("journals", "targets")}
-    assert len(columns) == 11
-    for column in columns.values():
+def test_compute_cells_fills_the_grid():
+    grid = compute_cells(generate(scenario()), ["AA", "BB"], list(Scheme))
+    assert grid.years == range(2000, 2010)
+    assert grid.journals == {"J1": 0, "J2": 1, "J3": 2, "J4": 3}
+    assert list(grid.targets) == [(c, s) for c in ("AA", "BB") for s in Scheme]
+    for name in ("n_group", "n_field", "value", "ci_low", "ci_high", "h", "se", "status"):
+        column = getattr(grid, name)
         assert isinstance(column, np.ndarray) and column.dtype != object
-        assert column.shape == (len(table),)
-    assert table.journals == ("J1", "J2", "J3", "J4")
-    assert table.targets == tuple((c, s) for c in ("AA", "BB") for s in Scheme)
+        assert column.shape == (4, 4, 10)
+    assert grid.present.all() and grid.has_cells.all()
 
 
-def test_table_rows_round_trip_through_from_results():
-    cells = [
-        make_cell("J2", 2001, 1.0, -0.2, 1.2),
-        make_cell("J1", 2000, 0.5, None, None, country="BB",
-                  status=EstimateStatus.INSUFFICIENT_DATA),
-        make_cell("J2", 2001, 0.7, None, None, status=EstimateStatus.UNBOUNDED_FIELLER),
-    ]
-    table = CellTable.from_results(cells)
-    assert list(table) == cells
-    assert [table[i] for i in (0, 1, 2, -1)] == [*cells, cells[-1]]
-    assert table.journals == ("J1", "J2")
-    with pytest.raises(IndexError):
-        table[3]
-    assert list(CellTable.from_results([])) == []
+def test_compute_cells_on_a_wider_year_axis():
+    cohorts = generate(scenario(year_start=2002, year_end=2004))
+    grid = compute_cells(cohorts, ["AA"], [Scheme.INCLUSIVE], years=range(2000, 2007))
+    assert grid.present.shape == (1, 4, 7)
+    assert grid.present.any(axis=(0, 1)).tolist() == [False] * 2 + [True] * 3 + [False] * 2
+    assert np.isnan(grid.value[:, :, [0, 1, 5, 6]]).all()
+
+
+def test_compute_cells_of_no_cohorts():
+    exclusions = []
+    grid = compute_cells([], ["AA"], list(Scheme), exclusions=exclusions)
+    assert grid.present.shape == (2, 0, 0) and grid.years == range(0) and exclusions == []
+
+
+@pytest.mark.parametrize("case", ["duplicate cohort", "duplicate target", "year outside",
+                                  "years step"])
+def test_compute_cells_rejects_inputs_without_one_grid_place(case):
+    cohorts = generate(scenario())
+    countries, schemes, years = ["AA", "BB"], list(Scheme), None
+    if case == "duplicate cohort":
+        cohorts = [*cohorts, cohorts[3]]
+    elif case == "duplicate target":
+        countries = ["AA", "BB", "AA"]
+    elif case == "year outside":
+        years = range(2000, 2009)
+    else:
+        years = range(2000, 2010, 2)
+    exclusions = []
+    with pytest.raises(ValidationError):
+        compute_cells(cohorts, countries, schemes, exclusions=exclusions, years=years)
+    assert exclusions == []
 
 
 def test_curve_validation():
@@ -277,30 +273,22 @@ def scenario(mode_kwargs=None, **overrides):
 
 def test_compute_cells_covers_grid():
     cohorts = generate(scenario())
-    cells = compute_cells(cohorts, ["AA", "BB"], list(Scheme))
+    grid = compute_cells(cohorts, ["AA", "BB"], list(Scheme))
     # every journal-year has both groups under both schemes here
-    assert len(cells) == 4 * 10 * 2 * 2
-    assert all(c.estimate.status is EstimateStatus.OK for c in cells)
-    exclusive_sizes = {
-        (c.journal_id, c.year, c.country): c.estimate.n_group
-        for c in cells
-        if c.scheme is Scheme.EXCLUSIVE
-    }
-    inclusive_sizes = {
-        (c.journal_id, c.year, c.country): c.estimate.n_group
-        for c in cells
-        if c.scheme is Scheme.INCLUSIVE
-    }
-    assert all(
-        exclusive_sizes[key] <= inclusive_sizes[key] for key in exclusive_sizes
-    )
+    assert np.count_nonzero(grid.present) == 4 * 10 * 2 * 2
+    assert (grid.status == OK).all()
+    for country in ("AA", "BB"):
+        inclusive = grid.n_group[grid.targets[(country, Scheme.INCLUSIVE)]]
+        exclusive = grid.n_group[grid.targets[(country, Scheme.EXCLUSIVE)]]
+        assert (exclusive <= inclusive).all()
 
 
 def test_compute_cells_tallies_empty_groups():
     cohorts = generate(scenario())
     exclusions = []
-    cells = compute_cells(cohorts, ["AA", "XX"], [Scheme.INCLUSIVE], exclusions=exclusions)
-    assert all(c.country == "AA" for c in cells)
+    grid = compute_cells(cohorts, ["AA", "XX"], [Scheme.INCLUSIVE], exclusions=exclusions)
+    assert grid.present[grid.targets[("AA", Scheme.INCLUSIVE)]].all()
+    assert not grid.present[grid.targets[("XX", Scheme.INCLUSIVE)]].any()
     empty = [e for e in exclusions if e.reason == "empty_group"]
     assert len(empty) == 4 * 10  # XX never appears
 
@@ -317,11 +305,11 @@ def test_lag0_curve_point_pools_journal_years():
 
 def test_full_curve_on_static_scenario_is_flat_near_lag0():
     cohorts = generate(scenario())
-    cells = compute_cells(cohorts, ["AA"], [Scheme.INCLUSIVE])
+    grid = compute_cells(cohorts, ["AA"], [Scheme.INCLUSIVE])
     target = ("AA", Scheme.INCLUSIVE)
     lag0 = lag0_curve_points(cohorts, [target], replicates=60, rng_seed=9)[target]
     curve = coverage_curve(
-        CellGrid(cells, range(2000, 2010)),
+        grid,
         country="AA",
         scheme=Scheme.INCLUSIVE,
         max_offset=5,
@@ -381,9 +369,8 @@ def test_series_of_all_field_group_is_constant_one():
     spec = scenario(groups=(GroupSpec("AA", 1.0, 1.1, 1.0),), collab_fraction=0.0)
     cohorts = generate(spec)
     assert all(all("AA" in r.countries for r in c.records) for c in cohorts)
-    cells = compute_cells(cohorts, ["AA"], [Scheme.INCLUSIVE])
     series = series_report(
-        CellGrid(cells, range(2000, 2010)), journal_id="J1", country="AA",
+        compute_cells(cohorts, ["AA"], [Scheme.INCLUSIVE]), journal_id="J1", country="AA",
         scheme=Scheme.INCLUSIVE,
     )
     assert all(p.value == pytest.approx(1.0, abs=1e-12) for p in series)

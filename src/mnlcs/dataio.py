@@ -10,11 +10,12 @@ field only where csv.writer would, as in a journal id with a quote.
 
 ``ingest`` reads the rows ``_CHUNK`` lines at a time. A plain chunk (no
 quote, CR or NUL, three commas a line) splits into its four columns with
-one join, replace and split; from the first other chunk on, csv.reader
-reads the rest of the file, since a quoted field can span lines. After
-that both routes are one path: each column's strings become int codes,
-every distinct string parsed once (``_Column``), and row errors, filters
-and cohort grouping are array operations on the codes' values.
+one join, replace and split; any other chunk goes through csv.reader, which
+reads on past the chunk only to close a quoted field, so the next chunk is
+tested for the plain route again. After that both routes are one path:
+each column's strings become int codes, every distinct string parsed once
+(``_Column``), and row errors, filters and cohort grouping are array
+operations on the codes' values.
 
 Output files render numbers with 9 significant digits so byte-level golden
 comparisons survive double rounding, and every experiment directory carries
@@ -106,7 +107,7 @@ class IngestReport:
     row_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-# lines (records, once csv.reader reads) that ingest takes at a time
+# lines that ingest takes at a time
 _CHUNK = 2048
 # (journal code, year) pairs key cohorts as code * _YEAR_SPAN + year
 _YEAR_SPAN = YEAR_MAX_DEFAULT + 1
@@ -137,38 +138,35 @@ def _plain_columns(lines: list[str]) -> list[list[str]] | None:
     return [fields[k:4 * n:4] for k in range(4)]
 
 
-def _csv_chunks(records, line: int):
-    """csv.reader ``records`` in chunks, as ``_chunks`` yields them."""
-    while chunk := list(islice(records, _CHUNK)):
-        rows, lines, errors = [], [], []
-        for line_no, row in enumerate(chunk, start=line):
-            if len(row) == len(CSV_HEADER):
-                rows.append(row)
-                lines.append(line_no)
-            elif row:
-                errors.append((line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
-        line += len(chunk)
-        yield lines, list(zip(*rows)) or [()] * len(CSV_HEADER), errors
-
-
 def _chunks(f):
     """The rows after the header, ``_CHUNK`` lines at a time, as (lines,
     columns, errors): the line number of each row with four fields, their
     four columns, and (line, message) of each row with another number of
-    fields. Blank rows are skipped but numbered, as csv.reader's records.
+    fields. Lines are numbered by csv.reader's records: blank rows are
+    skipped but numbered, and a quoted newline makes two lines one record.
 
-    A plain chunk (see ``_plain_columns``) is split as one string. The first
-    other chunk and every line after it go through csv.reader, since a
-    quoted field can span lines.
+    A plain chunk (see ``_plain_columns``) is split as one string; any other
+    chunk goes through csv.reader. The reader takes a line only when it
+    needs one, so it reads past the chunk only while a quoted field is open:
+    every chunk starts on a record boundary and may take the plain route.
     """
     line = 2
     while lines := list(islice(f, _CHUNK)):
-        columns = _plain_columns(lines)
-        if columns is None:
-            yield from _csv_chunks(csv.reader(chain(lines, f)), line)
-            return
-        yield range(line, line + len(lines)), columns, []
-        line += len(lines)
+        if (columns := _plain_columns(lines)) is not None:
+            yield range(line, line + len(lines)), columns, []
+            line += len(lines)
+            continue
+        reader = csv.reader(chain(lines, f))
+        rows, numbers, errors = [], [], []
+        while reader.line_num < len(lines):
+            row = next(reader)
+            if len(row) == len(CSV_HEADER):
+                rows.append(row)
+                numbers.append(line)
+            elif row:
+                errors.append((line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
+            line += 1
+        yield numbers, list(zip(*rows)) or [()] * len(CSV_HEADER), errors
 
 
 class _Column(dict):
@@ -237,14 +235,14 @@ def ingest(
 
     The header goes through csv.reader, the rows through ``_chunks``:
     ``_CHUNK`` lines at a time, each plain chunk split into its four columns
-    in one pass, the rest of the file from the first other chunk on through
-    csv.reader. Each column's strings become int codes (``_Column``): every
-    distinct journal, year, citations and countries string is parsed once,
-    and a row's fields are its codes' values. Boolean masks then find each
-    row's first error in ``validate_record``'s order (year, citations,
-    countries, journal id, negative count) and apply the filters; messages
-    are built for bad rows only. Kept rows join their cohort's int32 columns
-    chunk by chunk, stable within each cohort.
+    in one pass and each other chunk read by csv.reader. Each column's
+    strings become int codes (``_Column``): every distinct journal, year,
+    citations and countries string is parsed once, and a row's fields are
+    its codes' values. Boolean masks then find each row's first error in
+    ``validate_record``'s order (year, citations, countries, journal id,
+    negative count) and apply the filters; messages are built for bad rows
+    only. Kept rows join their cohort's int32 columns chunk by chunk, stable
+    within each cohort.
     """
     journal_filter = set(journals) if journals is not None else None
     ids: dict[str, int] = {}

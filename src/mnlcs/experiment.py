@@ -46,24 +46,41 @@ CAPABILITY_MODES = {
     "independent_resample": synth.IndependentResample,
 }
 _MODE_NAMES = {cls: name for name, cls in CAPABILITY_MODES.items()}
+
+
+def _int(v) -> int:
+    """An int (not a bool), an integral float or an integer string as int;
+    ValidationError for anything else, which int() would round or accept."""
+    try:
+        if type(v) in (int, str) or type(v) is float and v.is_integer():
+            return int(v)
+    except ValueError:  # a string that is not an integer
+        pass
+    raise ValidationError(f"expected an integer, got {v!r}")
+
+
 # synth and this module use postponed annotations, so field types arrive as these strings
 _SCALARS = {
-    "int": int, "float": float, "str": str,
-    "int | None": lambda v: None if v is None else int(v),
+    "int": _int, "float": float, "str": str,
+    "int | None": lambda v: None if v is None else _int(v),
 }
 
 
 def _from_json(cls, d: dict, **built):
     """Dataclass ``cls`` from JSON ``d``: the fields in ``built`` as given,
     every other field present in ``d`` converted to its annotated scalar
-    type (so "step": 1 becomes 1.0); a missing field without a default
-    raises KeyError, a field of any other type TypeError."""
+    type (so "step": 1 becomes 1.0; ints by ``_int``, whose ValidationError
+    gets the field's name); a missing field without a default raises
+    KeyError, a field of any other type TypeError."""
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         if f.name not in built and (f.name in d or required):
             if f.type not in _SCALARS:
                 raise TypeError(f"no JSON conversion for {cls.__name__}.{f.name}: {f.type!r}")
-            built[f.name] = _SCALARS[f.type](d[f.name])
+            try:
+                built[f.name] = _SCALARS[f.type](d[f.name])
+            except ValidationError as exc:
+                raise ValidationError(f"{cls.__name__}.{f.name}: {exc}") from None
     return cls(**built)
 
 
@@ -170,7 +187,7 @@ class ExperimentConfig:
                 input_csv=input_part.get("csv"),
                 scenario=scenario_from_dict(input_part["scenario"]) if "scenario" in input_part else None,
                 countries=None if top or countries is None else tuple(str(c) for c in countries),
-                top_k=int(countries["top"]) if top else None,
+                top_k=_int(countries["top"]) if top else None,
                 schemes=parse_schemes(d.get("schemes", "both")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -240,7 +257,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     grid = compute_cells(cohorts, countries, config.schemes, settings, exclusions, years)
     years = grid.years
 
-    targets = [(country, scheme) for country in countries for scheme in config.schemes]
+    targets = list(grid.targets)
     lag0_points: dict = {t: None for t in targets}
     if config.lag0_replicates > 0:
         lag0_points = lag0_curve_points(
@@ -269,9 +286,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     series = (
         (journal_id, country, scheme.value,
          series_report(grid, journal_id=journal_id, country=country, scheme=scheme))
-        for journal_id in sorted({c.journal_id for c in cohorts})
-        for country in countries
-        for scheme in config.schemes
+        for journal_id in grid.journals
+        for country, scheme in targets
     )
 
     outputs = {

@@ -17,11 +17,11 @@ R -/+ t*R*SE_s/m_s as SE_j -> 0. When h >= 1 the denominator is too noisy
 for a bounded interval and the estimate is flagged instead of fabricated.
 
 The formula is written once, in ``fieller_interval``, elementwise on
-arrays: the split-half engine calls it on [replicates, targets] arrays,
-``interval_columns`` on the columns of every cell of a run at once, and
-``estimate`` on one pair's scalars; the last two share the status rule in
-``flag_intervals``. Only ``estimate`` builds an ``MnlcsEstimate``; a run's
-cells stay arrays (``stability.CellGrid``).
+arrays: the split-half engine calls it on [replicates, targets] arrays and
+``interval_columns`` on the columns of every cell of a run at once, with
+the rules for enough data, the degrees of freedom and a degenerate field.
+``estimate`` is ``interval_columns`` on one pair and alone builds an
+``MnlcsEstimate``; a run's cells stay arrays (``stability.CellGrid``).
 
 A "printed" variant, h = t * (SE_j / m_s)^2, goes through the same code for
 side-by-side comparison; it is dimensionally inconsistent with the SE
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -56,10 +55,6 @@ def t_quantile(df, alpha: float = 0.025):
         raise DomainError(f"alpha must be in (0, 0.5], got {alpha}")
     t = special.stdtrit(df, 1.0 - alpha)
     return float(t) if np.ndim(t) == 0 else t
-
-
-# t of one pair: callers of ``estimate`` in a loop repeat a few (df, alpha)
-_scalar_t = lru_cache(maxsize=4096)(t_quantile)
 
 
 def fieller_interval(group_mean, group_se, field_mean, field_se, t, form: str = "standard"):
@@ -118,25 +113,14 @@ STATUSES = (EstimateStatus.OK, EstimateStatus.UNBOUNDED_FIELLER, EstimateStatus.
 OK, UNBOUNDED, INSUFFICIENT = range(len(STATUSES))
 
 
-def flag_intervals(enough, low, high, h, se):
-    """(status, low, high, h, se): each pair's status code and the kernel
-    outputs it keeps, NaN where ``estimate`` reports None. OK needs
-    ``enough`` data and h < 1 and alone keeps bounds and se; h is kept where
-    there is enough data and it is finite."""
-    ok = enough & (h < 1.0)
-    status = np.int8(INSUFFICIENT) - enough - ok  # OK = 0 < UNBOUNDED < INSUFFICIENT = 2
-    keep = np.where(ok, 1.0, np.nan)  # x * 1.0 is x, -0.0 and inf included
-    finite = h < np.inf  # h is >= 0, +inf or NaN
-    return status, low * keep, high * keep, np.where(enough & finite, h, np.nan), se * keep
-
-
 def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se,
                      settings: CiSettings = DEFAULT_SETTINGS):
-    """(value, low, high, h, se, status) arrays of ``estimate`` for many pairs,
-    from one interval call on their columns (group se NaN where n == 1). Pairs
-    with a group under ``settings.min_group_n`` or a single-article field
-    keep their value and are flagged INSUFFICIENT_DATA; pairs with h >= 1 are
-    flagged UNBOUNDED_FIELLER. Bounds stay unclamped.
+    """(value, low, high, h, se, status) arrays of many pairs, from one
+    interval call on their columns (group se NaN where n == 1). Pairs with a
+    group under ``settings.min_group_n`` or a single-article field keep their
+    value and are flagged INSUFFICIENT_DATA; pairs with h >= 1 are flagged
+    UNBOUNDED_FIELLER. Only OK pairs keep bounds and se, NaN elsewhere; h is
+    kept where there is enough data and it is finite. Bounds stay unclamped.
     """
     n_group, n_field, field_mean = (np.asarray(a) for a in (n_group, n_field, field_mean))
     if (field_mean <= 0.0).any():
@@ -145,28 +129,26 @@ def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_s
     # t once per distinct df; an insufficient pair's t (on df >= 1) goes unused
     df, pick = np.unique(np.maximum(n_group + n_field - 2, 1), return_inverse=True)
     t = t_quantile(df, settings.alpha)[pick]
-    value, *interval = fieller_interval(group_mean, group_se, field_mean, field_se, t, settings.form)
-    status, *flagged = flag_intervals(enough, *interval)
-    return value, *flagged, status
+    value, low, high, h, se = fieller_interval(group_mean, group_se, field_mean, field_se, t,
+                                               settings.form)
+    ok = enough & (h < 1.0)
+    status = np.int8(INSUFFICIENT) - enough - ok  # OK = 0 < UNBOUNDED < INSUFFICIENT = 2
+    keep = np.where(ok, 1.0, np.nan)  # x * 1.0 is x, -0.0 and inf included
+    h = np.where(enough & (h < np.inf), h, np.nan)  # h is >= 0, +inf or NaN
+    return value, low * keep, high * keep, h, se * keep, status
 
 
 def estimate(
     group: LogStats, field: LogStats, settings: CiSettings = DEFAULT_SETTINGS
 ) -> MnlcsEstimate:
-    """Full chain: ratio value, t on n_s + n_j - 2 df, Fieller interval.
-
-    The degrees of freedom treat the whole journal (group included) as the
-    second sample. Same rules as ``interval_columns``, on one pair's scalars.
-    """
-    if field.mean <= 0.0:
-        raise DegenerateField("field mean of ln(1+c) is zero")
-    enough = group.n >= settings.min_group_n and field.n >= 2
-    t = _scalar_t(max(group.n + field.n - 2, 1), settings.alpha)
-    value, *interval = fieller_interval(group.mean, group.se, field.mean, field.se, t, settings.form)
-    status, low, high, h, se = flag_intervals(enough, *interval)
-    ok = status == OK  # bounds and se are None unless OK, h is None where NaN
+    """``interval_columns`` on one pair, as Python numbers: bounds and se are
+    None unless OK, h is None where NaN. The t on n_s + n_j - 2 df treats
+    the whole journal (group included) as the second sample."""
+    value, low, high, h, se, status = (column[0].item() for column in interval_columns(
+        [group.n], [group.mean], [group.se], [field.n], [field.mean], [field.se], settings,
+    ))
+    ok = status == OK
     return MnlcsEstimate(
-        float(value), float(low) if ok else None, float(high) if ok else None,
-        None if math.isnan(h) else float(h), float(se) if ok else None,
-        group.n, field.n, STATUSES[status],
+        value, low if ok else None, high if ok else None, None if math.isnan(h) else h,
+        se if ok else None, group.n, field.n, STATUSES[status],
     )

@@ -191,6 +191,10 @@ def test_run_prints_the_summary_and_row_counts(data_csv, tmp_path, capsys):
     ("run", {"max_offset": "x"}),
     ("run", {"schemes": ["inclusive", "inclusive"]}),
     ("run", {"year_min": "x"}),
+    ("run", {"max_offset": 2.5}),
+    ("run", {"seed": 1.9}),
+    ("run", {"lag0_replicates": True}),
+    ("run", {"year_min": 2001.5}),
 ])
 def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, command, flags):
     if command == "run":

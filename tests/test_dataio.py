@@ -321,8 +321,8 @@ def test_ingest_matches_per_row_oracle(rows, **kwargs):
 @settings(max_examples=150, deadline=None)
 @given(**ingest_arguments)
 def test_ingest_in_small_chunks_matches_per_row_oracle(rows, **kwargs):
-    # three lines a chunk: plain chunks, then csv.reader from the first
-    # chunk with a quote, blank row or other field count on
+    # three lines a chunk: each chunk with a quote, blank row or other field
+    # count goes through csv.reader, the chunks around it take the plain route
     with mock.patch.object(dataio, "_CHUNK", 3):
         assert_ingest_matches_oracle(rows, **kwargs)
 
@@ -346,6 +346,16 @@ TOKENIZER_FILES = {
     "field over the csv limit in a later chunk": PLAIN_LINES + "J1,2000,5,"
     + "US;" * (csv.field_size_limit() // 3 + 1) + "\n" + LATER_LINES,
     "count beyond int64": PLAIN_LINES + "J1,2000,99999999999999999999,US\n",
+    # the quote opens on the last line of the first 3-line chunk and of the
+    # second 4-line chunk
+    "quote opening on a chunk's last line": 'J1,2000,5,US\nJ1,2000,oops,US\nJ1,2000,5,"US;\nJP"\n'
+    + 'J2,2001,0,\nJ1,2000,7,JP;US\nJ2,2001,3,\nJ1,2001,4,"DE;\nUS"\n' + LATER_LINES,
+    "quoted field spanning two chunks": PLAIN_LINES[:13] + 'J1,2000,5,"US;\nJP;\nDE;\nFR;\nGB"\n'
+    + PLAIN_LINES[13:] + LATER_LINES,
+    "quoted first chunk, then plain chunks": '"J1",2000,5,US\n' + PLAIN_LINES + LATER_LINES,
+    "stray quotes inside unquoted fields": PLAIN_LINES + 'J1,2000,5,U"S\nJ"1,2000,6,JP;US"\n'
+    + LATER_LINES + 'J1,2000,"7",US\n',
+    "quote left open at EOF": PLAIN_LINES + 'J1,2000,5,"US;\n' + LATER_LINES,
 }
 
 
@@ -360,7 +370,7 @@ def test_tokenizer_routes_match_per_row_oracle(tmp_path, monkeypatch, name, max_
     assert got == ingest_outcome(ingest_oracle, path, max_bad_rows=max_bad_rows)
 
 
-def test_line_numbers_after_the_switch_to_csv_reader(tmp_path, monkeypatch):
+def test_line_numbers_after_a_quoted_newline(tmp_path, monkeypatch):
     # lines 2-5 are a plain chunk; the quoted newline makes lines 6-7 one
     # record, so later rows are numbered by record, as csv.reader counts
     monkeypatch.setattr(dataio, "_CHUNK", 4)
@@ -378,6 +388,36 @@ def test_line_numbers_after_the_switch_to_csv_reader(tmp_path, monkeypatch):
         ("J1", 1999, 1), ("J1", 2000, 3), ("J2", 2001, 2),
     ]
     assert cohorts[1].sets[cohorts[1].codes[2]] == {"US", "JP"}
+
+
+def test_only_the_quoted_chunk_goes_through_csv_reader(tmp_path, monkeypatch):
+    # six 3-line chunks with a quote on line 2: csv.reader reads the header
+    # and chunk 1, and chunks 2-6 take the plain route again
+    monkeypatch.setattr(dataio, "_CHUNK", 3)
+    path = tmp_path / "data.csv"
+    body = "".join(f"J{i % 3},{2000 + i % 4},{i},US\n" for i in range(16))
+    path.write_text(HEADER_LINE + '"J0"' + body[2:], encoding="utf-8")
+    read, reader = [], csv.reader
+
+    class Reader:
+        def __init__(self, lines):
+            self.reader = reader(lines)
+
+        line_num = property(lambda self: self.reader.line_num)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            read.append(next(self.reader))
+            return read[-1]
+
+    monkeypatch.setattr(csv, "reader", Reader)
+    cohorts, report = ingest(path)
+    assert read == [CSV_HEADER, ["J0", "2000", "0", "US"], ["J1", "2001", "1", "US"],
+                    ["J2", "2002", "2", "US"]]
+    assert (report.n_rows, report.n_kept) == (16, 16)
+    assert sum(c.size for c in cohorts) == 16
 
 
 def test_ingest_reports_year_error_before_journal_error(tmp_path):

@@ -117,6 +117,17 @@ def test_json_reader_rejects_non_scalar_fields():
         scenario_from_dict({k: v for k, v in d.items() if k != "n_journals"})
 
 
+def test_int_settings_take_integral_values_only():
+    # a value that int() would round or read as 0 or 1 is an error; the
+    # CLI tests cover the config's own int fields
+    base = {"input": {"csv": "data.csv"}, "countries": ["AA"]}
+    for bad in ({"year_max": "2001.0"}, {"countries": {"top": True}}):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            ExperimentConfig.from_dict({**base, **bad})
+    with pytest.raises(ValidationError, match="ScenarioSpec.rng_seed"):
+        scenario_from_dict({**scenario_to_dict(scenario()), "rng_seed": 9.5})
+
+
 def test_parse_schemes():
     assert parse_schemes("both") == (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)
     assert parse_schemes("inclusive") == (Scheme.INCLUSIVE,)
@@ -290,6 +301,10 @@ def test_from_dict_converts_year_bounds_as_other_int_settings():
     as_int = ExperimentConfig.from_dict({**d, "year_min": 2001, "year_max": 2004})
     as_text = ExperimentConfig.from_dict({**d, "year_min": "2001", "year_max": "2004"})
     assert as_text == as_int and (as_text.year_min, as_text.year_max) == (2001, 2004)
+    as_float = ExperimentConfig.from_dict({**d, "year_min": 2001.0, "year_max": 2004.0})
+    assert as_float == as_int
     assert config_hash(as_text.to_dict()) == config_hash(as_int.to_dict())
-    assert ExperimentConfig.from_dict({**d, "year_min": 2001.5}).year_min == 2001
+    assert config_hash(as_float.to_dict()) == config_hash(as_int.to_dict())
+    with pytest.raises(ValidationError, match="year_min"):
+        ExperimentConfig.from_dict({**d, "year_min": 2001.5})
     assert ExperimentConfig.from_dict({**d, "year_min": None}).year_min is None

@@ -8,12 +8,17 @@ Small groups give insufficient_data cells; a fourth variant, printed form
 with group II mostly uncited (mu -1), adds unbounded_fieller cells next to
 them. A fifth variant sets a year window of 1998-2007, wider than the
 2000-2004 data, so the year axis has empty years at both ends; its curve
-exclusion counts and "missing" series rows depend on that axis. No
-split-half replicates run, so the bundle rests on generation,
-cells, curves, series and the writers.
+exclusion counts and "missing" series rows depend on that axis. These
+five run no split-half replicates, so their bundles rest on generation,
+cells, curves, series and the writers. A sixth variant, ``split_half``,
+runs 80 replicates, one full block of 64 and a partial block of 16, and so
+pins the offset-0 rows of the curve files and the lag0 exclusions byte for
+byte.
 
 A declared change to the synthetic RNG layout changes data.csv and every
-file computed from it; that change must re-record these digests.
+file computed from it; that change must re-record these digests. A declared
+change to the split-half RNG layout must re-record the ``split_half``
+digests.
 """
 
 import hashlib
@@ -55,6 +60,7 @@ VARIANTS = {
     "min_group_n_2": {"min_group_n": 2},
     "printed_uncited_group": {"fieller_form": "printed"},
     "wide_years": {"year_min": 1998, "year_max": 2007},
+    "split_half": {"lag0_replicates": 80},
 }
 
 
@@ -124,6 +130,18 @@ GOLDEN = {
         "manifest.json": "e310c99cce79f5ad51299cad1ab54a7ec23db5b4cc6db8c3b4b17c0942f0beff",
         "resolved.json": "76cb66acf45aa42acb306b3b41826e40d95ea8ebbabeb7af205d8827fd42a69e",
         "series.csv": "96d5d8da1ade71d0ef0cb6ace6e435fa5a9f2bcc9dea8e04ddcd902d2c1c0751",
+    },
+    # recorded on the code before ingest's chunk loop became one loop
+    "split_half": {
+        "cells.csv": "79b2fbb6114b7eb7182e62f0ed29928370ea3d5ba5b40ec49c45d972f6234fd8",
+        "curves.csv": "3b19af02049f8c6107dd90a04914528520af490fd6b4ae9ad1a95022140ef648",
+        "curves_exclusive.csv": "508b814df20700cf399fc41471fd38d5694dbabf51d66bb5171d075589fb387a",
+        "curves_inclusive.csv": "d50f5605729a28f3368052aafb8efdc267acd991d2a1cf2b14ca498e69fb87ad",
+        "data.csv": "d9088cb6bd99c7d0f3a1b7886f93c5f617528c698831eee16c0e7822c2f27e5c",
+        "exclusions.csv": "9eb27402d65e2ab861e7138aff431040153f351378b9aec719d1ed6264af230c",
+        "manifest.json": "67cbe7b511b933695e8c569f6b53860fb30b189350cbd5ed3172706d745bcbdb",
+        "resolved.json": "5f541b4c38235342931414f58a884641834f7458832a2b1b91fa7f5c6587bccd",
+        "series.csv": "6d068ab0010dcfb3cdf1474c2fa714856c344fb3fb12c632176e7f0966e38e5c",
     },
 }
 

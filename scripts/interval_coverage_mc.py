@@ -19,9 +19,8 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mnlcs.fieller import CiSettings, estimate
+from mnlcs.fieller import OK, CiSettings, interval_columns
 from mnlcs.indicator import log_stats_from_logs
-from mnlcs.model import EstimateStatus
 from mnlcs.rngtools import stream
 from mnlcs.synth import sample_citations
 
@@ -39,7 +38,7 @@ def main() -> int:
     args = parser.parse_args()
 
     settings = CiSettings(alpha=args.alpha, form=args.form)
-    inside = valid = unbounded = degenerate = 0
+    groups, fields, degenerate = [], [], 0
     for rep in range(args.replicates):
         rng = stream(args.seed, "coverage-mc", rep)
         counts = sample_citations(args.mu, args.sigma, args.field_n, rng)
@@ -48,14 +47,17 @@ def main() -> int:
         if field.mean <= 0.0:
             degenerate += 1
             continue
-        group = log_stats_from_logs(logs[: args.group_n])
-        est = estimate(group, field, settings)
-        if est.status is not EstimateStatus.OK:
-            unbounded += 1
-            continue
-        valid += 1
-        if est.contains(1.0):
-            inside += 1
+        groups.append(log_stats_from_logs(logs[: args.group_n]))
+        fields.append(field)
+
+    # one interval call on the columns of every replicate with a usable field
+    _, low, high, _, _, status = interval_columns(
+        *([getattr(s, k) for s in stats] for stats in (groups, fields) for k in ("n", "mean", "se")),
+        settings,
+    )
+    ok = status == OK
+    valid, inside = int(ok.sum()), int((ok & (low <= 1.0) & (1.0 <= high)).sum())
+    unbounded = len(groups) - valid
 
     coverage = inside / valid if valid else float("nan")
     se = math.sqrt(coverage * (1 - coverage) / valid) if valid else float("nan")

@@ -15,6 +15,7 @@ stderr and return a nonzero code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -22,7 +23,7 @@ import sys
 from . import __version__
 from .bootstrap import lag0_batch
 from .dataio import cell_order, fmt, ingest, write_cell_rows, write_cells_csv, write_records_csv
-from .errors import MnlcsError
+from .errors import MnlcsError, ValidationError
 from .experiment import (
     ExperimentConfig,
     load_cohorts,
@@ -41,7 +42,10 @@ def _fail(kind: str, message: str, code: int = 1) -> int:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise ValidationError(f"the config in {path} must be a JSON object")
+    return config
 
 
 def _config(args) -> ExperimentConfig:
@@ -117,8 +121,8 @@ def cmd_bootstrap(args) -> int:
     cohorts = load_cohorts(config)
     targets = [(c, s) for c in _countries(config, cohorts) for s in config.schemes]
 
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"])
         for cohort in cohorts:
@@ -133,9 +137,6 @@ def cmd_bootstrap(args) -> int:
                     fmt(res.fraction) if res.n_valid else "",
                     res.n_valid, res.n_excluded,
                 ])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -143,8 +144,9 @@ def cmd_run(args) -> int:
     config_dict = _load_json(args.config)
     if args.seed is not None:
         config_dict["seed"] = args.seed
-        if "scenario" in config_dict.get("input", {}):
-            config_dict["input"]["scenario"]["rng_seed"] = args.seed
+        input_part = config_dict.get("input")
+        if isinstance(input_part, dict) and isinstance(input_part.get("scenario"), dict):
+            input_part["scenario"]["rng_seed"] = args.seed
     if args.scheme is not None:
         config_dict["schemes"] = args.scheme
     if args.min_group_n is not None:

@@ -71,20 +71,15 @@ class RankedCountries:
         return len(self.countries) >= self.requested
 
 
-def inclusive_counts(cohorts: Iterable[Cohort]) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for cohort in cohorts:
-        per_set = np.bincount(cohort.codes, minlength=len(cohort.sets)).tolist()
-        for countries, k in zip(cohort.sets, per_set):
-            for country in countries:
-                counts[country] += k
-    return counts
-
-
 def top_countries(cohorts: Iterable[Cohort], k: int) -> RankedCountries:
     """Rank countries by inclusive article count, ties broken lexicographically."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    counts = inclusive_counts(cohorts)
+    counts: Counter[str] = Counter()
+    for cohort in cohorts:
+        per_set = np.bincount(cohort.codes, minlength=len(cohort.sets)).tolist()
+        for countries, n in zip(cohort.sets, per_set):
+            for country in countries:
+                counts[country] += n
     ranked = sorted(counts, key=lambda c: (-counts[c], c))
     return RankedCountries(countries=tuple(ranked[:k]), requested=k)

@@ -107,11 +107,6 @@ COUNTRY_NAME_TO_CODE: dict[str, str] = {
 }
 
 
-def _normalise_name(token: str) -> str:
-    cleaned = token.replace(".", " ").replace("'", "").replace(",", " ")
-    return " ".join(cleaned.lower().split())
-
-
 def normalize_country_token(token: str) -> str:
     """Map a raw country token to an uppercase ISO alpha-2 code.
 
@@ -123,8 +118,8 @@ def normalize_country_token(token: str) -> str:
         raise MalformedCountry("empty country token")
     if _CODE_RE.match(stripped):
         return stripped.upper()
-    name = _normalise_name(stripped)
-    code = COUNTRY_NAME_TO_CODE.get(name)
+    cleaned = stripped.replace(".", " ").replace("'", "").replace(",", " ")
+    code = COUNTRY_NAME_TO_CODE.get(" ".join(cleaned.lower().split()))
     if code is None:
         raise MalformedCountry(f"unrecognised country token: {token!r}")
     return code

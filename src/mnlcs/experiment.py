@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
 
 from . import synth
 from .counting import RankedCountries, top_countries
@@ -45,7 +44,6 @@ CAPABILITY_MODES = {
     "linear_drift": synth.LinearDrift,
     "independent_resample": synth.IndependentResample,
 }
-_MODE_NAMES = {cls: name for name, cls in CAPABILITY_MODES.items()}
 
 
 def _int(v) -> int:
@@ -67,11 +65,14 @@ _SCALARS = {
 
 
 def _from_json(cls, d: dict, **built):
-    """Dataclass ``cls`` from JSON ``d``: the fields in ``built`` as given,
-    every other field present in ``d`` converted to its annotated scalar
-    type (so "step": 1 becomes 1.0; ints by ``_int``, whose ValidationError
-    gets the field's name); a missing field without a default raises
-    KeyError, a field of any other type TypeError."""
+    """Dataclass ``cls`` from the JSON object ``d``: the fields in ``built``
+    as given, every other field present in ``d`` converted to its annotated
+    scalar type (so "step": 1 becomes 1.0; ints by ``_int``). A ``d`` that is
+    not an object, or a value that does not convert, raises ValidationError
+    naming ``cls`` or ``Class.field``; a missing field without a default
+    raises KeyError, a field of any other type TypeError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{cls.__name__}: expected a JSON object, got {d!r}")
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         if f.name not in built and (f.name in d or required):
@@ -79,45 +80,28 @@ def _from_json(cls, d: dict, **built):
                 raise TypeError(f"no JSON conversion for {cls.__name__}.{f.name}: {f.type!r}")
             try:
                 built[f.name] = _SCALARS[f.type](d[f.name])
-            except ValidationError as exc:
+            except (ValidationError, ValueError, TypeError) as exc:
                 raise ValidationError(f"{cls.__name__}.{f.name}: {exc}") from None
     return cls(**built)
 
 
-def mode_to_dict(mode: synth.CapabilityMode) -> dict:
-    if type(mode) not in _MODE_NAMES:
-        raise ValidationError(f"unknown capability mode {mode!r}")
-    return {"mode": _MODE_NAMES[type(mode)], **asdict(mode)}
-
-
-def mode_from_dict(d: dict) -> synth.CapabilityMode:
-    if d.get("mode") not in CAPABILITY_MODES:
-        raise ValidationError(f"unknown capability mode name {d.get('mode')!r}")
-    return _from_json(CAPABILITY_MODES[d["mode"]], d)
-
-
-def scenario_to_dict(spec: synth.ScenarioSpec) -> dict:
-    return {**asdict(spec), "capability_mode": mode_to_dict(spec.capability_mode)}
-
-
 def scenario_from_dict(d: dict) -> synth.ScenarioSpec:
+    """The scenario of the JSON object ``d``, as ``ExperimentConfig.to_dict``
+    writes it; a missing key or a bad value raises ValidationError."""
+    mode = d.get("capability_mode", {"mode": "static"})
+    if not isinstance(mode, dict) or mode.get("mode") not in CAPABILITY_MODES:
+        raise ValidationError(f"ScenarioSpec.capability_mode: unknown capability mode {mode!r}")
+    if not isinstance(d.get("groups", []), (list, tuple)):
+        raise ValidationError(f"ScenarioSpec.groups: expected a JSON list, got {d['groups']!r}")
     try:
         return _from_json(
             synth.ScenarioSpec,
             d,
             groups=tuple(_from_json(synth.GroupSpec, g) for g in d["groups"]),
-            capability_mode=mode_from_dict(d.get("capability_mode", {"mode": "static"})),
+            capability_mode=_from_json(CAPABILITY_MODES[mode["mode"]], mode),
         )
     except KeyError as exc:
         raise ValidationError(f"scenario config missing key: {exc}") from None
-
-
-def parse_schemes(value: str | Sequence[str]) -> tuple[Scheme, ...]:
-    if isinstance(value, str):
-        if value == "both":
-            return (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)
-        value = [value]
-    return tuple(Scheme(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -165,7 +149,12 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         if self.scenario is not None:
-            input_part: dict = {"scenario": scenario_to_dict(self.scenario)}
+            mode = self.scenario.capability_mode
+            names = [name for name, cls in CAPABILITY_MODES.items() if type(mode) is cls]
+            if not names:
+                raise ValidationError(f"unknown capability mode {mode!r}")
+            input_part: dict = {"scenario": {
+                **asdict(self.scenario), "capability_mode": {"mode": names[0], **asdict(mode)}}}
         else:
             input_part = {"csv": self.input_csv}
         return {
@@ -180,7 +169,11 @@ class ExperimentConfig:
         """The config of ``to_dict`` output; absent settings take their defaults.
         A setting that does not convert raises ValidationError."""
         input_part, countries = d.get("input", {}), d.get("countries")
-        top = isinstance(countries, dict)
+        if not isinstance(input_part, dict) or not isinstance(input_part.get("scenario", {}), dict):
+            raise ValidationError(f"input must be a csv or scenario object, got {input_part!r}")
+        top, schemes = isinstance(countries, dict), d.get("schemes", "both")
+        if isinstance(schemes, str):
+            schemes = ("inclusive", "exclusive") if schemes == "both" else (schemes,)
         try:
             return _from_json(
                 cls, d,
@@ -188,7 +181,7 @@ class ExperimentConfig:
                 scenario=scenario_from_dict(input_part["scenario"]) if "scenario" in input_part else None,
                 countries=None if top or countries is None else tuple(str(c) for c in countries),
                 top_k=_int(countries["top"]) if top else None,
-                schemes=parse_schemes(d.get("schemes", "both")),
+                schemes=tuple(Scheme(s) for s in schemes),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad config: {exc!r}") from None

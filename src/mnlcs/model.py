@@ -4,11 +4,11 @@ A ``Cohort`` is every article of one journal in one year and acts as the
 normalisation universe. It is columnar: ``citations`` holds each article's
 count, ``codes`` indexes each article's author-country set in ``sets``, the
 cohort's distinct sets in canonical order. ``CitationRecord`` is one article
-as the CSV boundary sees it; ``Cohort.from_records`` and ``Cohort.records``
-convert between the two forms. A ``GroupSelection`` picks the national subset
-under one counting scheme; ``LogStats`` summarises ln(1+c) for a set of
-articles; ``MnlcsEstimate`` carries the indicator value with its confidence
-interval and validity flag.
+as the CSV boundary sees it; ``Cohort(journal_id, year, records)`` and
+``Cohort.records`` convert between the two forms. A ``GroupSelection``
+picks the national subset under one counting scheme; ``LogStats``
+summarises ln(1+c) for a set of articles; ``MnlcsEstimate`` carries the
+indicator value with its confidence interval and validity flag.
 
 All types are immutable after construction (a cohort's arrays are
 read-only) and safe to share across parallel tasks.
@@ -192,7 +192,7 @@ class Cohort:
     by ``tuple(sorted(s))``, so cohorts with the same articles in the same
     order have identical columns. Both arrays are read-only.
 
-    ``Cohort(journal_id, year, records)`` is shorthand for ``from_records``.
+    ``Cohort(journal_id, year, records)`` takes CitationRecords that all belong to it.
     """
 
     journal_id: str
@@ -202,8 +202,17 @@ class Cohort:
     sets: tuple[frozenset[str], ...]
 
     def __init__(self, journal_id, year, citations, codes=None, sets=None):
-        if codes is None and sets is None:
-            citations, codes, sets = _record_columns(journal_id, year, citations)
+        if codes is None and sets is None:  # the third argument holds CitationRecords
+            records, citations, codes, index = citations, [], [], {}
+            for rec in records:
+                if rec.journal_id != journal_id or rec.year != year:
+                    raise ValidationError(
+                        f"record ({rec.journal_id}, {rec.year}) does not belong to "
+                        f"cohort ({journal_id}, {year})"
+                    )
+                citations.append(rec.citations)
+                codes.append(index.setdefault(rec.countries, len(index)))
+            sets = list(index)
         citations = np.array(citations, dtype=np.int64)
         codes = np.array(codes, dtype=np.intp)
         sets = tuple(sets)
@@ -223,11 +232,6 @@ class Cohort:
         object.__setattr__(self, "citations", _frozen(citations))
         object.__setattr__(self, "codes", _frozen(codes))
         object.__setattr__(self, "sets", sets)
-
-    @classmethod
-    def from_records(cls, journal_id: str, year: int, records) -> "Cohort":
-        """Columnar cohort from CitationRecords, which must all belong to it."""
-        return cls(journal_id, year, *_record_columns(journal_id, year, records))
 
     @property
     def records(self) -> tuple[CitationRecord, ...]:
@@ -254,19 +258,6 @@ class Cohort:
             and np.array_equal(self.citations, other.citations)
             and np.array_equal(self.codes, other.codes)
         )
-
-
-def _record_columns(journal_id: str, year: int, records) -> tuple[list, list, list]:
-    citations, codes, index = [], [], {}
-    for rec in records:
-        if rec.journal_id != journal_id or rec.year != year:
-            raise ValidationError(
-                f"record ({rec.journal_id}, {rec.year}) does not belong to "
-                f"cohort ({journal_id}, {year})"
-            )
-        citations.append(rec.citations)
-        codes.append(index.setdefault(rec.countries, len(index)))
-    return citations, codes, list(index)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bootstrap import lag0_batch
 from .counting import membership
-from .errors import DegenerateField, ValidationError
+from .errors import ValidationError
 from .fieller import DEFAULT_SETTINGS, OK, STATUSES, CiSettings, estimate, interval_columns
 from .indicator import log_moments, log_stats_from_logs
 from .model import Cohort, MnlcsEstimate, Scheme
@@ -311,6 +311,4 @@ def series_report(
 def whole_journal_estimate(cohort: Cohort, settings: CiSettings = DEFAULT_SETTINGS) -> MnlcsEstimate:
     """Indicator of the whole cohort against itself; identically 1 by design."""
     field_stats = log_stats_from_logs(cohort.log_citations)
-    if field_stats.mean <= 0.0:
-        raise DegenerateField("field mean of ln(1+c) is zero")
     return estimate(field_stats, field_stats, settings)

@@ -168,12 +168,6 @@ def capability_path(spec: ScenarioSpec, journal_id: str, group: GroupSpec) -> di
     raise ValidationError(f"unknown capability mode: {mode!r}")
 
 
-def _group_size(spec: ScenarioSpec, group: GroupSpec) -> int:
-    # floor keeps the sum of group sizes within the field even when shares
-    # sum to exactly 1
-    return int(group.share * spec.field_size_per_year)
-
-
 def generate(spec: ScenarioSpec) -> list[Cohort]:
     """Generate one cohort per (journal, year), sorted by journal then year.
 
@@ -186,7 +180,9 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
     codes = []
     sizes = {}
     for g in spec.groups:
-        n_g = _group_size(spec, g)
+        # floor keeps the sum of group sizes within the field even when shares
+        # sum to exactly 1
+        n_g = int(g.share * spec.field_size_per_year)
         if n_g == 0:
             continue
         sizes[g.country] = n_g

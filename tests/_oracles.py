@@ -266,8 +266,8 @@ def split_half(cohort: Cohort, rng_seed: int) -> tuple[Cohort, Cohort]:
     in_a[half_a] = True
     recs = cohort.records
     return (
-        Cohort.from_records(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if a)),
-        Cohort.from_records(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if not a)),
+        Cohort(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if a)),
+        Cohort(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if not a)),
     )
 
 
@@ -349,7 +349,7 @@ def group_into_cohorts(records) -> list[Cohort]:
     for rec in records:
         buckets.setdefault((rec.journal_id, rec.year), []).append(rec)
     return [
-        Cohort.from_records(journal_id, year, tuple(buckets[(journal_id, year)]))
+        Cohort(journal_id, year, tuple(buckets[(journal_id, year)]))
         for journal_id, year in sorted(buckets)
     ]
 

@@ -10,7 +10,7 @@ def rec(journal="J1", year=2000, citations=0, countries=()):
 
 def cohort(citation_country_pairs, journal="J1", year=2000):
     """Cohort from (citations, countries) pairs."""
-    return Cohort.from_records(
+    return Cohort(
         journal,
         year,
         tuple(rec(journal, year, c, countries) for c, countries in citation_country_pairs),

@@ -1,6 +1,7 @@
 """The benchmark's hooks against the program: every attribute that
-``perfbench/child.py`` wraps exists, and a traced run of the child writes a
-result with no absent hook, no missing target and no non-JSON number."""
+``perfbench/child.py`` wraps exists, a traced run of the child writes a
+result with no absent hook, no missing target and no non-JSON number, and
+every hook but ``fieller.estimate`` fires in a generated run or a CSV run."""
 
 import importlib
 import json
@@ -27,7 +28,18 @@ def test_every_hook_target_is_callable(child):
         assert callable(getattr(module, hook.attr, None)), f"{hook.module}.{hook.attr}"
 
 
-def test_traced_child_run_reports_every_hook_as_json(tmp_path):
+def _traced_run(tmp_path, config, name):
+    """The result of a traced child run of ``config``, with its bundle in tmp_path/name."""
+    spec, result_path = tmp_path / f"{name}.json", tmp_path / f"{name}-result.json"
+    spec.write_text(json.dumps({"config": config, "out_dir": str(tmp_path / name), "trace": True}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(spec), str(result_path)],
+                   env=env, cwd=tmp_path, check=True, timeout=120)
+    return json.loads(result_path.read_text())
+
+
+def test_traced_child_run_reports_every_hook_as_json(tmp_path, child):
     scenario = {
         "n_journals": 2, "year_start": 2000, "year_end": 2003, "field_size_per_year": 60,
         "groups": [{"country": "AA", "share": 0.3, "mu": 1.0, "sigma": 1.0},
@@ -36,13 +48,18 @@ def test_traced_child_run_reports_every_hook_as_json(tmp_path):
     }
     config = {"input": {"scenario": scenario}, "countries": {"top": 2}, "max_offset": 3,
               "lag0_replicates": 5, "seed": 3}
-    spec, result_path = tmp_path / "spec.json", tmp_path / "result.json"
-    spec.write_text(json.dumps({"config": config, "out_dir": str(tmp_path / "out"), "trace": True}))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(spec), str(result_path)],
-                   env=env, cwd=tmp_path, check=True, timeout=120)
-    result = json.loads(result_path.read_text())
+    result = _traced_run(tmp_path, config, "out")
     assert result["absent"] == [] and result["missing_targets"] == []
     assert result["hooks"]["bootstrap.lag0_batch"]["calls"] > 0
     json.dumps(result, allow_nan=False)  # raises on a NaN or an infinity
+
+    # the same run on its own data.csv reaches the ingest hook instead of generate
+    from_csv = _traced_run(tmp_path, {**config, "input": {"csv": str(tmp_path / "out" / "data.csv")}},
+                           "csv")
+    assert from_csv["absent"] == [] and from_csv["missing_targets"] == []
+    fired = {name for run in (result, from_csv) for name, hook in run["hooks"].items()
+             if hook["calls"] > 0}
+    # every hook fires in one of the two runs, except fieller.estimate: it wraps
+    # mnlcs.stability.estimate, which a run never calls (the cells take one
+    # interval_columns call instead)
+    assert fired == {hook.name for hook in child.HOOKS} - {"fieller.estimate"}

@@ -35,7 +35,7 @@ def big_cohort(n_field=2000, n_group=400, mu=1.0, sigma=1.0, seed=42, journal="J
         rec(journal, year, int(c), ("US",) if i < n_group else ())
         for i, c in enumerate(counts)
     )
-    return Cohort.from_records(journal, year, records)
+    return Cohort(journal, year, records)
 
 
 def test_split_even_sizes():
@@ -67,7 +67,7 @@ def test_split_deterministic_given_seed():
 def test_split_invariant_under_record_order():
     c = big_cohort(n_field=40, n_group=10)
     rng = np.random.default_rng(0)
-    shuffled = Cohort.from_records(
+    shuffled = Cohort(
         c.journal_id, c.year, tuple(c.records[i] for i in rng.permutation(c.size))
     )
     a1, b1 = split_half(c, rng_seed=5)
@@ -107,7 +107,7 @@ def test_lag0_fraction_bounds_and_bookkeeping():
 def test_lag0_invariant_under_record_order():
     c = big_cohort(n_field=120, n_group=30, seed=13)
     rng = np.random.default_rng(2)
-    shuffled = Cohort.from_records(
+    shuffled = Cohort(
         c.journal_id, c.year, tuple(c.records[i] for i in rng.permutation(c.size))
     )
     r1 = lag0_coverage(c, "US", Scheme.INCLUSIVE, replicates=60, rng_seed=4)
@@ -135,7 +135,7 @@ def test_lag0_engine_matches_scalar_interval_path():
     base = big_cohort(n_field=81, n_group=24, seed=19)
     extra = [rec(base.journal_id, base.year, 0, ("ZZ",)) for _ in range(14)]
     extra += [rec(base.journal_id, base.year, 0, ("ZZ", "US")) for _ in range(4)]
-    c = Cohort.from_records(base.journal_id, base.year, base.records + tuple(extra))
+    c = Cohort(base.journal_id, base.year, base.records + tuple(extra))
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("ZZ", Scheme.INCLUSIVE)]
     for form in ("standard", "printed"):
         settings = CiSettings(form=form)

@@ -209,3 +209,30 @@ def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, comma
     assert code != 0
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error", "message"}  # one object, nothing else
+
+
+@pytest.mark.parametrize("command, config, flags, named", [
+    ("run", {"input": "data.csv", "countries": ["AA"]}, [], "input"),
+    ("run", {"input": "scenario.csv", "countries": ["AA"]}, ["--seed", "3"], "input"),
+    ("run", {"input": {"scenario": [SCENARIO]}, "countries": ["AA"]}, [], "input"),
+    ("run", {"input": {"scenario": {**SCENARIO, "capability_mode": "static"}}, "countries": ["AA"]},
+     [], "capability_mode"),
+    ("run", [SCENARIO], [], "JSON object"),
+    ("run", [SCENARIO], ["--seed", "3"], "JSON object"),
+    ("simulate", [SCENARIO], [], "JSON object"),
+    ("simulate", {**SCENARIO, "groups": [1]}, [], "GroupSpec"),
+    ("simulate", {**SCENARIO, "groups": 1}, [], "ScenarioSpec.groups"),
+    ("simulate", {**SCENARIO, "capability_mode": "static"}, [], "capability_mode"),
+    ("simulate", {**SCENARIO, "field_mu": "x"}, [], "ScenarioSpec.field_mu"),
+    ("simulate", {**SCENARIO, "groups": [{**SCENARIO["groups"][0], "share": "x"}]}, [],
+     "GroupSpec.share"),
+    ("simulate", {**SCENARIO, "field_sigma": None}, [], "ScenarioSpec.field_sigma"),
+])
+def test_malformed_json_fails_with_one_json_error(tmp_path, capsys, command, config, flags, named):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    error = json.loads(err)  # one object, nothing else
+    assert set(error) == {"error", "message"} and named in error["message"]

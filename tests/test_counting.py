@@ -77,7 +77,7 @@ def test_top_countries_rejects_bad_k():
 
 
 cohorts_strategy = st.lists(records, min_size=1, max_size=30).map(
-    lambda recs: Cohort.from_records(
+    lambda recs: Cohort(
         "J1",
         2000,
         tuple(

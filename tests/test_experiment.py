@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,15 +7,7 @@ from mnlcs import experiment
 from mnlcs.dataio import config_hash, write_records_csv
 from mnlcs.errors import ValidationError
 from mnlcs.fieller import CiSettings
-from mnlcs.experiment import (
-    ExperimentConfig,
-    mode_from_dict,
-    mode_to_dict,
-    parse_schemes,
-    run_experiment,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from mnlcs.experiment import ExperimentConfig, run_experiment, scenario_from_dict
 from mnlcs.model import Scheme
 from mnlcs.stability import lag0_curve_points
 from mnlcs.synth import (
@@ -58,10 +51,14 @@ def config(**overrides):
     [Static(), RandomWalk(0.1), LinearDrift(-0.02), IndependentResample(0.3)],
 )
 def test_capability_mode_round_trip(mode):
-    assert mode_from_dict(mode_to_dict(mode)) == mode
+    cfg = config(scenario=replace(scenario(), capability_mode=mode))
+    spec = cfg.to_dict()["input"]["scenario"]
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert scenario_from_dict(spec).capability_mode == mode
     # JSON integers take the field's float type, so "step": 1 reads as 1.0
-    as_ints = {k: v if k == "mode" else round(v) for k, v in mode_to_dict(mode).items()}
-    coerced = mode_to_dict(mode_from_dict(as_ints))
+    as_ints = {k: v if k == "mode" else round(v) for k, v in spec["capability_mode"].items()}
+    coerced = config(scenario=scenario_from_dict({**spec, "capability_mode": as_ints})).to_dict()
+    coerced = coerced["input"]["scenario"]["capability_mode"]
     assert coerced == as_ints
     assert all(type(v) is float for k, v in coerced.items() if k != "mode")
 
@@ -105,12 +102,12 @@ def test_manifest_config_hash_per_capability_mode(name):
 
 def test_scenario_round_trip():
     spec = scenario()
-    assert scenario_from_dict(scenario_to_dict(spec)) == spec
+    assert scenario_from_dict(config(scenario=spec).to_dict()["input"]["scenario"]) == spec
 
 
 def test_json_reader_rejects_non_scalar_fields():
     # a field without a scalar conversion is a TypeError, not a "missing key"
-    d = scenario_to_dict(scenario())
+    d = config().to_dict()["input"]["scenario"]
     with pytest.raises(TypeError, match="ScenarioSpec.groups"):
         experiment._from_json(ScenarioSpec, d)
     with pytest.raises(ValidationError, match="missing key"):
@@ -125,13 +122,16 @@ def test_int_settings_take_integral_values_only():
         with pytest.raises(ValidationError, match="expected an integer"):
             ExperimentConfig.from_dict({**base, **bad})
     with pytest.raises(ValidationError, match="ScenarioSpec.rng_seed"):
-        scenario_from_dict({**scenario_to_dict(scenario()), "rng_seed": 9.5})
+        scenario_from_dict({**config().to_dict()["input"]["scenario"], "rng_seed": 9.5})
 
 
 def test_parse_schemes():
-    assert parse_schemes("both") == (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)
-    assert parse_schemes("inclusive") == (Scheme.INCLUSIVE,)
-    assert parse_schemes(["exclusive"]) == (Scheme.EXCLUSIVE,)
+    base = {"input": {"csv": "data.csv"}, "countries": ["AA"]}
+    both = (Scheme.INCLUSIVE, Scheme.EXCLUSIVE)
+    assert ExperimentConfig.from_dict({**base, "schemes": "both"}).schemes == both
+    assert ExperimentConfig.from_dict(base).schemes == both
+    assert ExperimentConfig.from_dict({**base, "schemes": "inclusive"}).schemes == (Scheme.INCLUSIVE,)
+    assert ExperimentConfig.from_dict({**base, "schemes": ["exclusive"]}).schemes == (Scheme.EXCLUSIVE,)
 
 
 def test_config_round_trip():
@@ -269,7 +269,7 @@ def test_scenario_input_respects_one_sided_year_bound(tmp_path):
 
 
 def test_config_countries_follow_the_csv_rule(tmp_path):
-    spec = scenario_to_dict(scenario())
+    spec = config().to_dict()["input"]["scenario"]
     spec["groups"] = [{"country": "US", "share": 0.3, "mu": 1.0, "sigma": 1.0},
                       {"country": "JP", "share": 0.2, "mu": 1.2, "sigma": 1.0}]
     cfg = ExperimentConfig.from_dict({"input": {"scenario": spec}, "countries": ["us", "Japan"],

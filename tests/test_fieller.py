@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,3 +460,48 @@ def test_estimates_mixed_statuses_in_one_call():
     ]
     assert ests[2].h is None and ests[3].h >= 1.0
     assert ests == [estimate_oracle(g, field, CiSettings(form="printed")) for g in groups]
+
+
+COVERAGE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "interval_coverage_mc.py"
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"form": "printed"},
+    # small groups and fields: unbounded, insufficient and degenerate replicates
+    {"group_n": 6, "field_n": 10, "mu": 0.1, "sigma": 0.5, "form": "printed"},
+])
+def test_coverage_script_matches_a_per_replicate_estimate_loop(overrides):
+    a = {"group_n": 50, "field_n": 1000, "mu": 1.0, "sigma": 1.0, "form": "standard",
+         "replicates": 300, **overrides}
+    inside = valid = unbounded = degenerate = 0
+    for rep in range(a["replicates"]):
+        counts = sample_citations(a["mu"], a["sigma"], a["field_n"], stream(404, "coverage-mc", rep))
+        logs = np.log1p(counts.astype(float))
+        field = log_stats_from_logs(logs)
+        if field.mean <= 0.0:
+            degenerate += 1
+            continue
+        est = estimate(log_stats_from_logs(logs[: a["group_n"]]), field, CiSettings(form=a["form"]))
+        if est.status is not EstimateStatus.OK:
+            unbounded += 1
+            continue
+        valid += 1
+        inside += est.contains(1.0)
+    if overrides.get("field_n") == 10:
+        assert valid and unbounded and degenerate
+    coverage = inside / valid
+    expected = [
+        f"form={a['form']} group_n={a['group_n']} field_n={a['field_n']} "
+        f"mu={a['mu']} sigma={a['sigma']}",
+        f"replicates={a['replicates']} valid={valid} "
+        f"unbounded_or_small={unbounded} degenerate_field={degenerate}",
+        f"coverage of true ratio 1: {coverage:.4f} "
+        f"(mc se {math.sqrt(coverage * (1 - coverage) / valid):.4f}, two-sided level 0.950)",
+    ]
+    flags = [x for k, v in a.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(COVERAGE_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(COVERAGE_SCRIPT), *flags], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.splitlines() == expected

@@ -90,14 +90,14 @@ def test_record_round_trips_through_csv_row(record):
 
 def test_cohort_rejects_foreign_records():
     with pytest.raises(ValidationError):
-        Cohort.from_records("J1", 2000, (rec("J2", 2000, 1),))
+        Cohort("J1", 2000, (rec("J2", 2000, 1),))
     with pytest.raises(ValidationError):
-        Cohort.from_records("J1", 2000, (rec("J1", 2001, 1),))
+        Cohort("J1", 2000, (rec("J1", 2001, 1),))
 
 
 def test_cohort_must_be_nonempty():
     with pytest.raises(ValidationError):
-        Cohort.from_records("J1", 2000, ())
+        Cohort("J1", 2000, ())
 
 
 def test_cohort_log_citations(simple_cohort):
@@ -204,7 +204,7 @@ def test_cohort_columns_do_not_depend_on_set_order():
     codes_b = [3, 2, 0, 3, 2]
     a = Cohort("J1", 2000, citations, codes_a, sets_a)
     b = Cohort("J1", 2000, citations, codes_b, sets_b)
-    for other in (b, Cohort.from_records("J1", 2000, b.records)):
+    for other in (b, Cohort("J1", 2000, b.records)):
         assert other == a
         assert other.sets == a.sets == (frozenset(), frozenset({"JP", "US"}), frozenset({"US"}))
         np.testing.assert_array_equal(other.citations, a.citations)
@@ -263,7 +263,7 @@ def test_generated_cohorts_equal_cohorts_from_their_records():
     )
     cohorts = generate(spec)
     for cohort in cohorts:
-        again = Cohort.from_records(cohort.journal_id, cohort.year, cohort.records[::-1])
+        again = Cohort(cohort.journal_id, cohort.year, cohort.records[::-1])
         assert again != cohort
-        assert Cohort.from_records(cohort.journal_id, cohort.year, again.records[::-1]) == cohort
+        assert Cohort(cohort.journal_id, cohort.year, again.records[::-1]) == cohort
     assert cohorts[0] != cohorts[1]

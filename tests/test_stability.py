@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import CellRow, coverage_curve_oracle, enumerate_pairs, grid_of, series_oracle
+from conftest import cohort
 from mnlcs.fieller import OK, CiSettings
 from mnlcs.model import EstimateStatus, MnlcsEstimate, Scheme
 from mnlcs.stability import (
@@ -15,7 +16,7 @@ from mnlcs.stability import (
     whole_journal_estimate,
 )
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
-from mnlcs.errors import ValidationError
+from mnlcs.errors import DegenerateField, ValidationError
 
 
 def make_cell(journal, year, value, lo, hi, country="US", scheme=Scheme.INCLUSIVE,
@@ -362,6 +363,11 @@ def test_whole_journal_is_always_one():
     for c in generate(scenario()):
         est = whole_journal_estimate(c, CiSettings())
         assert abs(est.value - 1.0) <= 1e-12
+
+
+def test_whole_journal_of_uncited_cohort_is_a_degenerate_field():
+    with pytest.raises(DegenerateField, match=r"^field mean of ln\(1\+c\) is zero$"):
+        whole_journal_estimate(cohort([(0, ("US",)), (0, ())] * 5), CiSettings())
 
 
 def test_series_of_all_field_group_is_constant_one():

@@ -16,21 +16,25 @@ depend on input row order.
 
 Each article falls in bin 2 x pattern + cited, where a pattern is a distinct
 column of counting's set table, so articles in one bin are interchangeable
-in every sum. Three bincounts reduce a block's half A to per-row, per-bin
-counts, sums and sums of squares, and the 0/1 pattern weights turn these
-into field and target sums; half B is the cohort total minus half A. Memory
-is O(block x n + replicates x targets), however many sets there are. Values
-are centred on the cohort mean before they are summed, so sums of squares
-do not cancel when citation counts are large and close together. Half A's
-intervals then come from one fieller_interval call on the [replicates,
-targets] means and SEs, the same code every indicator cell goes through,
-with t looked up per half-A group count.
+in every sum. A cohort's blocks go through the engine in chunks of
+max(1, CHUNK // (BLOCK x max(n // 2, BLOCK))) blocks: at most 16 blocks and
+about CHUNK half-A draws, whatever the replicate count, so memory does not
+grow with replicates (nor with sets). Three bincounts reduce a chunk's half
+A to per-row, per-bin counts, sums and sums of squares, and the 0/1 pattern
+weights turn these into field and target sums; half B is the cohort total
+minus half A. Values are centred on the cohort mean before they are summed,
+so sums of squares do not cancel when citation counts are large and close
+together. Half A's intervals then come from one fieller_interval call per
+chunk on the [rows, targets] means and SEs, the same code every indicator
+cell goes through, with t looked up per half-A group count. Every step is
+per row, so no decision depends on where a chunk ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -42,6 +46,7 @@ from .model import Cohort, Scheme, _frozen
 from .rngtools import stream
 
 BLOCK = 64
+CHUNK = 2**16  # about how many half-A draws (rows x n // 2) one chunk of whole blocks holds
 
 
 def _canonical_order(cohort: Cohort) -> np.ndarray:
@@ -68,10 +73,12 @@ def half_a_blocks(cohort: Cohort, replicates: int, rng_seed: int) -> Iterator[np
     n = cohort.size
     order = _canonical_order(cohort)
     for block, start in enumerate(range(0, replicates, BLOCK)):
-        perms = np.tile(np.arange(n), (min(BLOCK, replicates - start), 1))
+        # the shuffle moves positions whatever they hold, so permuting the
+        # tiled order gives the same halves as indexing order by a permutation
+        perms = np.tile(order, (min(BLOCK, replicates - start), 1))
         rng = stream(rng_seed, "lag0-split", cohort.journal_id, cohort.year, block)
         rng.permuted(perms, axis=1, out=perms)
-        yield order[perms[:, : n // 2]]
+        yield perms[:, : n // 2]
 
 
 @dataclass(frozen=True)
@@ -103,22 +110,9 @@ def _pattern_weights(sets, targets) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(weights), _frozen(of_set)
 
 
-def replicate_decisions(
-    cohort: Cohort,
-    targets: Iterable[tuple[str, Scheme]],
-    replicates: int = 1000,
-    rng_seed: int = 0,
-    settings: CiSettings = DEFAULT_SETTINGS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(valid, inside) bool arrays [replicates, targets], one row per replicate.
-
-    Halves come from half_a_blocks; per block, bincounts of row x bins + bin
-    give each row's per-bin count, sum and sum of squares, which the pattern
-    weights turn into field and target sums. A replicate is invalid for a
-    target when half A cannot produce a bounded interval (group under the
-    size threshold, or curvature h >= 1) or half B has no group members; a
-    degenerate field mean in either half invalidates it for every target.
-    """
+def _chunk_decisions(cohort, targets, replicates, rng_seed, settings):
+    """Yield (valid, inside) bool arrays [rows, targets] for each chunk of
+    blocks from half_a_blocks, in replicate order."""
     centre = cohort.log_citations.mean()
     x = cohort.log_citations - centre
     weights, pattern_of_set = _pattern_weights(cohort.sets, tuple(targets))
@@ -135,27 +129,49 @@ def replicate_decisions(
         cited = count * (np.arange(n_bins) % 2)
         return np.stack([sums, squares, cited, count], axis=1) @ weights
 
+    total = half_sums(np.arange(cohort.size)[None, :])
+    t_table = _t_table(cohort.size, settings.alpha)
+    per_chunk = max(1, CHUNK // (BLOCK * max(cohort.size // 2, BLOCK)))
     blocks = half_a_blocks(cohort, replicates, rng_seed)
-    sums_a = np.concatenate([half_sums(half_a) for half_a in blocks])
-    halves = np.stack([sums_a, half_sums(np.arange(cohort.size)[None, :]) - sums_a])
-    # each [half A / half B, replicates, targets + 1]
-    sums, squares, cited, counts = np.moveaxis(halves, 2, 0)
+    while chunk := list(islice(blocks, per_chunk)):
+        sums_a = half_sums(np.concatenate(chunk))
+        # each [rows, targets + 1]; half B needs only its means and counts
+        sums, squares, cited, counts = np.moveaxis(sums_a, 1, 0)
+        sums_b, _, cited_b, counts_b = np.moveaxis(total - sums_a, 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a half with no cited article has mean and SE exactly 0, as a direct
+            # sum would; the clamp guards tiny negative residue from cancellation
+            mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
+            var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
+            se = np.where(cited > 0.0, np.sqrt(var / counts), 0.0)
+            mean_b = np.where(cited_b > 0.0, centre + sums_b / counts_b, 0.0)
+            value_b = mean_b[:, 1:] / mean_b[:, :1]
+        field_a, counts_a = mean[:, :1], counts[:, 1:]
+        t = t_table[counts_a.astype(np.intp)]
+        _, low, high, h, _ = fieller_interval(
+            mean[:, 1:], se[:, 1:], field_a, se[:, :1], t, settings.form
+        )
+        valid = (field_a > 0.0) & (mean_b[:, :1] > 0.0) & (counts_a >= settings.min_group_n)
+        valid &= (counts_b[:, 1:] >= 1.0) & (h < 1.0)
+        yield valid, valid & (low <= value_b) & (value_b <= high)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a half with no cited article has mean and SE exactly 0, as a direct
-        # sum would; the clamp guards tiny negative residue from cancellation
-        mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
-        var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
-        se = np.where(cited > 0.0, np.sqrt(var / counts), 0.0)
-        value_b = mean[1, :, 1:] / mean[1, :, :1]
-    field_a, field_b, counts_a = mean[0, :, :1], mean[1, :, :1], counts[0, :, 1:]
-    t = _t_table(cohort.size, settings.alpha)[counts_a.astype(np.intp)]
-    _, low, high, h, _ = fieller_interval(
-        mean[0, :, 1:], se[0, :, 1:], field_a, se[0, :, :1], t, settings.form
-    )
-    valid = (field_a > 0.0) & (field_b > 0.0) & (counts_a >= settings.min_group_n)
-    valid &= (counts[1, :, 1:] >= 1.0) & (h < 1.0)
-    inside = valid & (low <= value_b) & (value_b <= high)
+
+def replicate_decisions(
+    cohort: Cohort,
+    targets: Iterable[tuple[str, Scheme]],
+    replicates: int = 1000,
+    rng_seed: int = 0,
+    settings: CiSettings = DEFAULT_SETTINGS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, inside) bool arrays [replicates, targets], one row per replicate.
+
+    A replicate is invalid for a target when half A cannot produce a bounded
+    interval (group under the size threshold, or curvature h >= 1) or half B
+    has no group members; a degenerate field mean in either half invalidates
+    it for every target.
+    """
+    valid, inside = map(np.concatenate, zip(*_chunk_decisions(
+        cohort, targets, replicates, rng_seed, settings)))
     return valid, inside
 
 
@@ -168,20 +184,24 @@ def lag0_batch(
 ) -> dict[tuple[str, Scheme], Lag0Result]:
     """Split-half coverage for several (country, scheme) targets at once.
 
-    Exclusion rules are those of replicate_decisions. Targets that never
-    produce a valid replicate come back with n_valid == 0 rather than
-    raising.
+    Exclusion rules are those of replicate_decisions; the per-target counts
+    are added up chunk by chunk, so memory does not grow with replicates.
+    Targets that never produce a valid replicate come back with n_valid == 0
+    rather than raising.
     """
     targets = list(targets)
-    valid, inside = replicate_decisions(cohort, targets, replicates, rng_seed, settings)
+    n_valid, n_inside = np.zeros((2, len(targets)), dtype=np.int64)
+    for valid, inside in _chunk_decisions(cohort, targets, replicates, rng_seed, settings):
+        n_valid += valid.sum(axis=0)
+        n_inside += inside.sum(axis=0)
     return {
         target: Lag0Result(
-            fraction=int(ins) / int(val) if val else float("nan"),
-            n_inside=int(ins),
-            n_valid=int(val),
-            n_excluded=replicates - int(val),
+            fraction=ins / val if val else float("nan"),
+            n_inside=ins,
+            n_valid=val,
+            n_excluded=replicates - val,
         )
-        for target, val, ins in zip(targets, valid.sum(axis=0), inside.sum(axis=0))
+        for target, val, ins in zip(targets, n_valid.tolist(), n_inside.tolist())
     }
 
 

@@ -48,10 +48,12 @@ def _load_json(path: str) -> dict:
     return config
 
 
-def _config(args) -> ExperimentConfig:
-    """The ``mnlcs run`` config of a CSV command's selection and interval flags."""
+def _config(args, **extra) -> ExperimentConfig:
+    """The ``mnlcs run`` config of a CSV command's selection and interval
+    flags, plus the settings in ``extra``."""
     countries = [c for c in (args.countries or "").split(",") if c.strip()]
     return ExperimentConfig.from_dict({
+        **extra,
         "input": {"csv": args.input},
         "countries": countries or {"top": args.top_k},
         "schemes": args.scheme,
@@ -117,7 +119,7 @@ def cmd_indicator(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    config = _config(args)
+    config = _config(args, seed=args.seed)
     cohorts = load_cohorts(config)
     targets = [(c, s) for c in _countries(config, cohorts) for s in config.schemes]
 
@@ -128,7 +130,7 @@ def cmd_bootstrap(args) -> int:
         for cohort in cohorts:
             if cohort.size < 2:
                 continue
-            table = lag0_batch(cohort, targets, args.replicates, args.seed, config.settings)
+            table = lag0_batch(cohort, targets, args.replicates, config.seed, config.settings)
             for (country, scheme), res in sorted(
                 table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
             ):

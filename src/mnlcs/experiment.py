@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise ValidationError("max_offset must be >= 1")
         if self.lag0_replicates < 0:
             raise ValidationError("lag0_replicates must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         self.settings  # CiSettings checks alpha, form and min_group_n
 
     @property
@@ -171,6 +173,8 @@ class ExperimentConfig:
         input_part, countries = d.get("input", {}), d.get("countries")
         if not isinstance(input_part, dict) or not isinstance(input_part.get("scenario", {}), dict):
             raise ValidationError(f"input must be a csv or scenario object, got {input_part!r}")
+        if not isinstance(countries, list) and not (isinstance(countries, dict) and "top" in countries):
+            raise ValidationError(f'countries must be a JSON list or {{"top": k}}, got {countries!r}')
         top, schemes = isinstance(countries, dict), d.get("schemes", "both")
         if isinstance(schemes, str):
             schemes = ("inclusive", "exclusive") if schemes == "both" else (schemes,)
@@ -179,7 +183,7 @@ class ExperimentConfig:
                 cls, d,
                 input_csv=input_part.get("csv"),
                 scenario=scenario_from_dict(input_part["scenario"]) if "scenario" in input_part else None,
-                countries=None if top or countries is None else tuple(str(c) for c in countries),
+                countries=None if top else tuple(str(c) for c in countries),
                 top_k=_int(countries["top"]) if top else None,
                 schemes=tuple(Scheme(s) for s in schemes),
             )

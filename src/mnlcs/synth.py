@@ -114,6 +114,8 @@ class ScenarioSpec:
             raise ValidationError("field_sigma must be > 0")
         if not 0.0 <= self.collab_fraction <= 1.0:
             raise ValidationError("collab_fraction must be in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be >= 0")
         if sum(g.share for g in self.groups) > 1.0 + 1e-12:
             raise ValidationError("group shares must sum to at most 1")
         seen = set()

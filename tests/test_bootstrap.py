@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mnlcs.errors import InsufficientData, NoValidReplicates
 from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
 from mnlcs.rngtools import stream
+from mnlcs.stability import CurvePoint, ExclusionRecord, lag0_curve_points
 from mnlcs.synth import sample_citations
 
 
@@ -162,15 +164,30 @@ dual_route_rows = st.integers(2, 60).flatmap(
 ).map(lambda rows: [(0 if "UC" in s else c, tuple(s)) for c, s in rows])
 
 
-@hyp_settings(max_examples=60, deadline=None)
-@given(
+dual_route_args = (
     dual_route_rows,
     st.sampled_from(FIELLER_FORMS),
     st.integers(2, 5),
     st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
     st.integers(0, 2**16),
 )
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(*dual_route_args)
 def test_engine_matches_scalar_route_on_random_cohorts(rows, form, min_group_n, replicates, seed):
+    check_engine_against_scalar_route(rows, form, min_group_n, replicates, seed)
+
+
+@hyp_settings(max_examples=30, deadline=None)
+@given(*dual_route_args)
+def test_engine_matches_scalar_route_with_one_block_chunks(rows, form, min_group_n, replicates, seed):
+    # chunk boundaries fall inside a cohort's replicates
+    with mock.patch.object(bootstrap, "CHUNK", 1):
+        check_engine_against_scalar_route(rows, form, min_group_n, replicates, seed)
+
+
+def check_engine_against_scalar_route(rows, form, min_group_n, replicates, seed):
     c = cohort(rows)
     targets = [(country, scheme) for country in ("US", "DE", "UC", "ZZ") for scheme in Scheme]
     settings = CiSettings(form=form, min_group_n=min_group_n)
@@ -283,6 +300,83 @@ def test_lag0_memory_is_bounded_in_replicates():
         assert len(table) == 20
         assert all(r.n_valid + r.n_excluded == 1000 for r in table.values())
         assert peak < 64 * 2**20
+
+
+def paper_cohort(n=300, seed=4):
+    """A paper-sized cohort: 10 countries, each article with up to two of them."""
+    rng = np.random.default_rng(seed)
+    codes = [chr(65 + i) * 2 for i in range(10)]
+    return cohort([
+        (int(cnt), tuple(rng.choice(codes, size=int(rng.integers(0, 3)), replace=False)))
+        for cnt in rng.integers(0, 30, size=n)
+    ]), [(code, s) for code in codes for s in Scheme]
+
+
+def test_lag0_memory_does_not_grow_with_replicates():
+    c, targets = paper_cohort()
+    lag0_batch(c, targets, replicates=1, rng_seed=1)  # fills the per-cohort caches
+    peaks = []
+    for replicates in (1000, 10_000):
+        tracemalloc.start()
+        try:
+            table = lag0_batch(c, targets, replicates=replicates, rng_seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(r.n_valid + r.n_excluded == replicates for r in table.values())
+    assert peaks[1] <= 2 * peaks[0]
+
+
+@pytest.mark.parametrize("n", [60, 300, 2000])
+def test_lag0_batch_does_not_depend_on_chunk_size(n):
+    c, targets = paper_cohort(n, seed=n)
+    replicates = 16 * BLOCK + 5  # several chunks of several blocks at the default size
+    tables = []
+    for chunk in (bootstrap.CHUNK, 1):
+        with mock.patch.object(bootstrap, "CHUNK", chunk):
+            table = lag0_batch(c, targets, replicates, rng_seed=3)
+        tables.append([(r.n_valid, r.n_inside, r.n_excluded) for r in table.values()])
+    assert tables[0] == tables[1]
+    assert any(n_valid for n_valid, _, _ in tables[0])
+
+
+def scalar_lag0_points(cohorts, targets, replicates, rng_seed, settings):
+    """lag0_curve_points' points and exclusions from the scalar route's decisions."""
+    fractions, totals, exclusions = {t: [] for t in targets}, dict.fromkeys(targets, 0), []
+    for c in cohorts:
+        if c.size < 2:
+            continue
+        valid, inside = scalar_decisions(c, targets, replicates, rng_seed, settings)
+        for target, n_valid, n_inside in zip(targets, valid.sum(axis=0), inside.sum(axis=0)):
+            if n_valid < replicates:
+                exclusions.append(ExclusionRecord(
+                    "lag0", "replicates_excluded", replicates - int(n_valid), c.journal_id,
+                    c.year, *target, offset=0,
+                ))
+            if n_valid:
+                fractions[target].append(int(n_inside) / int(n_valid))
+                totals[target] += int(n_valid)
+    points = {
+        target: CurvePoint(0, sum(fracs) / len(fracs), totals[target], simulated=True)
+        if fracs else None
+        for target, fracs in fractions.items()
+    }
+    return points, exclusions
+
+
+@hyp_settings(max_examples=10, deadline=None)
+@given(
+    st.lists(dual_route_rows, min_size=1, max_size=4),
+    st.sampled_from([1, BLOCK + 1]),
+    st.integers(0, 2**16),
+)
+def test_lag0_curve_points_match_the_scalar_route(cohort_rows, replicates, seed):
+    cohorts = [cohort(rows, year=2000 + i) for i, rows in enumerate(cohort_rows)]
+    targets = [(country, scheme) for country in ("US", "UC", "ZZ") for scheme in Scheme]
+    settings = CiSettings(min_group_n=2)
+    exclusions = []
+    points = lag0_curve_points(cohorts, targets, replicates, seed, settings, exclusions)
+    assert (points, exclusions) == scalar_lag0_points(cohorts, targets, replicates, seed, settings)
 
 
 def test_lag0_large_synthetic_band():

@@ -236,3 +236,56 @@ def test_malformed_json_fails_with_one_json_error(tmp_path, capsys, command, con
     assert code == 1
     error = json.loads(err)  # one object, nothing else
     assert set(error) == {"error", "message"} and named in error["message"]
+
+
+@pytest.mark.parametrize("command, config, flags, named", [
+    ("run", {"countries": ["AA"], "seed": -1}, [], "seed"),
+    ("run", {"countries": ["AA"]}, ["--seed", "-1"], "seed"),
+    ("run", {"input": {"scenario": {**SCENARIO, "rng_seed": -1}}, "countries": ["AA"]}, [],
+     "rng_seed"),
+    ("run", {"input": {"scenario": SCENARIO}, "countries": ["AA"]}, ["--seed", "-1"], "seed"),
+    ("simulate", SCENARIO, ["--seed", "-1"], "rng_seed"),
+    ("simulate", {**SCENARIO, "rng_seed": -1}, [], "rng_seed"),
+    ("bootstrap", None, ["--countries", "AA", "--seed", "-1"], "seed"),
+])
+def test_negative_seed_fails_with_one_json_error_before_any_output(
+    data_csv, tmp_path, capsys, command, config, flags, named
+):
+    out = tmp_path / "out"
+    if command == "bootstrap":
+        argv = [command, "--input", str(data_csv)]
+    else:
+        if command == "run":
+            config = {"input": {"csv": str(data_csv)}, **config}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [command, "--config", str(config_path)]
+    code = main([*argv, "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    error = json.loads(err)  # one object, nothing else
+    assert error["error"] == "ValidationError" and named in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("countries", ["US", 5, None, {"of": 4}])
+def test_countries_other_than_a_list_or_top_k_fail_naming_the_field(
+    data_csv, tmp_path, capsys, countries
+):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"input": {"csv": str(data_csv)}, "countries": countries}),
+                           encoding="utf-8")
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    error = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert error["error"] == "ValidationError" and "countries" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("countries", [["AA"], {"top": 3}])
+def test_countries_list_or_top_k_run(data_csv, tmp_path, countries):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"input": {"csv": str(data_csv)}, "countries": countries}),
+                           encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()

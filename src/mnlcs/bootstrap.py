@@ -7,34 +7,33 @@ every sample, so this baseline sits below what full-size samples would give;
 it is the offset-0 anchor for the stability curves.
 
 Each replicate's split is shared by every country and scheme, mirroring how
-the journal and its national subsets must be halved together. Replicates
-come in blocks of BLOCK: block b draws its permutations from the stream
-keyed (seed, "lag0-split", journal, year, b), one row per replicate, so the
-first k * BLOCK replicates do not depend on how many are asked for. Records
-are canonically sorted before the permutation is applied so results do not
-depend on input row order.
+the journal and its national subsets must be halved together. Articles with
+the same citation count and the same author-country set are interchangeable
+in every sum the test takes, so the articles fall into bins sorted by (set,
+citations) and a split is how many articles of each bin half A takes.
+half_a_counts draws these multivariate hypergeometric counts with numpy's
+"count" method from one stream per cohort, keyed (seed, "lag0-split-v2",
+journal, year). Neither input row order nor the targets change a split.
 
-Each article falls in bin 2 x pattern + cited, where a pattern is a distinct
-column of counting's set table, so articles in one bin are interchangeable
-in every sum. A cohort's blocks go through the engine in chunks of
-max(1, CHUNK // (BLOCK x max(n // 2, BLOCK))) blocks: at most 16 blocks and
-about CHUNK half-A draws, whatever the replicate count, so memory does not
-grow with replicates (nor with sets). Three bincounts reduce a chunk's half
-A to per-row, per-bin counts, sums and sums of squares, and the 0/1 pattern
-weights turn these into field and target sums; half B is the cohort total
-minus half A. Values are centred on the cohort mean before they are summed,
-so sums of squares do not cancel when citation counts are large and close
-together. Half A's intervals then come from one fieller_interval call per
-chunk on the [rows, targets] means and SEs, the same code every indicator
-cell goes through, with t looked up per half-A group count. Every step is
-per row, so no decision depends on where a chunk ends.
+A "count" call draws its rows in sequence but starts afresh, so rows depend
+on where calls begin. Every call but the last draws _rows_per_call(bins)
+rows, ROWS or fewer so that a call holds at most CELLS counts. That never
+depends on the replicate total, so the first k replicates are the same
+whatever the total, and memory grows with neither replicates nor bins.
+
+One product of a call's counts with a [bins, 4 x (targets + 1)] table gives
+half A's sums, sums of squares, cited and member counts for the field and
+every target; half B is the cohort total minus half A. Values are centred
+on the cohort mean first, so sums of squares do not cancel when citation
+counts are large and close together. Half A's intervals come from one
+fieller_interval call per draw call, the code every indicator cell goes
+through, with t looked up per half-A group count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,40 +44,33 @@ from .fieller import DEFAULT_SETTINGS, CiSettings, fieller_interval, t_quantile
 from .model import Cohort, Scheme, _frozen
 from .rngtools import stream
 
-BLOCK = 64
-CHUNK = 2**16  # about how many half-A draws (rows x n // 2) one chunk of whole blocks holds
+ROWS = 256  # replicates per draw call
+CELLS = 2**16  # at most this many bin counts per draw call, unless one row holds more
 
 
-def _canonical_order(cohort: Cohort) -> np.ndarray:
-    """Record indices by (citations, author-country set), stable on ties.
-
-    Set codes follow the sets' sorted country tuples, so this is the order
-    of sorting records by (citations, tuple(sorted(countries))).
-    """
-    return np.lexsort((cohort.codes, cohort.citations))
+def _rows_per_call(n_bins: int) -> int:
+    return max(1, min(ROWS, CELLS // n_bins))
 
 
-def half_a_blocks(cohort: Cohort, replicates: int, rng_seed: int) -> Iterator[np.ndarray]:
-    """Yield the half-A record indices of every replicate, block by block.
+def half_a_counts(
+    cohort: Cohort, sizes: np.ndarray, replicates: int, rng_seed: int
+) -> Iterator[np.ndarray]:
+    """Yield half A's per-bin article counts, int64 [rows, bins], one array
+    per draw call; row i of the arrays taken together is replicate i.
 
-    Each block is an int array [r, n // 2] with r <= BLOCK; row i of block b
-    belongs to replicate b * BLOCK + i and half B is the rest of the cohort.
-    Deterministic given the seed and the cohort's journal/year identity,
-    regardless of record order in the input.
+    ``sizes`` holds the article count of each of the cohort's bins; half A
+    takes n // 2 articles and half B the rest.
     """
     if cohort.size < 2:
         raise InsufficientData("cannot split a cohort of size < 2")
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
-    n = cohort.size
-    order = _canonical_order(cohort)
-    for block, start in enumerate(range(0, replicates, BLOCK)):
-        # the shuffle moves positions whatever they hold, so permuting the
-        # tiled order gives the same halves as indexing order by a permutation
-        perms = np.tile(order, (min(BLOCK, replicates - start), 1))
-        rng = stream(rng_seed, "lag0-split", cohort.journal_id, cohort.year, block)
-        rng.permuted(perms, axis=1, out=perms)
-        yield perms[:, : n // 2]
+    rng = stream(rng_seed, "lag0-split-v2", cohort.journal_id, cohort.year)
+    rows = _rows_per_call(len(sizes))
+    for start in range(0, replicates, rows):
+        yield rng.multivariate_hypergeometric(
+            sizes, cohort.size // 2, size=min(rows, replicates - start), method="count"
+        )
 
 
 @dataclass(frozen=True)
@@ -101,40 +93,27 @@ def _t_table(n: int, alpha: float) -> np.ndarray:
     return _frozen(t_quantile(np.maximum(np.arange(n // 2 + 1), 2) + n // 2 - 2, alpha))
 
 
-@lru_cache(maxsize=128)
-def _pattern_weights(sets, targets) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 weights [2 x patterns, targets + 1] of bin 2 x pattern + cited
-    (column 0 is the field) and each set's pattern, its distinct column."""
-    patterns, of_set = np.unique(set_membership(sets, targets).T, axis=0, return_inverse=True)
-    weights = np.repeat(np.hstack([np.ones((len(patterns), 1)), patterns]), 2, axis=0)
-    return _frozen(weights), _frozen(of_set)
-
-
 def _chunk_decisions(cohort, targets, replicates, rng_seed, settings):
-    """Yield (valid, inside) bool arrays [rows, targets] for each chunk of
-    blocks from half_a_blocks, in replicate order."""
+    """Yield (valid, inside) bool arrays [rows, targets] for each draw call
+    of half_a_counts, in replicate order."""
+    # citation ranks, not counts, keep the bin key small for any count
+    _, rank = np.unique(cohort.citations, return_inverse=True)
+    _, first, sizes = np.unique(
+        cohort.codes * (rank.max() + 1) + rank, return_index=True, return_counts=True
+    )
     centre = cohort.log_citations.mean()
-    x = cohort.log_citations - centre
-    weights, pattern_of_set = _pattern_weights(cohort.sets, tuple(targets))
-    n_bins = len(weights)
-    bins = 2 * pattern_of_set[cohort.codes] + (cohort.citations > 0)
-
-    def half_sums(idx):
-        # [rows, 4, targets + 1]: sums, sums of squares, cited and member counts
-        rows, size, xs = len(idx), len(idx) * n_bins, x[idx].ravel()
-        keys = (bins[idx] + n_bins * np.arange(rows)[:, None]).ravel()
-        count = np.bincount(keys, minlength=size).reshape(rows, n_bins)
-        sums = np.bincount(keys, xs, size).reshape(rows, n_bins)
-        squares = np.bincount(keys, xs * xs, size).reshape(rows, n_bins)
-        cited = count * (np.arange(n_bins) % 2)
-        return np.stack([sums, squares, cited, count], axis=1) @ weights
-
-    total = half_sums(np.arange(cohort.size)[None, :])
+    x = cohort.log_citations[first] - centre
+    per_bin = np.stack([x, x * x, cohort.citations[first] > 0, np.ones_like(x)], axis=1)
+    # 0/1 weights [bins, targets + 1]: column 0 is the field
+    member = set_membership(cohort.sets, tuple(targets))[:, cohort.codes[first]]
+    weights = np.vstack([np.ones(len(first)), member]).T
+    # [bins, 4 x (targets + 1)]: sums, sums of squares, cited and member counts
+    table = (per_bin[:, :, None] * weights[:, None, :]).reshape(len(first), -1)
+    shape = (-1, 4, len(targets) + 1)
+    total = (sizes.astype(np.float64) @ table).reshape(shape)
     t_table = _t_table(cohort.size, settings.alpha)
-    per_chunk = max(1, CHUNK // (BLOCK * max(cohort.size // 2, BLOCK)))
-    blocks = half_a_blocks(cohort, replicates, rng_seed)
-    while chunk := list(islice(blocks, per_chunk)):
-        sums_a = half_sums(np.concatenate(chunk))
+    for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
+        sums_a = (drawn.astype(np.float64) @ table).reshape(shape)
         # each [rows, targets + 1]; half B needs only its means and counts
         sums, squares, cited, counts = np.moveaxis(sums_a, 1, 0)
         sums_b, _, cited_b, counts_b = np.moveaxis(total - sums_a, 1, 0)
@@ -185,7 +164,7 @@ def lag0_batch(
     """Split-half coverage for several (country, scheme) targets at once.
 
     Exclusion rules are those of replicate_decisions; the per-target counts
-    are added up chunk by chunk, so memory does not grow with replicates.
+    are added up draw call by draw call, so memory does not grow with replicates.
     Targets that never produce a valid replicate come back with n_valid == 0
     rather than raising.
     """

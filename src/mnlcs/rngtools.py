@@ -1,11 +1,11 @@
 """Deterministic random-stream derivation.
 
 Every piece of randomness in the package flows from a PCG64 generator keyed
-by a user seed plus a path of labels, e.g. ``stream(seed, "lag0-split",
-journal_id, year, block)`` for one block of 64 split-half replicates. Each
-unit of work therefore owns its own reproducible stream, independent of
-execution order, which makes blocks safe to run in parallel and results
-byte-stable across platforms.
+by a user seed plus a path of labels, e.g. ``stream(seed, "lag0-split-v2",
+journal_id, year)`` for every split-half replicate of one journal-year.
+Each unit of work therefore owns its own reproducible stream, independent
+of execution order, which makes cohorts safe to run in parallel and
+results byte-stable across platforms.
 
 String path components are folded to 32-bit integers with BLAKE2b so the
 derivation does not depend on Python's per-process hash randomisation.

@@ -5,15 +5,16 @@ quantile comes from quadrature of the density plus bisection (the library
 uses scipy's inverse CDF), the discretised-lognormal expectation comes
 from direct series summation against the normal CDF, and split-half
 decisions and cells are rebuilt one at a time through a scalar Fieller
-interval written with math.sqrt (only the splits themselves are shared with
-the engine), group membership and cells are decided record by record, not
-through the library's membership matrix, CSV ingest, writing and the
-canonical split order go through one CitationRecord per row, not through
-columns, coverage curves and series look up one cell per (journal, year)
-pair in a dict, not in the library's cell grid, cells.csv is sorted and
-written one ``CellRow`` (this module's own cell record) at a time, not from
-the grid's arrays, and a cohort's canonical sets are ranked from its used
-sets alone, not looked up in the cached order of its whole sets tuple.
+interval written with math.sqrt (only the per-bin counts of each split are
+drawn by the engine; the bins and the records each count picks are rebuilt
+record by record), group membership and cells are decided record by record,
+not through the library's membership matrix, CSV ingest and writing go
+through one CitationRecord per row, not through columns, coverage curves
+and series look up one cell per (journal, year) pair in a dict, not in the
+library's cell grid, cells.csv is sorted and written one ``CellRow`` (this
+module's own cell record) at a time, not from the grid's arrays, and a
+cohort's canonical sets are ranked from its used sets alone, not looked up
+in the cached order of its whole sets tuple.
 """
 
 import csv
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import integrate
 from scipy.stats import norm
 
-from mnlcs.bootstrap import half_a_blocks
+from mnlcs.bootstrap import half_a_counts
 from mnlcs.dataio import CSV_HEADER, IngestReport, fmt
 from mnlcs.errors import DegenerateField, IngestError, ValidationError
 from mnlcs.fieller import STATUSES, t_quantile
@@ -259,11 +260,36 @@ def cells_oracle(cohorts, countries, schemes, settings):
     return cells, exclusions
 
 
+def bin_members(cohort: Cohort) -> list[list[int]]:
+    """Record indices of each split-half bin, rebuilt record by record.
+
+    A bin holds the records with one author-country set and one citation
+    count; bins are sorted by (sorted countries, citations) and each lists
+    its records in input order.
+    """
+    keys = [(tuple(sorted(r.countries)), r.citations) for r in cohort.records]
+    members = {key: [] for key in sorted(set(keys))}
+    for i, key in enumerate(keys):
+        members[key].append(i)
+    return list(members.values())
+
+
+def split_masks(cohort: Cohort, replicates: int, rng_seed: int):
+    """Yield half A of each replicate as a bool mask over the records: the
+    first D_j records of bin j, where D is the engine's count row."""
+    members = bin_members(cohort)
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    for rows in half_a_counts(cohort, sizes, replicates, rng_seed):
+        for row in rows:
+            in_a = np.zeros(cohort.size, dtype=bool)
+            for m, d in zip(members, row):
+                in_a[m[:d]] = True
+            yield in_a
+
+
 def split_half(cohort: Cohort, rng_seed: int) -> tuple[Cohort, Cohort]:
     """Replicate 0's split of ``cohort`` as two cohorts, records in input order."""
-    half_a = next(half_a_blocks(cohort, 1, rng_seed))[0]
-    in_a = np.zeros(cohort.size, dtype=bool)
-    in_a[half_a] = True
+    in_a = next(split_masks(cohort, 1, rng_seed))
     recs = cohort.records
     return (
         Cohort(cohort.journal_id, cohort.year, tuple(r for r, a in zip(recs, in_a) if a)),
@@ -280,33 +306,22 @@ def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
     )
     valid = np.zeros((replicates, len(targets)), dtype=bool)
     inside = np.zeros_like(valid)
-    rep = 0
-    for block in half_a_blocks(cohort, replicates, rng_seed):
-        for idx_a in block:
-            in_a = np.zeros(cohort.size, dtype=bool)
-            in_a[idx_a] = True
-            field_a = log_stats_from_logs(logs[in_a])
-            field_b = log_stats_from_logs(logs[~in_a])
-            for k in range(len(targets)):
-                ga = logs[in_a & member[k]]
-                gb = logs[~in_a & member[k]]
-                if field_a.mean <= 0 or field_b.mean <= 0:
-                    continue
-                if len(ga) < settings.min_group_n or len(gb) == 0:
-                    continue
-                est = estimate_oracle(log_stats_from_logs(ga), field_a, settings)
-                if est.status is not EstimateStatus.OK:
-                    continue
-                valid[rep, k] = True
-                inside[rep, k] = est.contains(log_stats_from_logs(gb).mean / field_b.mean)
-            rep += 1
+    for rep, in_a in enumerate(split_masks(cohort, replicates, rng_seed)):
+        field_a = log_stats_from_logs(logs[in_a])
+        field_b = log_stats_from_logs(logs[~in_a])
+        for k in range(len(targets)):
+            ga = logs[in_a & member[k]]
+            gb = logs[~in_a & member[k]]
+            if field_a.mean <= 0 or field_b.mean <= 0:
+                continue
+            if len(ga) < settings.min_group_n or len(gb) == 0:
+                continue
+            est = estimate_oracle(log_stats_from_logs(ga), field_a, settings)
+            if est.status is not EstimateStatus.OK:
+                continue
+            valid[rep, k] = True
+            inside[rep, k] = est.contains(log_stats_from_logs(gb).mean / field_b.mean)
     return valid, inside
-
-
-def canonical_order(cohort: Cohort) -> list[int]:
-    """Record indices sorted by (citations, sorted countries), stable on ties."""
-    recs = cohort.records
-    return sorted(range(cohort.size), key=lambda i: (recs[i].citations, tuple(sorted(recs[i].countries))))
 
 
 def record_to_row(record: CitationRecord) -> list[str]:

@@ -10,15 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from _oracles import canonical_order, scalar_decisions, split_half
+from _oracles import bin_members, scalar_decisions, split_half
 from conftest import cohort, rec
 import mnlcs
 from mnlcs import bootstrap
 from mnlcs.bootstrap import (
-    BLOCK,
-    _canonical_order,
     coverage_probability_sim,
-    half_a_blocks,
     lag0_batch,
     lag0_coverage,
     replicate_decisions,
@@ -78,21 +75,6 @@ def test_split_invariant_under_record_order():
     assert Counter(b1.records) == Counter(b2.records)
 
 
-# few distinct counts and sets, so (citations, countries) ties are common
-tie_heavy_cohorts = st.lists(
-    st.tuples(st.integers(0, 3), st.sampled_from([(), ("US",), ("JP",), ("JP", "US"), ("DE", "JP")])),
-    min_size=1,
-    max_size=60,
-).map(cohort)
-
-
-@given(tie_heavy_cohorts)
-def test_canonical_order_matches_record_sort(c):
-    order = _canonical_order(c)
-    assert order.dtype == np.intp
-    assert order.tolist() == canonical_order(c)
-
-
 def test_split_requires_two_records():
     with pytest.raises(InsufficientData):
         split_half(cohort([(1, ())]), rng_seed=0)
@@ -124,6 +106,13 @@ def test_lag0_batch_matches_individual_calls():
     for country, scheme in targets:
         single = lag0_coverage(c, country, scheme, replicates=50, rng_seed=8)
         assert table[(country, scheme)] == single
+    # a target's splits do not depend on the other targets in the batch
+    c, targets = paper_cohort(n=200, seed=2)
+    table = lag0_batch(c, targets, replicates=50, rng_seed=8)
+    for target in targets:
+        single = lag0_batch(c, [target], replicates=50, rng_seed=8)[target]
+        assert (single.n_valid, single.n_inside) == (table[target].n_valid, table[target].n_inside)
+    assert any(r.n_valid for r in table.values())
 
 
 def engine_decisions(c, targets, replicates, rng_seed, settings=CiSettings()):
@@ -131,7 +120,7 @@ def engine_decisions(c, targets, replicates, rng_seed, settings=CiSettings()):
 
 
 def test_lag0_engine_matches_scalar_interval_path():
-    # dual route: rebuild each replicate's halves from half_a_blocks and run
+    # dual route: rebuild each replicate's halves from its count row and run
     # the scalar estimate() chain; every per-replicate decision must agree.
     # ZZ's articles are all uncited, so its half means are exactly zero.
     base = big_cohort(n_field=81, n_group=24, seed=19)
@@ -168,7 +157,7 @@ dual_route_args = (
     dual_route_rows,
     st.sampled_from(FIELLER_FORMS),
     st.integers(2, 5),
-    st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+    st.sampled_from([1, 63, 64, 65, 131]),
     st.integers(0, 2**16),
 )
 
@@ -181,9 +170,9 @@ def test_engine_matches_scalar_route_on_random_cohorts(rows, form, min_group_n, 
 
 @hyp_settings(max_examples=30, deadline=None)
 @given(*dual_route_args)
-def test_engine_matches_scalar_route_with_one_block_chunks(rows, form, min_group_n, replicates, seed):
-    # chunk boundaries fall inside a cohort's replicates
-    with mock.patch.object(bootstrap, "CHUNK", 1):
+def test_engine_matches_scalar_route_with_one_row_calls(rows, form, min_group_n, replicates, seed):
+    # every replicate is its own draw call, so call boundaries fall between all rows
+    with mock.patch.object(bootstrap, "ROWS", 1):
         check_engine_against_scalar_route(rows, form, min_group_n, replicates, seed)
 
 
@@ -213,19 +202,20 @@ def test_engine_treats_h_at_one_as_unbounded(monkeypatch):
         assert valid.any() == any_valid
 
 
-def tight_cohort(base, n=400, seed=0):
-    # large counts with a spread of 0..2 citations: ln(1+c) differs only in
+def tight_cohort(base, n=400, seed=0, step=1):
+    # large counts with a spread of 0..2 steps: ln(1+c) differs only in
     # the 9th significant digit at base 10^9, where uncentred sums of squares
     # cancel to nothing
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, 3, size=n)
     kinds = [(), ("US",), ("US", "GB"), ("GB",)]
-    return cohort([(base + int(o), kinds[i % 4]) for i, o in enumerate(offsets)])
+    return cohort([(base + step * int(o), kinds[i % 4]) for i, o in enumerate(offsets)])
 
 
-@pytest.mark.parametrize("base", [10**4, 10**6, 10**9])
+@pytest.mark.parametrize("base", [10**4, 10**6, 10**9, 2**62])
 def test_lag0_engine_matches_scalar_path_on_large_close_counts(base):
-    c = tight_cohort(base)
+    # near int64's top, 2^62 steps by 2^32: the relative spread of 10^9 by 1
+    c = tight_cohort(base, step=max(1, base >> 30))
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("GB", Scheme.INCLUSIVE)]
     valid, inside = engine_decisions(c, targets, 100, 5)
     ref_valid, ref_inside = scalar_decisions(c, targets, 100, 5, CiSettings())
@@ -234,17 +224,65 @@ def test_lag0_engine_matches_scalar_path_on_large_close_counts(base):
     np.testing.assert_array_equal(inside, ref_inside)
 
 
-def test_split_blocks_do_not_depend_on_replicate_count():
-    c = big_cohort(n_field=90, n_group=30, seed=11)
+def check_edge_cohort(c, replicates=40, seed=3, settings=CiSettings(min_group_n=2)):
+    targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("GB", Scheme.INCLUSIVE)]
+    valid, inside = engine_decisions(c, targets, replicates, seed, settings)
+    ref_valid, ref_inside = scalar_decisions(c, targets, replicates, seed, settings)
+    np.testing.assert_array_equal(valid, ref_valid)
+    np.testing.assert_array_equal(inside, ref_inside)
+    return valid
+
+
+def test_lag0_engine_matches_scalar_path_with_zero_and_huge_counts():
+    # citations 0 and 2^62 (+0..2) in one cohort: a bin key built from the
+    # counts themselves would overflow int64, one built from their ranks not
+    rng = np.random.default_rng(1)
+    kinds = [(), ("US",), ("US", "GB"), ("GB",)]
+    rows = [(0 if i % 3 == 0 else 2**62 + int(o), kinds[i % 4])
+            for i, o in enumerate(rng.integers(0, 3, size=200))]
+    assert check_edge_cohort(cohort(rows)).any()
+
+
+@pytest.mark.parametrize("rows", [
+    [(3, ("US",)), (5, ("US", "GB"))],
+    [(3, ("US",)), (0, ()), (7, ("GB",))],
+])
+def test_lag0_engine_on_cohorts_of_two_and_three(rows):
+    # half A holds one article, so no group reaches min_group_n 2
+    assert not check_edge_cohort(cohort(rows)).any()
+
+
+def test_lag0_engine_on_an_all_uncited_cohort():
+    # the field mean is 0 in both halves, so every replicate is excluded
+    rows = [(0, kind) for kind in [(), ("US",), ("US", "GB"), ("GB",)] * 10]
+    assert not check_edge_cohort(cohort(rows)).any()
+
+
+def wide_cohort(n=3000, seed=11):
+    """Citations spread over 0..999, so the bins outnumber CELLS // ROWS."""
+    rng = np.random.default_rng(seed)
+    return cohort([(int(cnt), ("US",) if i % 4 == 0 else ()) for i, cnt in enumerate(
+        rng.integers(0, 1000, size=n))])
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: big_cohort(n_field=90, n_group=30, seed=11), wide_cohort],
+    ids=["default_rows", "fewer_rows"],
+)
+def test_first_replicates_do_not_depend_on_replicate_count(make):
+    # draw calls hold a fixed row count R, so any total's rows are a prefix
+    # of a longer total's
+    c = make()
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE)]
-    short = np.vstack(list(half_a_blocks(c, BLOCK, 6)))
-    long = np.vstack(list(half_a_blocks(c, BLOCK + 16, 6)))
-    assert long.shape == (BLOCK + 16, c.size // 2)
-    np.testing.assert_array_equal(long[:BLOCK], short)
-    short_valid, short_inside = engine_decisions(c, targets, BLOCK, 6)
-    long_valid, long_inside = engine_decisions(c, targets, BLOCK + 16, 6)
-    np.testing.assert_array_equal(long_valid[:BLOCK], short_valid)
-    np.testing.assert_array_equal(long_inside[:BLOCK], short_inside)
+    rows = bootstrap._rows_per_call(len(bin_members(c)))
+    assert (rows == bootstrap.ROWS) == (c.size < 1000)
+    totals = [rows - 1, rows, rows + 1, 2 * rows + 3]
+    long_valid, long_inside = engine_decisions(c, targets, totals[-1], 6)
+    assert long_valid.any()
+    for total in totals[:-1]:
+        valid, inside = engine_decisions(c, targets, total, 6)
+        np.testing.assert_array_equal(valid, long_valid[:total])
+        np.testing.assert_array_equal(inside, long_inside[:total])
 
 
 def test_lag0_same_with_single_threaded_blas():
@@ -327,19 +365,6 @@ def test_lag0_memory_does_not_grow_with_replicates():
     assert peaks[1] <= 2 * peaks[0]
 
 
-@pytest.mark.parametrize("n", [60, 300, 2000])
-def test_lag0_batch_does_not_depend_on_chunk_size(n):
-    c, targets = paper_cohort(n, seed=n)
-    replicates = 16 * BLOCK + 5  # several chunks of several blocks at the default size
-    tables = []
-    for chunk in (bootstrap.CHUNK, 1):
-        with mock.patch.object(bootstrap, "CHUNK", chunk):
-            table = lag0_batch(c, targets, replicates, rng_seed=3)
-        tables.append([(r.n_valid, r.n_inside, r.n_excluded) for r in table.values()])
-    assert tables[0] == tables[1]
-    assert any(n_valid for n_valid, _, _ in tables[0])
-
-
 def scalar_lag0_points(cohorts, targets, replicates, rng_seed, settings):
     """lag0_curve_points' points and exclusions from the scalar route's decisions."""
     fractions, totals, exclusions = {t: [] for t in targets}, dict.fromkeys(targets, 0), []
@@ -367,7 +392,7 @@ def scalar_lag0_points(cohorts, targets, replicates, rng_seed, settings):
 @hyp_settings(max_examples=10, deadline=None)
 @given(
     st.lists(dual_route_rows, min_size=1, max_size=4),
-    st.sampled_from([1, BLOCK + 1]),
+    st.sampled_from([1, 65]),
     st.integers(0, 2**16),
 )
 def test_lag0_curve_points_match_the_scalar_route(cohort_rows, replicates, seed):

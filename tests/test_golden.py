@@ -11,9 +11,9 @@ them. A fifth variant sets a year window of 1998-2007, wider than the
 exclusion counts and "missing" series rows depend on that axis. These
 five run no split-half replicates, so their bundles rest on generation,
 cells, curves, series and the writers. A sixth variant, ``split_half``,
-runs 80 replicates, one full block of 64 and a partial block of 16, and so
-pins the offset-0 rows of the curve files and the lag0 exclusions byte for
-byte.
+runs 80 replicates, each cohort's bin counts drawn in one call from its own
+stream, and so pins the offset-0 rows of the curve files and the lag0
+exclusions byte for byte.
 
 A declared change to the synthetic RNG layout changes data.csv and every
 file computed from it; that change must re-record these digests. A declared
@@ -131,15 +131,15 @@ GOLDEN = {
         "resolved.json": "76cb66acf45aa42acb306b3b41826e40d95ea8ebbabeb7af205d8827fd42a69e",
         "series.csv": "96d5d8da1ade71d0ef0cb6ace6e435fa5a9f2bcc9dea8e04ddcd902d2c1c0751",
     },
-    # recorded on the code before ingest's chunk loop became one loop
+    # re-recorded when split-half drew per-bin counts instead of permutations
     "split_half": {
         "cells.csv": "79b2fbb6114b7eb7182e62f0ed29928370ea3d5ba5b40ec49c45d972f6234fd8",
-        "curves.csv": "3b19af02049f8c6107dd90a04914528520af490fd6b4ae9ad1a95022140ef648",
-        "curves_exclusive.csv": "508b814df20700cf399fc41471fd38d5694dbabf51d66bb5171d075589fb387a",
-        "curves_inclusive.csv": "d50f5605729a28f3368052aafb8efdc267acd991d2a1cf2b14ca498e69fb87ad",
+        "curves.csv": "3bfe977431e256cfeab7e4bab52209516edd9e6b72a68ceb85dc821cef287dd8",
+        "curves_exclusive.csv": "fc5c42ee54df737389d35aceb6c3b8fb3b0bbe87de7cca24f5e08ddc893d23df",
+        "curves_inclusive.csv": "9895615c77c3510f6dde73f465674fb4a4d8142c6c3de7600881889722d94d9f",
         "data.csv": "d9088cb6bd99c7d0f3a1b7886f93c5f617528c698831eee16c0e7822c2f27e5c",
-        "exclusions.csv": "9eb27402d65e2ab861e7138aff431040153f351378b9aec719d1ed6264af230c",
-        "manifest.json": "67cbe7b511b933695e8c569f6b53860fb30b189350cbd5ed3172706d745bcbdb",
+        "exclusions.csv": "acdf564b260ca1435dec48642e22e187cc6249ed8fcb6aa4e0b07fffb6bcefc6",
+        "manifest.json": "8aab684b1f990ceb6a577a51964be15710ed658f3052d4b3fbd8e46c8484357c",
         "resolved.json": "5f541b4c38235342931414f58a884641834f7458832a2b1b91fa7f5c6587bccd",
         "series.csv": "6d068ab0010dcfb3cdf1474c2fa714856c344fb3fb12c632176e7f0966e38e5c",
     },

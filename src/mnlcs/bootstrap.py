@@ -63,8 +63,6 @@ def half_a_counts(
     """
     if cohort.size < 2:
         raise InsufficientData("cannot split a cohort of size < 2")
-    if replicates < 1:
-        raise DomainError("replicates must be >= 1")
     rng = stream(rng_seed, "lag0-split-v2", cohort.journal_id, cohort.year)
     rows = _rows_per_call(len(sizes))
     for start in range(0, replicates, rows):
@@ -93,9 +91,21 @@ def _t_table(n: int, alpha: float) -> np.ndarray:
     return _frozen(t_quantile(np.maximum(np.arange(n // 2 + 1), 2) + n // 2 - 2, alpha))
 
 
-def _chunk_decisions(cohort, targets, replicates, rng_seed, settings):
+def replicate_decisions(
+    cohort: Cohort,
+    targets: Iterable[tuple[str, Scheme]],
+    replicates: int = 1000,
+    rng_seed: int = 0,
+    settings: CiSettings = DEFAULT_SETTINGS,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (valid, inside) bool arrays [rows, targets] for each draw call
-    of half_a_counts, in replicate order."""
+    of half_a_counts, in replicate order.
+
+    A replicate is invalid for a target when half A cannot produce a bounded
+    interval (group under the size threshold, or curvature h >= 1) or half B
+    has no group members; a degenerate field mean in either half invalidates
+    it for every target.
+    """
     # citation ranks, not counts, keep the bin key small for any count
     _, rank = np.unique(cohort.citations, return_inverse=True)
     _, first, sizes = np.unique(
@@ -109,14 +119,13 @@ def _chunk_decisions(cohort, targets, replicates, rng_seed, settings):
     weights = np.vstack([np.ones(len(first)), member]).T
     # [bins, 4 x (targets + 1)]: sums, sums of squares, cited and member counts
     table = (per_bin[:, :, None] * weights[:, None, :]).reshape(len(first), -1)
-    shape = (-1, 4, len(targets) + 1)
-    total = (sizes.astype(np.float64) @ table).reshape(shape)
+    total = sizes.astype(np.float64) @ table
     t_table = _t_table(cohort.size, settings.alpha)
     for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
-        sums_a = (drawn.astype(np.float64) @ table).reshape(shape)
+        sums_a = drawn.astype(np.float64) @ table
         # each [rows, targets + 1]; half B needs only its means and counts
-        sums, squares, cited, counts = np.moveaxis(sums_a, 1, 0)
-        sums_b, _, cited_b, counts_b = np.moveaxis(total - sums_a, 1, 0)
+        sums, squares, cited, counts = np.split(sums_a, 4, axis=1)
+        sums_b, _, cited_b, counts_b = np.split(total - sums_a, 4, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             # a half with no cited article has mean and SE exactly 0, as a direct
             # sum would; the clamp guards tiny negative residue from cancellation
@@ -135,25 +144,6 @@ def _chunk_decisions(cohort, targets, replicates, rng_seed, settings):
         yield valid, valid & (low <= value_b) & (value_b <= high)
 
 
-def replicate_decisions(
-    cohort: Cohort,
-    targets: Iterable[tuple[str, Scheme]],
-    replicates: int = 1000,
-    rng_seed: int = 0,
-    settings: CiSettings = DEFAULT_SETTINGS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(valid, inside) bool arrays [replicates, targets], one row per replicate.
-
-    A replicate is invalid for a target when half A cannot produce a bounded
-    interval (group under the size threshold, or curvature h >= 1) or half B
-    has no group members; a degenerate field mean in either half invalidates
-    it for every target.
-    """
-    valid, inside = map(np.concatenate, zip(*_chunk_decisions(
-        cohort, targets, replicates, rng_seed, settings)))
-    return valid, inside
-
-
 def lag0_batch(
     cohort: Cohort,
     targets: Iterable[tuple[str, Scheme]],
@@ -168,11 +158,14 @@ def lag0_batch(
     Targets that never produce a valid replicate come back with n_valid == 0
     rather than raising.
     """
+    if replicates < 1:
+        raise DomainError("replicates must be >= 1")
     targets = list(targets)
     n_valid, n_inside = np.zeros((2, len(targets)), dtype=np.int64)
-    for valid, inside in _chunk_decisions(cohort, targets, replicates, rng_seed, settings):
-        n_valid += valid.sum(axis=0)
-        n_inside += inside.sum(axis=0)
+    if cohort.size > 1:  # one article cannot be halved: every replicate is excluded
+        for valid, inside in replicate_decisions(cohort, targets, replicates, rng_seed, settings):
+            n_valid += valid.sum(axis=0)
+            n_inside += inside.sum(axis=0)
     return {
         target: Lag0Result(
             fraction=ins / val if val else float("nan"),

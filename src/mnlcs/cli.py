@@ -128,8 +128,6 @@ def cmd_bootstrap(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"])
         for cohort in cohorts:
-            if cohort.size < 2:
-                continue
             table = lag0_batch(cohort, targets, args.replicates, config.seed, config.settings)
             for (country, scheme), res in sorted(
                 table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
@@ -155,8 +153,10 @@ def cmd_run(args) -> int:
         config_dict["min_group_n"] = args.min_group_n
     if args.fieller_form is not None:
         config_dict["fieller_form"] = args.fieller_form
-    out_dir = args.out or config_dict.get("out") or "results"
-    config_dict.pop("out", None)
+    out_dir = config_dict.pop("out", None)
+    if not isinstance(out_dir, (str, type(None))):
+        raise ValidationError(f"out must be a path string, got {out_dir!r}")
+    out_dir = args.out or out_dir or "results"
 
     result = run_experiment(ExperimentConfig.from_dict(config_dict), out_dir)
     print(f"countries: {','.join(result.countries)}")
@@ -246,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(type(exc).__name__, str(exc), code=1)
     except FileNotFoundError as exc:
         return _fail("FileNotFound", str(exc), code=1)
+    except OSError as exc:  # any other file-system error, named by its class
+        return _fail(type(exc).__name__, str(exc), code=1)
     except json.JSONDecodeError as exc:
         return _fail("BadConfig", f"invalid JSON: {exc}", code=2)
 

@@ -137,6 +137,8 @@ class ExperimentConfig:
             object.__setattr__(self, "countries", codes)
         if len(set(self.schemes)) < len(self.schemes):
             raise ValidationError(f"duplicate schemes: {[s.value for s in self.schemes]}")
+        if None not in (self.year_min, self.year_max) and self.year_min > self.year_max:
+            raise ValidationError(f"year_min {self.year_min} exceeds year_max {self.year_max}")
         if self.max_offset < 1:
             raise ValidationError("max_offset must be >= 1")
         if self.lag0_replicates < 0:
@@ -255,16 +257,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     years = grid.years
 
     targets = list(grid.targets)
-    lag0_points: dict = {t: None for t in targets}
-    if config.lag0_replicates > 0:
-        lag0_points = lag0_curve_points(
-            cohorts,
-            targets,
-            replicates=config.lag0_replicates,
-            rng_seed=config.seed,
-            settings=settings,
-            exclusions=exclusions,
-        )
+    lag0_points = lag0_curve_points(
+        cohorts,
+        targets,
+        replicates=config.lag0_replicates,
+        rng_seed=config.seed,
+        settings=settings,
+        exclusions=exclusions,
+    )
 
     curves = []
     for country, scheme in targets:

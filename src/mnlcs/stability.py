@@ -246,15 +246,14 @@ def lag0_curve_points(
 
     Each target's fraction is the unweighted mean of per-journal-year
     coverages; n_comparisons totals the valid replicates behind it.
-    Journal-years with no valid replicates are tallied and skipped; a target
-    nothing contributes to maps to None. All targets share each cohort's
+    Journal-years with no valid replicates, one-article ones among them, are
+    tallied and skipped; a target nothing contributes to maps to None, as
+    every target does at 0 replicates. All targets share each cohort's
     splits, so one pass over the cohorts serves every country and scheme.
     """
     fractions: dict[tuple[str, Scheme], list[float]] = {t: [] for t in targets}
     totals: dict[tuple[str, Scheme], int] = {t: 0 for t in targets}
-    for cohort in cohorts:
-        if cohort.size < 2:
-            continue
+    for cohort in cohorts if replicates else ():
         table = lag0_batch(cohort, targets, replicates, rng_seed, settings)
         for target, result in table.items():
             if exclusions is not None and result.n_excluded > 0:

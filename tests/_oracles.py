@@ -14,20 +14,33 @@ and series look up one cell per (journal, year) pair in a dict, not in the
 library's cell grid, cells.csv is sorted and written one ``CellRow`` (this
 module's own cell record) at a time, not from the grid's arrays, and a
 cohort's canonical sets are ranked from its used sets alone, not looked up
-in the cached order of its whole sets tuple.
+in the cached order of its whole sets tuple. ``oracle_bundle`` composes
+these stages into the whole bundle of a run.
 """
 
 import csv
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 from scipy.stats import norm
 
 from mnlcs.bootstrap import half_a_counts
-from mnlcs.dataio import CSV_HEADER, IngestReport, fmt
+from mnlcs.dataio import (
+    CSV_HEADER,
+    IngestReport,
+    fmt,
+    write_curves_csv,
+    write_exclusions_csv,
+    write_manifest,
+    write_scheme_curves_csv,
+    write_series_csv,
+)
 from mnlcs.errors import DegenerateField, IngestError, ValidationError
+from mnlcs.experiment import load_cohorts, resolve_countries
 from mnlcs.fieller import STATUSES, t_quantile
 from mnlcs.indicator import log_stats_from_logs
 from mnlcs.model import (
@@ -324,6 +337,32 @@ def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
     return valid, inside
 
 
+def scalar_lag0_points(cohorts, targets, replicates, rng_seed, settings):
+    """(points, exclusions) of stability.lag0_curve_points from scalar_decisions;
+    a one-article cohort cannot be halved, so all its replicates are excluded."""
+    fractions, totals, exclusions = {t: [] for t in targets}, dict.fromkeys(targets, 0), []
+    for c in cohorts:
+        if c.size < 2:
+            valid = inside = np.zeros((replicates, len(targets)), dtype=bool)
+        else:
+            valid, inside = scalar_decisions(c, targets, replicates, rng_seed, settings)
+        for target, n_valid, n_inside in zip(targets, valid.sum(axis=0), inside.sum(axis=0)):
+            if n_valid < replicates:
+                exclusions.append(ExclusionRecord(
+                    "lag0", "replicates_excluded", replicates - int(n_valid), c.journal_id,
+                    c.year, *target, offset=0,
+                ))
+            if n_valid:
+                fractions[target].append(int(n_inside) / int(n_valid))
+                totals[target] += int(n_valid)
+    points = {
+        target: CurvePoint(0, sum(fracs) / len(fracs), totals[target], simulated=True)
+        if fracs else None
+        for target, fracs in fractions.items()
+    }
+    return points, exclusions
+
+
 def record_to_row(record: CitationRecord) -> list[str]:
     return [
         record.journal_id,
@@ -511,3 +550,61 @@ def write_cells_csv_oracle(path, cells) -> int:
                 est.status.value,
             ])
     return len(rows)
+
+
+def oracle_bundle(config, out_dir) -> None:
+    """Write the bundle of experiment.run_experiment(config, out_dir) stage by
+    stage through the oracles: ingest_oracle (a scenario is generated by the
+    library), cells_oracle, scalar_lag0_points, coverage_curve_oracle,
+    series_oracle, write_cells_csv_oracle and write_records_csv_oracle. The
+    countries are ranked, and curves, series, exclusions and the manifest
+    written, by the library."""
+    out = Path(out_dir)
+    out.mkdir(parents=True)
+    low, high = config.year_min, config.year_max
+    if config.input_csv is None:
+        cohorts = load_cohorts(config)
+    else:
+        cohorts = ingest_oracle(config.input_csv, year_min=low, year_max=high)[0]
+    ranked = resolve_countries(config, cohorts)
+    targets = [(country, scheme) for country in ranked.countries for scheme in config.schemes]
+    if low is None or high is None:
+        low, high = min(c.year for c in cohorts), max(c.year for c in cohorts)
+    years = range(low, high + 1)
+
+    cells, exclusions = cells_oracle(cohorts, ranked.countries, config.schemes, config.settings)
+    points, lag0_exclusions = scalar_lag0_points(
+        cohorts, targets, config.lag0_replicates, config.seed, config.settings
+    )
+    exclusions += lag0_exclusions
+    curves = [
+        coverage_curve_oracle(cells, country=country, scheme=scheme, years=years,
+                              max_offset=config.max_offset, lag0_point=points[(country, scheme)],
+                              exclusions=exclusions)
+        for country, scheme in targets
+    ]
+    curves = [curve for curve in curves if curve.points]
+    series = [
+        (journal_id, country, scheme.value,
+         series_oracle(cells, journal_id=journal_id, country=country, scheme=scheme, years=years))
+        for journal_id in sorted({c.journal_id for c in cohorts})
+        for country, scheme in targets
+    ]
+    outputs = {
+        "cells.csv": write_cells_csv_oracle(out / "cells.csv", cells),
+        "curves.csv": write_curves_csv(out / "curves.csv", curves),
+        "series.csv": write_series_csv(out / "series.csv", series),
+        "exclusions.csv": write_exclusions_csv(out / "exclusions.csv", exclusions),
+    }
+    for scheme in config.schemes:
+        name = f"curves_{scheme.value}.csv"
+        outputs[name] = write_scheme_curves_csv(
+            out / name, [curve for curve in curves if curve.scheme is scheme]
+        )
+    if config.scenario is not None:
+        outputs["data.csv"] = write_records_csv_oracle(out / "data.csv", cohorts)
+    resolved = {"countries": list(ranked.countries), "countries_complete": ranked.complete,
+                "years": [years.start, years[-1]]}
+    (out / "resolved.json").write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n",
+                                       encoding="utf-8")
+    write_manifest(out / "manifest.json", config.to_dict(), outputs)

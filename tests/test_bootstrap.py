@@ -8,23 +8,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from _oracles import bin_members, scalar_decisions, split_half
+from _oracles import bin_members, scalar_decisions, scalar_lag0_points, split_half
 from conftest import cohort, rec
 import mnlcs
-from mnlcs import bootstrap
+from mnlcs import bootstrap, stability
 from mnlcs.bootstrap import (
     coverage_probability_sim,
     lag0_batch,
     lag0_coverage,
     replicate_decisions,
 )
-from mnlcs.errors import InsufficientData, NoValidReplicates
+from mnlcs.errors import DomainError, InsufficientData, NoValidReplicates
 from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
 from mnlcs.rngtools import stream
-from mnlcs.stability import CurvePoint, ExclusionRecord, lag0_curve_points
+from mnlcs.stability import lag0_curve_points
 from mnlcs.synth import sample_citations
 
 
@@ -116,7 +116,9 @@ def test_lag0_batch_matches_individual_calls():
 
 
 def engine_decisions(c, targets, replicates, rng_seed, settings=CiSettings()):
-    return replicate_decisions(c, targets, replicates, rng_seed, settings)
+    """replicate_decisions' draw calls concatenated: [replicates, targets] arrays."""
+    valid, inside = zip(*replicate_decisions(c, targets, replicates, rng_seed, settings))
+    return np.concatenate(valid), np.concatenate(inside)
 
 
 def test_lag0_engine_matches_scalar_interval_path():
@@ -365,36 +367,17 @@ def test_lag0_memory_does_not_grow_with_replicates():
     assert peaks[1] <= 2 * peaks[0]
 
 
-def scalar_lag0_points(cohorts, targets, replicates, rng_seed, settings):
-    """lag0_curve_points' points and exclusions from the scalar route's decisions."""
-    fractions, totals, exclusions = {t: [] for t in targets}, dict.fromkeys(targets, 0), []
-    for c in cohorts:
-        if c.size < 2:
-            continue
-        valid, inside = scalar_decisions(c, targets, replicates, rng_seed, settings)
-        for target, n_valid, n_inside in zip(targets, valid.sum(axis=0), inside.sum(axis=0)):
-            if n_valid < replicates:
-                exclusions.append(ExclusionRecord(
-                    "lag0", "replicates_excluded", replicates - int(n_valid), c.journal_id,
-                    c.year, *target, offset=0,
-                ))
-            if n_valid:
-                fractions[target].append(int(n_inside) / int(n_valid))
-                totals[target] += int(n_valid)
-    points = {
-        target: CurvePoint(0, sum(fracs) / len(fracs), totals[target], simulated=True)
-        if fracs else None
-        for target, fracs in fractions.items()
-    }
-    return points, exclusions
+# the first article of a dual-route cohort alone is a one-article cohort
+lag0_route_rows = st.one_of(dual_route_rows, dual_route_rows.map(lambda rows: rows[:1]))
 
 
 @hyp_settings(max_examples=10, deadline=None)
 @given(
-    st.lists(dual_route_rows, min_size=1, max_size=4),
+    st.lists(lag0_route_rows, min_size=1, max_size=4),
     st.sampled_from([1, 65]),
     st.integers(0, 2**16),
 )
+@example([[(3, ("US",))], [(c, ("US",) if c % 2 else ()) for c in range(12)]], 65, 7)
 def test_lag0_curve_points_match_the_scalar_route(cohort_rows, replicates, seed):
     cohorts = [cohort(rows, year=2000 + i) for i, rows in enumerate(cohort_rows)]
     targets = [(country, scheme) for country in ("US", "UC", "ZZ") for scheme in Scheme]
@@ -402,6 +385,31 @@ def test_lag0_curve_points_match_the_scalar_route(cohort_rows, replicates, seed)
     exclusions = []
     points = lag0_curve_points(cohorts, targets, replicates, seed, settings, exclusions)
     assert (points, exclusions) == scalar_lag0_points(cohorts, targets, replicates, seed, settings)
+
+
+def test_lag0_batch_excludes_every_replicate_of_a_one_article_cohort():
+    targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("ZZ", Scheme.INCLUSIVE)]
+    table = lag0_batch(cohort([(4, ("US",))]), targets, replicates=7, rng_seed=1)
+    assert [(r.n_valid, r.n_inside, r.n_excluded) for r in table.values()] == [(0, 0, 7)] * 3
+    assert all(np.isnan(r.fraction) for r in table.values())
+    # no replicates is an error for a one-article cohort as for any other
+    for c in (cohort([(4, ("US",))]), big_cohort(n_field=40, n_group=10)):
+        with pytest.raises(DomainError):
+            lag0_batch(c, targets, replicates=0, rng_seed=1)
+
+
+def test_lag0_curve_points_at_zero_replicates_split_nothing(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("lag0_batch called at 0 replicates")
+
+    monkeypatch.setattr(stability, "lag0_batch", no_split)
+    targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE)]
+    cohorts = [big_cohort(n_field=40, n_group=10), cohort([(4, ("US",))], year=2001)]
+    exclusions = []
+    assert lag0_curve_points(cohorts, targets, 0, 1, CiSettings(), exclusions) == {
+        target: None for target in targets
+    }
+    assert exclusions == []
 
 
 def test_lag0_large_synthetic_band():

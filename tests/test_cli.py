@@ -135,6 +135,17 @@ def test_bootstrap_csv(data_csv, tmp_path):
     assert len(lines) == 1 + 8
 
 
+def test_bootstrap_prints_a_one_article_cohort_as_all_excluded(data_csv, capsys):
+    with open(data_csv, "a", encoding="utf-8") as f:
+        f.write("JX,2001,4,AA\n")
+    assert main(["bootstrap", "--input", str(data_csv), "--countries", "AA",
+                 "--replicates", "25"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2 * (8 + 1)
+    assert [(r["fraction"], r["n_valid"], r["n_excluded"]) for r in rows
+            if r["journal_id"] == "JX"] == [("", "0", "25")] * 2
+
+
 def test_run_command_with_scenario_config(tmp_path, capsys):
     config = {
         "input": {"scenario": SCENARIO},
@@ -196,6 +207,8 @@ def test_run_prints_the_summary_and_row_counts(data_csv, tmp_path, capsys):
     ("run", {"seed": 1.9}),
     ("run", {"lag0_replicates": True}),
     ("run", {"year_min": 2001.5}),
+    ("run", {"year_min": 2003, "year_max": 2001}),
+    ("indicator", ["--year-min", "2003", "--year-max", "2001"]),
 ])
 def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, command, flags):
     if command == "run":
@@ -210,6 +223,42 @@ def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, comma
     assert code != 0
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error", "message"}  # one object, nothing else
+    # bootstrap opens its output before it meets --replicates 0
+    assert command == "bootstrap" or not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_out_that_is_not_a_path(data_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"input": {"csv": str(data_csv)}, "countries": ["AA"], "out": 5}), encoding="utf-8")
+    for out_flag in ([], ["--out", "res"]):
+        assert main(["run", "--config", "config.json", *out_flag]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError" and "out" in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.csv"]
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("run --out file", "FileExistsError"),
+    ("run --out file/sub", "NotADirectoryError"),
+    ("simulate --out dir", "IsADirectoryError"),
+    ("indicator --input dir", "IsADirectoryError"),
+])
+def test_file_system_errors_fail_with_one_json_error(data_csv, tmp_path, capsys, command, kind):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    name, flag, path = command.split()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SCENARIO if name == "simulate" else
+                                 {"input": {"csv": str(data_csv)}, "countries": ["AA"]}),
+                      encoding="utf-8")
+    argv = [name, flag, str(tmp_path / path)]
+    argv += ["--countries", "AA"] if name == "indicator" else ["--config", str(config)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    error = json.loads(err)  # one object, nothing else
+    assert set(error) == {"error", "message"} and error["error"] == kind
 
 
 @pytest.mark.parametrize("command, config, flags, named", [

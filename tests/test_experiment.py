@@ -1,8 +1,10 @@
+import csv
 import json
 from dataclasses import replace
 
 import pytest
 
+from _oracles import oracle_bundle
 from mnlcs import experiment
 from mnlcs.dataio import config_hash, write_records_csv
 from mnlcs.errors import ValidationError
@@ -151,6 +153,12 @@ def test_config_requires_one_input():
 def test_config_requires_country_selection():
     with pytest.raises(ValidationError):
         ExperimentConfig(scenario=scenario())
+
+
+def test_config_rejects_year_min_above_year_max():
+    with pytest.raises(ValidationError, match="year_min 2004 exceeds year_max 2003"):
+        config(year_min=2004, year_max=2003)
+    assert config(year_min=2003, year_max=2003).year_max == 2003
 
 
 def test_run_experiment_writes_bundle(tmp_path):
@@ -308,3 +316,55 @@ def test_from_dict_converts_year_bounds_as_other_int_settings():
     with pytest.raises(ValidationError, match="year_min"):
         ExperimentConfig.from_dict({**d, "year_min": 2001.5})
     assert ExperimentConfig.from_dict({**d, "year_min": None}).year_min is None
+
+
+def with_one_article_journal_year(data_csv, path):
+    """``data_csv`` with journal J2 renamed J"2, a journal id csv.writer quotes,
+    and one more journal, JX, holding a single article in 2001."""
+    with open(data_csv, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    rows = [['J"2' if row[0] == "J2" else row[0], *row[1:]] for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([header, *rows, ["JX", "2001", "4", "AA"]])
+    return path
+
+
+def test_lag0_accounts_for_every_replicate_of_every_cohort(tmp_path):
+    # valid + excluded = replicates x cohorts x targets, the one-article JX 2001 included
+    data = tmp_path / "data.csv"
+    write_records_csv(data, generate(scenario()))
+    cfg = config(scenario=None, input_csv=str(with_one_article_journal_year(data, data)))
+    out = run_experiment(cfg, tmp_path / "out").out_dir
+    excluded = [int(n) for stage, n in zip(_column(out / "exclusions.csv", "stage"),
+                                           _column(out / "exclusions.csv", "count"))
+                if stage == "lag0"]
+    valid = [int(n) for offset, n in zip(_column(out / "curves.csv", "offset_years"),
+                                         _column(out / "curves.csv", "n_comparisons"))
+             if offset == "0"]
+    with open(out / "exclusions.csv", encoding="utf-8", newline="") as f:
+        single = [row for row in csv.DictReader(f) if row["journal_id"] == "JX"]
+    assert [(r["stage"], r["count"]) for r in single if r["stage"] == "lag0"] == [("lag0", "30")] * 4
+    assert sum(excluded) + sum(valid) == 30 * (3 * 6 + 1) * 4
+
+
+def test_run_experiment_writes_the_oracle_bundle(tmp_path):
+    # every file of the bundle, byte for byte, against one composed from the
+    # slow per-stage oracles: a scenario at 0 and 5 replicates, then its
+    # data.csv with a quoted journal id and a one-article journal-year
+    small = replace(scenario(), n_journals=2, year_end=2003, field_size_per_year=40)
+    runs = {
+        "scenario_0": config(scenario=small, lag0_replicates=0, countries=None, top_k=3),
+        "scenario_5": config(scenario=small, lag0_replicates=5, max_offset=6),
+    }
+    run_experiment(runs["scenario_0"], tmp_path / "seed")
+    data = with_one_article_journal_year(tmp_path / "seed" / "data.csv", tmp_path / "data.csv")
+    runs["csv_5"] = config(scenario=None, input_csv=str(data), lag0_replicates=5, min_group_n=2,
+                           fieller_form="printed", year_min=1999, year_max=2002)
+    for name, cfg in runs.items():
+        oracle_bundle(cfg, tmp_path / name / "oracle")
+        run_experiment(cfg, tmp_path / name / "run")
+        files = sorted(p.name for p in (tmp_path / name / "oracle").iterdir())
+        assert sorted(p.name for p in (tmp_path / name / "run").iterdir()) == files
+        for file in files:
+            expected = (tmp_path / name / "oracle" / file).read_bytes()
+            assert (tmp_path / name / "run" / file).read_bytes() == expected, (name, file)

@@ -21,7 +21,7 @@ except ImportError:
 
 from mnlcs.fieller import OK, CiSettings, interval_columns
 from mnlcs.indicator import log_stats_from_logs
-from mnlcs.rngtools import stream
+from mnlcs.rngtools import streams
 from mnlcs.synth import sample_citations
 
 
@@ -39,8 +39,7 @@ def main() -> int:
 
     settings = CiSettings(alpha=args.alpha, form=args.form)
     groups, fields, degenerate = [], [], 0
-    for rep in range(args.replicates):
-        rng = stream(args.seed, "coverage-mc", rep)
+    for rng in streams(args.seed, [("coverage-mc", rep) for rep in range(args.replicates)]):
         counts = sample_citations(args.mu, args.sigma, args.field_n, rng)
         logs = np.log1p(counts.astype(float))
         field = log_stats_from_logs(logs)

@@ -23,18 +23,18 @@ whatever the total, and memory grows with neither replicates nor bins.
 
 One product of a call's counts with a [bins, 4 x (targets + 1)] table gives
 half A's sums, sums of squares, cited and member counts for the field and
-every target; half B is the cohort total minus half A. Values are centred
-on the cohort mean first, so sums of squares do not cancel when citation
-counts are large and close together. Half A's intervals come from one
-fieller_interval call per draw call, the code every indicator cell goes
+every target. Half B's sums come the same way from the rest of each bin;
+its cited and member counts are the cohort's minus half A's. Values are
+centred on the cohort mean first, so sums of squares do not cancel when
+citation counts are large and close together. Half A's intervals come from
+one fieller_interval call per draw call, the code every indicator cell goes
 through, with t looked up per half-A group count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .counting import set_membership
 from .errors import DomainError, InsufficientData, NoValidReplicates
 from .fieller import DEFAULT_SETTINGS, CiSettings, fieller_interval, t_quantile
 from .model import Cohort, Scheme, _frozen
-from .rngtools import stream
+from .rngtools import stream, streams
 
 ROWS = 256  # replicates per draw call
 CELLS = 2**16  # at most this many bin counts per draw call, unless one row holds more
@@ -71,8 +71,7 @@ def half_a_counts(
         )
 
 
-@dataclass(frozen=True)
-class Lag0Result:
+class Lag0Result(NamedTuple):
     """Coverage over valid replicates plus the exclusion tally."""
 
     fraction: float
@@ -106,26 +105,30 @@ def replicate_decisions(
     has no group members; a degenerate field mean in either half invalidates
     it for every target.
     """
-    # citation ranks, not counts, keep the bin key small for any count
-    _, rank = np.unique(cohort.citations, return_inverse=True)
-    _, first, sizes = np.unique(
-        cohort.codes * (rank.max() + 1) + rank, return_index=True, return_counts=True
-    )
+    # bins in (set, citations) order: a bin starts wherever the sorted key changes
+    order = np.lexsort((cohort.citations, cohort.codes))
+    key = np.array([cohort.codes[order], cohort.citations[order]])
+    bounds = np.flatnonzero(np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0), [True])))
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    codes, citations = key[:, starts]
     centre = cohort.log_citations.mean()
-    x = cohort.log_citations[first] - centre
-    per_bin = np.stack([x, x * x, cohort.citations[first] > 0, np.ones_like(x)], axis=1)
+    x = cohort.log_citations[order[starts]] - centre
+    per_bin = np.stack([x, x * x, citations > 0, np.ones_like(x)], axis=1)
     # 0/1 weights [bins, targets + 1]: column 0 is the field
-    member = set_membership(cohort.sets, tuple(targets))[:, cohort.codes[first]]
-    weights = np.vstack([np.ones(len(first)), member]).T
+    member = set_membership(cohort.sets, tuple(targets))[:, codes]
+    weights = np.vstack([np.ones(len(starts)), member]).T
     # [bins, 4 x (targets + 1)]: sums, sums of squares, cited and member counts
-    table = (per_bin[:, :, None] * weights[:, None, :]).reshape(len(first), -1)
+    table = (per_bin[:, :, None] * weights[:, None, :]).reshape(len(starts), -1)
+    k = weights.shape[1]
     total = sizes.astype(np.float64) @ table
     t_table = _t_table(cohort.size, settings.alpha)
     for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
         sums_a = drawn.astype(np.float64) @ table
         # each [rows, targets + 1]; half B needs only its means and counts
-        sums, squares, cited, counts = np.split(sums_a, 4, axis=1)
-        sums_b, _, cited_b, counts_b = np.split(total - sums_a, 4, axis=1)
+        sums, squares, cited, counts = (sums_a[:, i * k:(i + 1) * k] for i in range(4))
+        # half B's sums from its own articles: total minus half A's rounds off a ratio of 1
+        sums_b = (sizes - drawn).astype(np.float64) @ table[:, :k]
+        cited_b, counts_b = total[2 * k:3 * k] - cited, total[3 * k:] - counts
         with np.errstate(divide="ignore", invalid="ignore"):
             # a half with no cited article has mean and SE exactly 0, as a direct
             # sum would; the clamp guards tiny negative residue from cancellation
@@ -167,12 +170,7 @@ def lag0_batch(
             n_valid += valid.sum(axis=0)
             n_inside += inside.sum(axis=0)
     return {
-        target: Lag0Result(
-            fraction=ins / val if val else float("nan"),
-            n_inside=ins,
-            n_valid=val,
-            n_excluded=replicates - val,
-        )
+        target: Lag0Result(ins / val if val else float("nan"), ins, val, replicates - val)
         for target, val, ins in zip(targets, n_valid.tolist(), n_inside.tolist())
     }
 
@@ -224,13 +222,8 @@ def coverage_probability_sim(
         raise ValueError("replicates must be >= 100")
     t = t_quantile(n_first - 1, 0.025)
     inside = 0
-    for rep in range(replicates):
-        rng = stream(rng_seed, "coverage-sim", rep)
+    for rng in streams(rng_seed, [("coverage-sim", rep) for rep in range(replicates)]):
         first = rng.normal(mu0, sigma0, size=n_first)
-        second = rng.normal(mu0, sigma0, size=n_second)
-        m = first.mean()
-        half = t * first.std(ddof=1) / np.sqrt(n_first)
-        m2 = second.mean()
-        if m - half <= m2 <= m + half:
-            inside += 1
+        m, half = first.mean(), t * first.std(ddof=1) / np.sqrt(n_first)
+        inside += m - half <= rng.normal(mu0, sigma0, size=n_second).mean() <= m + half
     return inside / replicates

@@ -57,8 +57,7 @@ class CoverageCurve:
                 raise ValidationError("inside_fraction must be within [0, 1]")
 
 
-@dataclass(frozen=True)
-class ExclusionRecord:
+class ExclusionRecord(NamedTuple):
     """One tally of skipped work: where, why and how many."""
 
     stage: str

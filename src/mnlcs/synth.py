@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Cohort
-from .rngtools import stream
+from .rngtools import stream, streams
 
 # keeps exp(y) far below 2^63 so integer conversion cannot overflow
 _MAX_LOG_COUNT = 42.0
@@ -142,10 +142,12 @@ def sample_citations(
         raise ValidationError("sigma must be >= 0")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    y = rng.normal(mu, sigma, size=n) if sigma > 0 else np.full(n, float(mu))
-    y = np.minimum(y, _MAX_LOG_COUNT)
-    counts = np.rint(np.exp(y)) - 1.0
-    return np.maximum(counts, 0.0).astype(np.int64)
+    return _counts(rng.normal(mu, sigma, size=n) if sigma > 0 else np.full(n, float(mu)))
+
+
+def _counts(y: np.ndarray) -> np.ndarray:
+    """Citation counts max(0, round(e^y) - 1) of log-scale draws y."""
+    return np.maximum(np.rint(np.exp(np.minimum(y, _MAX_LOG_COUNT))) - 1.0, 0.0).astype(np.int64)
 
 
 def capability_path(spec: ScenarioSpec, journal_id: str, group: GroupSpec) -> dict[int, float]:
@@ -187,25 +189,22 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
         n_g = int(g.share * spec.field_size_per_year)
         if n_g == 0:
             continue
-        sizes[g.country] = n_g
+        sizes[g] = n_g
         n_collab = int(n_g * spec.collab_fraction + 0.5)
         sets += [frozenset((g.country, spec.collab_partner)), frozenset((g.country,))]
         codes += [len(sets) - 2] * n_collab + [len(sets) - 1] * (n_g - n_collab)
     n_rest = spec.field_size_per_year - sum(sizes.values())
     codes = np.array(codes + [0] * n_rest, dtype=np.intp)
+    labels = [g.country for g in sizes] + ["__rest__"] * (n_rest > 0)
+    rngs = streams(spec.rng_seed, [("citations", j, year, label) for j in spec.journal_ids
+                                   for year in spec.years for label in labels])
 
     cohorts = []
     for journal_id in spec.journal_ids:
         paths = {g.country: capability_path(spec, journal_id, g) for g in spec.groups}
         for year in spec.years:
-            counts = []
-            for g in spec.groups:
-                if g.country not in sizes:
-                    continue
-                rng = stream(spec.rng_seed, "citations", journal_id, year, g.country)
-                counts.append(sample_citations(paths[g.country][year], g.sigma, sizes[g.country], rng))
+            logs = [next(rngs).normal(paths[g.country][year], g.sigma, size=n) for g, n in sizes.items()]
             if n_rest > 0:
-                rng = stream(spec.rng_seed, "citations", journal_id, year, "__rest__")
-                counts.append(sample_citations(spec.field_mu, spec.field_sigma, n_rest, rng))
-            cohorts.append(Cohort(journal_id, year, np.concatenate(counts), codes, sets))
+                logs.append(next(rngs).normal(spec.field_mu, spec.field_sigma, size=n_rest))
+            cohorts.append(Cohort(journal_id, year, _counts(np.concatenate(logs)), codes, sets))
     return cohorts

@@ -12,10 +12,12 @@ not through the library's membership matrix, CSV ingest and writing go
 through one CitationRecord per row, not through columns, coverage curves
 and series look up one cell per (journal, year) pair in a dict, not in the
 library's cell grid, cells.csv is sorted and written one ``CellRow`` (this
-module's own cell record) at a time, not from the grid's arrays, and a
+module's own cell record) at a time, not from the grid's arrays, a
 cohort's canonical sets are ranked from its used sets alone, not looked up
-in the cached order of its whole sets tuple. ``oracle_bundle`` composes
-these stages into the whole bundle of a run.
+in the cached order of its whole sets tuple, and synthetic cohorts are drawn
+one group at a time, each from its own ``stream`` (numpy's SeedSequence),
+not from one batch of streams. ``oracle_bundle`` composes these stages into
+the whole bundle of a run.
 """
 
 import csv
@@ -51,6 +53,7 @@ from mnlcs.model import (
     Scheme,
     validate_record,
 )
+from mnlcs.rngtools import stream
 from mnlcs.stability import (
     CellGrid,
     CoverageCurve,
@@ -58,6 +61,7 @@ from mnlcs.stability import (
     ExclusionRecord,
     SeriesPoint,
 )
+from mnlcs.synth import ScenarioSpec, capability_path, sample_citations
 
 
 @dataclass(frozen=True)
@@ -452,6 +456,34 @@ def ingest_oracle(path, *, journals=None, year_min=None, year_max=None, max_bad_
             row_errors=report.row_errors,
         )
     return group_into_cohorts(records), report
+
+
+def generate_oracle(spec: ScenarioSpec) -> list[Cohort]:
+    """synth.generate one group at a time: a stream and a sample_citations
+    call per (journal, year, group), then the unlabelled rest of the field,
+    and every article a CitationRecord."""
+    groups = [(g, int(g.share * spec.field_size_per_year)) for g in spec.groups]
+    groups = [(g, n) for g, n in groups if n > 0]
+    n_rest = spec.field_size_per_year - sum(n for _, n in groups)
+    cohorts = []
+    for journal_id in spec.journal_ids:
+        mu = {g.country: capability_path(spec, journal_id, g) for g, _ in groups}
+        for year in spec.years:
+            records = []
+            for g, n in groups:
+                rng = stream(spec.rng_seed, "citations", journal_id, year, g.country)
+                n_collab = int(n * spec.collab_fraction + 0.5)
+                for i, c in enumerate(sample_citations(mu[g.country][year], g.sigma, n, rng)):
+                    countries = {g.country, spec.collab_partner} if i < n_collab else {g.country}
+                    records.append(CitationRecord(journal_id, year, int(c), frozenset(countries)))
+            if n_rest > 0:
+                rng = stream(spec.rng_seed, "citations", journal_id, year, "__rest__")
+                records += [
+                    CitationRecord(journal_id, year, int(c), frozenset())
+                    for c in sample_citations(spec.field_mu, spec.field_sigma, n_rest, rng)
+                ]
+            cohorts.append(Cohort(journal_id, year, tuple(records)))
+    return cohorts
 
 
 def enumerate_pairs(years: range, offset: int) -> list[tuple[int, int]]:

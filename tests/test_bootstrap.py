@@ -15,6 +15,7 @@ from conftest import cohort, rec
 import mnlcs
 from mnlcs import bootstrap, stability
 from mnlcs.bootstrap import (
+    Lag0Result,
     coverage_probability_sim,
     lag0_batch,
     lag0_coverage,
@@ -24,7 +25,7 @@ from mnlcs.errors import DomainError, InsufficientData, NoValidReplicates
 from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
 from mnlcs.rngtools import stream
-from mnlcs.stability import lag0_curve_points
+from mnlcs.stability import ExclusionRecord, lag0_curve_points
 from mnlcs.synth import sample_citations
 
 
@@ -164,14 +165,22 @@ dual_route_args = (
 )
 
 
+# half A is three equal counts, so its interval is [1, 1], and half B is all
+# US, so its ratio is exactly 1: half B's sums must not come from total - A
+HALF_B_TIE = ([(175, ()), (0, ("US",)), (1, ("US",)), (175, ("US",)), (175, ("US",)),
+               (2, ("JP", "US"))], "standard", 2, 63, 0)
+
+
 @hyp_settings(max_examples=60, deadline=None)
 @given(*dual_route_args)
+@example(*HALF_B_TIE)
 def test_engine_matches_scalar_route_on_random_cohorts(rows, form, min_group_n, replicates, seed):
     check_engine_against_scalar_route(rows, form, min_group_n, replicates, seed)
 
 
 @hyp_settings(max_examples=30, deadline=None)
 @given(*dual_route_args)
+@example(*HALF_B_TIE)
 def test_engine_matches_scalar_route_with_one_row_calls(rows, form, min_group_n, replicates, seed):
     # every replicate is its own draw call, so call boundaries fall between all rows
     with mock.patch.object(bootstrap, "ROWS", 1):
@@ -385,6 +394,19 @@ def test_lag0_curve_points_match_the_scalar_route(cohort_rows, replicates, seed)
     exclusions = []
     points = lag0_curve_points(cohorts, targets, replicates, seed, settings, exclusions)
     assert (points, exclusions) == scalar_lag0_points(cohorts, targets, replicates, seed, settings)
+
+
+def test_per_target_records_are_named_tuples_with_the_same_fields():
+    assert Lag0Result._fields == ("fraction", "n_inside", "n_valid", "n_excluded")
+    assert ExclusionRecord._fields == (
+        "stage", "reason", "count", "journal_id", "year", "country", "scheme", "offset"
+    )
+    record = ExclusionRecord("lag0", "replicates_excluded", 3)
+    assert record == ("lag0", "replicates_excluded", 3, "", None, "", None, None)
+    table = lag0_batch(big_cohort(n_field=40, n_group=10), [("US", Scheme.INCLUSIVE)], 20, 1)
+    (result,) = table.values()
+    assert result == Lag0Result(result.n_inside / result.n_valid, result.n_inside, result.n_valid,
+                                20 - result.n_valid)
 
 
 def test_lag0_batch_excludes_every_replicate_of_a_one_article_cohort():

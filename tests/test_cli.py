@@ -223,8 +223,7 @@ def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, comma
     assert code != 0
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error", "message"}  # one object, nothing else
-    # bootstrap opens its output before it meets --replicates 0
-    assert command == "bootstrap" or not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_an_out_that_is_not_a_path(data_csv, tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import expected_log1p_count, prob_zero_count
+from _oracles import expected_log1p_count, generate_oracle, prob_zero_count
 from mnlcs.errors import MalformedCountry, ValidationError
 from mnlcs.rngtools import stream
 from mnlcs.synth import (
@@ -83,6 +83,25 @@ def test_generate_shapes_and_labels():
         assert len(collab) == 5  # round(15 * 0.3)
         unlabeled = [r for r in c.records if not r.countries]
         assert len(unlabeled) == 60 - 15 - 12
+
+
+@pytest.mark.parametrize("mode", [Static(), RandomWalk(0.3), LinearDrift(0.1), IndependentResample(0.4)])
+@pytest.mark.parametrize("collab_fraction", [0.0, 0.3, 1.0])
+def test_generate_matches_the_per_group_oracle(mode, collab_fraction):
+    # CC's share gives it no article
+    groups = (GroupSpec("AA", 0.25, 1.2, 1.0), GroupSpec("CC", 0.01, 1.0, 1.0), GroupSpec("BB", 0.2, 0.8, 0.5))
+    spec = _spec(capability_mode=mode, collab_fraction=collab_fraction, groups=groups, n_journals=2)
+    assert generate(spec) == generate_oracle(spec)
+
+
+def test_generate_matches_the_per_group_oracle_without_field_rest_or_spread():
+    spec = _spec(groups=(GroupSpec("AA", 0.5, 1.2, 1.0), GroupSpec("BB", 0.5, 0.8, 1.0)), rng_seed=2**130)
+    assert generate(spec) == generate_oracle(spec)
+    assert all(c.size == 60 and all(r.countries for r in c.records) for c in generate(spec))
+    # validation rejects sigma 0, but a group without spread must still get
+    # the counts of sample_citations' sigma-0 branch
+    object.__setattr__(spec.groups[1], "sigma", 0.0)
+    assert generate(spec) == generate_oracle(spec)
 
 
 def test_generate_is_deterministic():

@@ -204,7 +204,8 @@ def coverage_curve(
     Each (year, year + offset) pair of every journal with a cell for the
     target counts if the base cell is OK and the later cell exists; the
     later value is tested against the raw base bounds, closed. Offsets with
-    no valid pairs emit no point.
+    no valid pairs emit no point; offsets past the year span attempt no
+    pairs, so they are skipped without an exclusion row.
     """
     t = grid.targets.get((country, scheme))
     # [journal, year] rows of the journals taking part; none if no cell names the target
@@ -213,8 +214,7 @@ def coverage_curve(
         for a in (grid.ok, grid.present, grid.value, grid.ci_low, grid.ci_high)
     )
     points = [] if lag0_point is None else [lag0_point]
-    for offset in range(1, max_offset + 1):
-        # base and later columns; both are empty once offset >= len(years)
+    for offset in range(1, min(max_offset, len(grid.years) - 1) + 1):
         base, later = ok[:, :-offset], value[:, offset:]
         valid = base & present[:, offset:]
         n_base_ok, n = int(np.count_nonzero(base)), int(np.count_nonzero(valid))

@@ -512,7 +512,8 @@ def coverage_curve_oracle(cells, *, country, scheme, years, max_offset, lag0_poi
             ))
 
     points = [] if lag0_point is None else [lag0_point]
-    for offset in range(1, max_offset + 1):
+    # an offset past the year span has no pairs to attempt
+    for offset in range(1, min(max_offset, len(years) - 1) + 1):
         inside = n = n_base_unusable = n_later_missing = 0
         pairs = enumerate_pairs(years, offset)
         for journal_id in sorted(journals):

@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +188,36 @@ def test_run_experiment_deterministic(tmp_path):
     assert (r1.out_dir / "manifest.json").read_bytes() == (
         r2.out_dir / "manifest.json"
     ).read_bytes()
+
+
+def test_offsets_past_the_year_span_add_no_rows(tmp_path):
+    # scenario() spans 2000-2005, so offsets past 5 have no pairs to attempt
+    span = run_experiment(config(max_offset=5), tmp_path / "span").out_dir
+    start = time.perf_counter()
+    far = run_experiment(config(max_offset=20000), tmp_path / "far").out_dir
+    assert time.perf_counter() - start < 30.0
+    for name in ("curves.csv", "exclusions.csv"):
+        assert (far / name).read_bytes() == (span / name).read_bytes(), name
+
+
+def test_import_and_run_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only; a fresh interpreter keeps it out
+    code = (
+        "import json, sys\n"
+        "import mnlcs\n"
+        "from mnlcs.experiment import ExperimentConfig, run_experiment\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
+        "print(loaded())\n"
+    )
+    cfg = json.dumps(config(lag0_replicates=3, max_offset=2).to_dict())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):

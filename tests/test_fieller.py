@@ -68,6 +68,47 @@ def test_t_quantile_domain_errors():
         t_quantile(5, 0.0)
     with pytest.raises(DomainError):
         t_quantile(np.array([5.0, 0.0]), 0.025)
+    with pytest.raises(DomainError):
+        t_quantile(float("nan"), 0.025)
+    with pytest.raises(DomainError):
+        t_quantile(np.array([5.0, np.nan]), 0.025)
+
+
+# Exact quantiles (mpmath, 50 digits) for the upper tail 1 - (1 - alpha) in
+# double, which is what t_quantile solves for
+T_EXACT = [
+    (1, 0.025, 12.706204736174693314),
+    (2, 0.005, 9.9248432009182886403),
+    (3.5, 0.1, 1.5765766051364052678),
+    (6, 0.005, 3.7074280213247790741),
+    (10, 0.25, 0.69981206131243162734),
+    (17.25, 0.05, 1.7381574030065231152),
+    (30, 0.45, 0.12672961313207370748),
+    (150, 0.025, 1.9759053308966201312),
+    (250.5, 0.025, 1.9694792720516759696),
+    (600, 0.49, 0.025079362380435348779),
+    (3000, 0.005, 2.5774691348386079816),
+    (1e6, 0.25, 0.67448999553108737862),
+    (math.inf, 0.025, 1.9599639845400538556),
+    (math.inf, 0.4, 0.25334710313579974132),
+]
+
+
+@pytest.mark.parametrize("df,alpha,exact", T_EXACT)
+def test_t_quantile_within_two_ulps_of_exact(df, alpha, exact):
+    assert abs(t_quantile(df, alpha) - exact) <= 2 * np.spacing(exact)
+
+
+def test_t_quantile_matches_scipy_stdtrit():
+    # stdtrit itself strays from the exact quantile by up to 62 ulps below
+    # 10 df (df 6, alpha 0.005) and 8 from 10 df on (df 966, alpha 0.25)
+    special = pytest.importorskip("scipy.special")
+    df = np.concatenate([np.arange(1.0, 3001.0), np.logspace(0.0, 6.0, 200), [3.5, 17.25, 250.5, np.inf]])
+    for alpha in (0.005, 0.025, 0.05, 0.1, 0.25, 0.5):
+        got, want = t_quantile(df, alpha), special.stdtrit(df, 1.0 - alpha)
+        ulps = np.abs(got - want) / np.spacing(want)
+        assert ulps[df < 10].max() <= 64, alpha
+        assert ulps[df >= 10].max() <= 8, alpha
 
 
 def test_t_quantile_array_matches_scalar_calls():

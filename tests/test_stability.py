@@ -167,7 +167,7 @@ def test_grid_curves_and_series_match_per_pair_oracle(drawn):
     for country in ("AA", "BB", "US", "CC"):
         for scheme in Scheme:
             got, want = [], []
-            # offsets up to len(years) + 1: the last two have no pairs at all
+            # offsets up to len(years) + 1: the last two lie past the year span
             curve = coverage_curve(grid, country=country, scheme=scheme,
                                    max_offset=len(years) + 1, lag0_point=lag0, exclusions=got)
             assert curve == coverage_curve_oracle(
@@ -189,8 +189,9 @@ def test_grid_without_cells():
     curve = coverage_curve(grid, country="US", scheme=Scheme.INCLUSIVE, max_offset=4,
                            exclusions=exclusions)
     assert curve.points == ()
+    # offsets 3 and 4 lie past the 3-year span: nothing attempted, nothing excluded
     assert [(e.offset, e.reason, e.count) for e in exclusions] == [
-        (k, "no_valid_pairs", 1) for k in range(1, 5)
+        (k, "no_valid_pairs", 1) for k in range(1, 3)
     ]
     series = series_report(grid, journal_id="J1", country="US", scheme=Scheme.INCLUSIVE)
     assert [(p.year, p.status) for p in series] == [(y, "missing") for y in range(2000, 2003)]

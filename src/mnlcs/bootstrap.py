@@ -13,7 +13,8 @@ in every sum the test takes, so the articles fall into bins sorted by (set,
 citations) and a split is how many articles of each bin half A takes.
 half_a_counts draws these multivariate hypergeometric counts with numpy's
 "count" method from one stream per cohort, keyed (seed, "lag0-split-v2",
-journal, year). Neither input row order nor the targets change a split.
+journal, year). Neither input row order, the targets nor the other cohorts
+change a split.
 
 A "count" call draws its rows in sequence but starts afresh, so rows depend
 on where calls begin. Every call but the last draws _rows_per_call(bins)
@@ -21,20 +22,29 @@ rows, ROWS or fewer so that a call holds at most CELLS counts. That never
 depends on the replicate total, so the first k replicates are the same
 whatever the total, and memory grows with neither replicates nor bins.
 
-One product of a call's counts with a [bins, 4 x (targets + 1)] table gives
-half A's sums, sums of squares, cited and member counts for the field and
-every target. Half B's sums come the same way from the rest of each bin;
-its cited and member counts are the cohort's minus half A's. Values are
-centred on the cohort mean first, so sums of squares do not cancel when
-citation counts are large and close together. Half A's intervals come from
-one fieller_interval call per draw call, the code every indicator cell goes
-through, with t looked up per half-A group count.
+Cohorts are binned a block at a time: consecutive cohorts of at most
+ARTICLES articles together (a larger cohort alone) go through one sort on
+(block set code, citation rank). Each cohort's sets take their own range of
+block codes, so its bins, their order and sizes are the cohort's own. One
+product of a call's counts with the cohort's [bins, 4 x (targets + 1)] table
+gives half A's sums, sums of squares, cited and member counts for the field
+and every target. Half B's sums come the same way from the rest of each
+bin; its cited and member counts are the cohort's minus half A's. Values
+are centred on the cohort mean first, so sums of squares do not cancel when
+citation counts are large and close together.
+
+Each draw call writes its rows into buffers of BATCH rows shared by
+consecutive cohorts; the decision tail then runs once per full buffer, with
+one fieller_interval call, the code every indicator cell goes through, and
+t looked up per row from the cohort's half-A group count. Every value is
+the one a cohort on its own would give: the products keep draw-call size
+and everything after them works element by element.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +56,8 @@ from .rngtools import stream, streams
 
 ROWS = 256  # replicates per draw call
 CELLS = 2**16  # at most this many bin counts per draw call, unless one row holds more
+ARTICLES = 8192  # articles binned at once, unless one cohort holds more
+BATCH = 1024  # rows per decision batch, unless one draw call holds more
 
 
 def _rows_per_call(n_bins: int) -> int:
@@ -90,89 +102,157 @@ def _t_table(n: int, alpha: float) -> np.ndarray:
     return _frozen(t_quantile(np.maximum(np.arange(n // 2 + 1), 2) + n // 2 - 2, alpha))
 
 
+def _blocks(cohorts: Sequence[Cohort]) -> Iterator[list[tuple[int, Cohort]]]:
+    """Consecutive (index, cohort) pairs of at most ARTICLES articles, or one
+    larger cohort; cohorts of one article cannot be halved and are left out."""
+    block: list[tuple[int, Cohort]] = []
+    articles = 0
+    for i, cohort in enumerate(cohorts):
+        if cohort.size < 2:
+            continue
+        if block and articles + cohort.size > ARTICLES:
+            yield block
+            block, articles = [], 0
+        block.append((i, cohort))
+        articles += cohort.size
+    if block:
+        yield block
+
+
+def _binned(
+    block: list[tuple[int, Cohort]], targets: tuple[tuple[str, Scheme], ...]
+) -> Iterator[tuple[int, Cohort, float, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (index, cohort, centre, sizes, table, table_b) for each cohort
+    of a block: its mean ln(1+c), its bins' article counts, their [bins, 4 x
+    (targets + 1)] table of centred sums, squares, cited and member counts,
+    and a contiguous copy of the table's sums for half B's product."""
+    offsets = np.cumsum([0] + [len(c.sets) for _, c in block])
+    codes = np.concatenate([c.codes + offset for (_, c), offset in zip(block, offsets)])
+    citations = np.concatenate([c.citations for _, c in block])
+    # bins in (set, citations) order: a bin starts wherever the sorted key
+    # changes; ranking the citations keeps the key clear of int64 overflow
+    _, rank = np.unique(citations, return_inverse=True)
+    key = codes * (rank.max() + 1) + rank
+    order = np.argsort(key)
+    key = key[order]
+    bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    sizes, first = np.diff(bounds), order[bounds[:-1]]  # first: one article of each bin
+    codes, citations = codes[first], citations[first]
+    centres = np.array([c.log_citations.mean() for _, c in block])
+    # a cohort's bins are those whose codes lie in its range
+    edges = np.searchsorted(codes, offsets)
+    x = np.concatenate([c.log_citations for _, c in block])[first]
+    x -= np.repeat(centres, np.diff(edges))
+    per_bin = np.stack([x, x * x, citations > 0, np.ones_like(x)], axis=1)
+    # 0/1 weights [bins, targets + 1]: column 0 is the field
+    member = np.hstack([set_membership(c.sets, targets) for _, c in block])[:, codes]
+    weights = np.vstack([np.ones(len(first)), member]).T
+    # [bins, 4 x (targets + 1)]: sums, sums of squares, cited and member counts
+    table = (per_bin[:, :, None] * weights[:, None, :]).reshape(len(first), -1)
+    table_b = table[:, :weights.shape[1]].copy()
+    for (i, cohort), centre, lo, hi in zip(block, centres, edges[:-1], edges[1:]):
+        yield i, cohort, centre, sizes[lo:hi], table[lo:hi], table_b[lo:hi]
+
+
 def replicate_decisions(
-    cohort: Cohort,
+    cohorts: Sequence[Cohort],
     targets: Iterable[tuple[str, Scheme]],
     replicates: int = 1000,
     rng_seed: int = 0,
     settings: CiSettings = DEFAULT_SETTINGS,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (valid, inside) bool arrays [rows, targets] for each draw call
-    of half_a_counts, in replicate order.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (owner, valid, inside) for each batch of rows: owner [rows] is
+    the index in ``cohorts`` of each row's cohort, valid and inside are bool
+    [rows, targets]. A cohort's rows are its replicates in order, cohorts in
+    input order; a cohort of one article has no rows.
 
     A replicate is invalid for a target when half A cannot produce a bounded
     interval (group under the size threshold, or curvature h >= 1) or half B
     has no group members; a degenerate field mean in either half invalidates
     it for every target.
     """
-    # bins in (set, citations) order: a bin starts wherever the sorted key changes
-    order = np.lexsort((cohort.citations, cohort.codes))
-    key = np.array([cohort.codes[order], cohort.citations[order]])
-    bounds = np.flatnonzero(np.concatenate(([True], (key[:, 1:] != key[:, :-1]).any(axis=0), [True])))
-    starts, sizes = bounds[:-1], np.diff(bounds)
-    codes, citations = key[:, starts]
-    centre = cohort.log_citations.mean()
-    x = cohort.log_citations[order[starts]] - centre
-    per_bin = np.stack([x, x * x, citations > 0, np.ones_like(x)], axis=1)
-    # 0/1 weights [bins, targets + 1]: column 0 is the field
-    member = set_membership(cohort.sets, tuple(targets))[:, codes]
-    weights = np.vstack([np.ones(len(starts)), member]).T
-    # [bins, 4 x (targets + 1)]: sums, sums of squares, cited and member counts
-    table = (per_bin[:, :, None] * weights[:, None, :]).reshape(len(starts), -1)
-    k = weights.shape[1]
-    total = sizes.astype(np.float64) @ table
-    t_table = _t_table(cohort.size, settings.alpha)
-    for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
-        sums_a = drawn.astype(np.float64) @ table
-        # each [rows, targets + 1]; half B needs only its means and counts
-        sums, squares, cited, counts = (sums_a[:, i * k:(i + 1) * k] for i in range(4))
-        # half B's sums from its own articles: total minus half A's rounds off a ratio of 1
-        sums_b = (sizes - drawn).astype(np.float64) @ table[:, :k]
-        cited_b, counts_b = total[2 * k:3 * k] - cited, total[3 * k:] - counts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a half with no cited article has mean and SE exactly 0, as a direct
-            # sum would; the clamp guards tiny negative residue from cancellation
-            mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
-            var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
-            se = np.where(cited > 0.0, np.sqrt(var / counts), 0.0)
-            mean_b = np.where(cited_b > 0.0, centre + sums_b / counts_b, 0.0)
-            value_b = mean_b[:, 1:] / mean_b[:, :1]
-        field_a, counts_a = mean[:, :1], counts[:, 1:]
-        t = t_table[counts_a.astype(np.intp)]
-        _, low, high, h, _ = fieller_interval(
-            mean[:, 1:], se[:, 1:], field_a, se[:, :1], t, settings.form
-        )
-        valid = (field_a > 0.0) & (mean_b[:, :1] > 0.0) & (counts_a >= settings.min_group_n)
-        valid &= (counts_b[:, 1:] >= 1.0) & (h < 1.0)
-        yield valid, valid & (low <= value_b) & (value_b <= high)
+    targets = tuple(targets)
+    k = len(targets) + 1
+    size = max(BATCH, ROWS)
+    # per row: half A's four sums, half B's sums, the cohort's cited and
+    # member counts, its centre and half A's t values
+    buffers = sums_a, sums_b, totals, centres, t = (
+        np.empty((size, 4 * k)), np.empty((size, k)), np.empty((size, 2 * k)),
+        np.empty((size, 1)), np.empty((size, k - 1)),
+    )
+    owner = np.empty(size, dtype=np.intp)
+    filled = 0
+    for block in _blocks(cohorts):
+        for i, cohort, centre, sizes, table, table_b in _binned(block, targets):
+            total = sizes.astype(np.float64) @ table
+            t_table = _t_table(cohort.size, settings.alpha)
+            for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
+                if filled + len(drawn) > size:
+                    yield owner[:filled].copy(), *_decide(*(b[:filled] for b in buffers), settings)
+                    filled = 0
+                rows = slice(filled, filled + len(drawn))
+                np.matmul(drawn.astype(np.float64), table, out=sums_a[rows])
+                # half B's sums from its own articles: total minus half A's rounds off a ratio of 1
+                np.matmul((sizes - drawn).astype(np.float64), table_b, out=sums_b[rows])
+                totals[rows], centres[rows], owner[rows] = total[2 * k:], centre, i
+                t[rows] = t_table[sums_a[rows, 3 * k + 1:].astype(np.intp)]
+                filled += len(drawn)
+    if filled:
+        yield owner[:filled].copy(), *_decide(*(b[:filled] for b in buffers), settings)
+
+
+def _decide(sums_a, sums_b, totals, centre, t, settings):
+    """(valid, inside) bool [rows, targets] from a batch's buffers."""
+    # each [rows, targets + 1]; half B needs only its means and counts
+    sums, squares, cited, counts = np.split(sums_a, 4, axis=1)
+    cited_b, counts_b = np.split(totals, 2, axis=1)
+    cited_b, counts_b = cited_b - cited, counts_b - counts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a half with no cited article has mean and SE exactly 0, as a direct
+        # sum would; the clamp guards tiny negative residue from cancellation
+        mean = np.where(cited > 0.0, centre + sums / counts, 0.0)
+        var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
+        se = np.where(cited > 0.0, np.sqrt(var / counts), 0.0)
+        mean_b = np.where(cited_b > 0.0, centre + sums_b / counts_b, 0.0)
+        value_b = mean_b[:, 1:] / mean_b[:, :1]
+    field_a, counts_a = mean[:, :1], counts[:, 1:]
+    _, low, high, h, _ = fieller_interval(mean[:, 1:], se[:, 1:], field_a, se[:, :1], t, settings.form)
+    valid = (field_a > 0.0) & (mean_b[:, :1] > 0.0) & (counts_a >= settings.min_group_n)
+    valid &= (counts_b[:, 1:] >= 1.0) & (h < 1.0)
+    return valid, valid & (low <= value_b) & (value_b <= high)
 
 
 def lag0_batch(
-    cohort: Cohort,
+    cohorts: Sequence[Cohort],
     targets: Iterable[tuple[str, Scheme]],
     replicates: int = 1000,
     rng_seed: int = 0,
     settings: CiSettings = DEFAULT_SETTINGS,
-) -> dict[tuple[str, Scheme], Lag0Result]:
-    """Split-half coverage for several (country, scheme) targets at once.
+) -> list[dict[tuple[str, Scheme], Lag0Result]]:
+    """Split-half coverage for several (country, scheme) targets at once,
+    one dict per cohort.
 
-    Exclusion rules are those of replicate_decisions; the per-target counts
-    are added up draw call by draw call, so memory does not grow with replicates.
-    Targets that never produce a valid replicate come back with n_valid == 0
-    rather than raising.
+    Exclusion rules are those of replicate_decisions; each cohort's counts
+    are added up batch by batch, so memory does not grow with replicates.
+    Every replicate of a one-article cohort is excluded. Targets that never
+    produce a valid replicate come back with n_valid == 0 rather than raising.
     """
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
     targets = list(targets)
-    n_valid, n_inside = np.zeros((2, len(targets)), dtype=np.int64)
-    if cohort.size > 1:  # one article cannot be halved: every replicate is excluded
-        for valid, inside in replicate_decisions(cohort, targets, replicates, rng_seed, settings):
-            n_valid += valid.sum(axis=0)
-            n_inside += inside.sum(axis=0)
-    return {
-        target: Lag0Result(ins / val if val else float("nan"), ins, val, replicates - val)
-        for target, val, ins in zip(targets, n_valid.tolist(), n_inside.tolist())
-    }
+    n_valid, n_inside = np.zeros((2, len(cohorts), len(targets)), dtype=np.int64)
+    for owner, valid, inside in replicate_decisions(cohorts, targets, replicates, rng_seed, settings):
+        # a cohort's rows are consecutive, so each run of one owner is its share
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        n_valid[owner[starts]] += np.add.reduceat(valid, starts)
+        n_inside[owner[starts]] += np.add.reduceat(inside, starts)
+    return [
+        {
+            target: Lag0Result(ins / val if val else float("nan"), ins, val, replicates - val)
+            for target, val, ins in zip(targets, vals, inss)
+        }
+        for vals, inss in zip(n_valid.tolist(), n_inside.tolist())
+    ]
 
 
 def lag0_coverage(
@@ -188,7 +268,7 @@ def lag0_coverage(
     Raises NoValidReplicates when every replicate was excluded; see
     lag0_batch for the exclusion rules.
     """
-    (result,) = lag0_batch(cohort, [(country, scheme)], replicates, rng_seed, settings).values()
+    (result,) = lag0_batch([cohort], [(country, scheme)], replicates, rng_seed, settings)[0].values()
     if result.n_valid == 0:
         raise NoValidReplicates(
             f"all {replicates} replicates excluded for {country}/{scheme.value} "

@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .bootstrap import lag0_batch
 from .dataio import cell_order, fmt, ingest, write_cell_rows, write_cells_csv, write_records_csv
-from .errors import DomainError, MnlcsError, ValidationError
+from .errors import MnlcsError, ValidationError
 from .experiment import (
     ExperimentConfig,
     load_cohorts,
@@ -122,14 +122,13 @@ def cmd_bootstrap(args) -> int:
     config = _config(args, seed=args.seed)
     cohorts = load_cohorts(config)
     targets = [(c, s) for c in _countries(config, cohorts) for s in config.schemes]
-    if args.replicates < 1:  # before --out is opened, so a failure leaves no file
-        raise DomainError("replicates must be >= 1")
+    # every cohort before --out is opened, so a failure leaves no file
+    tables = lag0_batch(cohorts, targets, args.replicates, config.seed, config.settings)
     with (open(args.out, "w", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"])
-        for cohort in cohorts:
-            table = lag0_batch(cohort, targets, args.replicates, config.seed, config.settings)
+        for cohort, table in zip(cohorts, tables):
             for (country, scheme), res in sorted(
                 table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
             ):

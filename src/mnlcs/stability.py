@@ -248,12 +248,13 @@ def lag0_curve_points(
     Journal-years with no valid replicates, one-article ones among them, are
     tallied and skipped; a target nothing contributes to maps to None, as
     every target does at 0 replicates. All targets share each cohort's
-    splits, so one pass over the cohorts serves every country and scheme.
+    splits, so one lag0_batch call over the cohorts serves every country
+    and scheme.
     """
     fractions: dict[tuple[str, Scheme], list[float]] = {t: [] for t in targets}
     totals: dict[tuple[str, Scheme], int] = {t: 0 for t in targets}
-    for cohort in cohorts if replicates else ():
-        table = lag0_batch(cohort, targets, replicates, rng_seed, settings)
+    tables = lag0_batch(cohorts, targets, replicates, rng_seed, settings) if replicates else []
+    for cohort, table in zip(cohorts, tables):
         for target, result in table.items():
             if exclusions is not None and result.n_excluded > 0:
                 exclusions.append(ExclusionRecord(

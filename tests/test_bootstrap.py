@@ -21,12 +21,13 @@ from mnlcs.bootstrap import (
     lag0_coverage,
     replicate_decisions,
 )
+from mnlcs.counting import top_countries
 from mnlcs.errors import DomainError, InsufficientData, NoValidReplicates
 from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
 from mnlcs.rngtools import stream
 from mnlcs.stability import ExclusionRecord, lag0_curve_points
-from mnlcs.synth import sample_citations
+from mnlcs.synth import GroupSpec, ScenarioSpec, generate, sample_citations
 
 
 def big_cohort(n_field=2000, n_group=400, mu=1.0, sigma=1.0, seed=42, journal="J1", year=2000):
@@ -103,22 +104,22 @@ def test_lag0_invariant_under_record_order():
 def test_lag0_batch_matches_individual_calls():
     c = big_cohort(n_field=150, n_group=40, seed=3)
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE)]
-    table = lag0_batch(c, targets, replicates=50, rng_seed=8)
+    (table,) = lag0_batch([c], targets, replicates=50, rng_seed=8)
     for country, scheme in targets:
         single = lag0_coverage(c, country, scheme, replicates=50, rng_seed=8)
         assert table[(country, scheme)] == single
     # a target's splits do not depend on the other targets in the batch
     c, targets = paper_cohort(n=200, seed=2)
-    table = lag0_batch(c, targets, replicates=50, rng_seed=8)
+    (table,) = lag0_batch([c], targets, replicates=50, rng_seed=8)
     for target in targets:
-        single = lag0_batch(c, [target], replicates=50, rng_seed=8)[target]
+        single = lag0_batch([c], [target], replicates=50, rng_seed=8)[0][target]
         assert (single.n_valid, single.n_inside) == (table[target].n_valid, table[target].n_inside)
     assert any(r.n_valid for r in table.values())
 
 
 def engine_decisions(c, targets, replicates, rng_seed, settings=CiSettings()):
-    """replicate_decisions' draw calls concatenated: [replicates, targets] arrays."""
-    valid, inside = zip(*replicate_decisions(c, targets, replicates, rng_seed, settings))
+    """replicate_decisions' batches for one cohort concatenated: [replicates, targets] arrays."""
+    _, valid, inside = zip(*replicate_decisions([c], targets, replicates, rng_seed, settings))
     return np.concatenate(valid), np.concatenate(inside)
 
 
@@ -138,7 +139,7 @@ def test_lag0_engine_matches_scalar_interval_path():
         assert ref_valid[:, 0].any() and ref_inside[:, 0].any()
         np.testing.assert_array_equal(valid, ref_valid)
         np.testing.assert_array_equal(inside, ref_inside)
-        table = lag0_batch(c, targets, 130, rng_seed=23, settings=settings)
+        (table,) = lag0_batch([c], targets, 130, rng_seed=23, settings=settings)
         assert [(table[t].n_valid, table[t].n_inside) for t in targets] == list(
             zip(valid.sum(axis=0), inside.sum(axis=0))
         )
@@ -196,6 +197,51 @@ def check_engine_against_scalar_route(rows, form, min_group_n, replicates, seed)
     assert valid.shape == (replicates, len(targets))
     np.testing.assert_array_equal(valid, ref_valid)
     np.testing.assert_array_equal(inside, ref_inside)
+
+
+def decisions_by_cohort(cohorts, targets, replicates, rng_seed, settings):
+    """replicate_decisions' batches split by cohort: (valid, inside) per cohort,
+    None for a cohort without rows."""
+    parts = [[] for _ in cohorts]
+    for owner, valid, inside in replicate_decisions(cohorts, targets, replicates, rng_seed, settings):
+        assert (np.diff(owner) >= 0).all()  # cohorts in input order, each in one run
+        for i in np.unique(owner):
+            parts[i].append((valid[owner == i], inside[owner == i]))
+    return [tuple(map(np.concatenate, zip(*p))) if p else None for p in parts]
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(
+    st.lists(dual_route_rows, min_size=1, max_size=4),
+    st.none() | st.integers(0, 4),
+    st.sampled_from(FIELLER_FORMS),
+    st.integers(2, 5),
+    st.integers(1, 14),
+    st.integers(0, 2**16),
+)
+# two-row calls: two cohorts share a batch, the one-article cohort between them
+@example([[(3, ("US",)), (5, ("US",)), (0, ())]] * 3, 1, "standard", 2, 2, 0)
+# calls of 3, 3 and 1 rows: a batch ends inside the first cohort
+@example([[(3, ("US",)), (5, ("US",)), (0, ())]] * 3, None, "printed", 2, 7, 0)
+def test_engine_matches_scalar_route_across_cohorts(cohort_rows, one_article_at, form, min_group_n,
+                                                    replicates, seed):
+    # draw calls of at most 3 rows, batches of 5 and blocks of 40 articles,
+    # so flushes and block edges fall inside cohorts and between them
+    cohorts = [cohort(rows, journal=f"J{i}", year=2000 + i % 2) for i, rows in enumerate(cohort_rows)]
+    if one_article_at is not None:
+        cohorts.insert(min(one_article_at, len(cohorts)), cohort([(4, ("US",))], journal="JX"))
+    targets = [(country, scheme) for country in ("US", "DE", "UC", "ZZ") for scheme in Scheme]
+    settings = CiSettings(form=form, min_group_n=min_group_n)
+    with mock.patch.multiple(bootstrap, ROWS=3, BATCH=5, ARTICLES=40):
+        rows = decisions_by_cohort(cohorts, targets, replicates, seed, settings)
+        tables = lag0_batch(cohorts, targets, replicates, seed, settings)
+        for c, got, table in zip(cohorts, rows, tables):
+            if c.size < 2:
+                assert got is None
+            else:
+                for actual, expected in zip(got, scalar_decisions(c, targets, replicates, seed, settings)):
+                    np.testing.assert_array_equal(actual, expected)
+            np.testing.assert_equal(table, lag0_batch([c], targets, replicates, seed, settings)[0])
 
 
 def test_engine_treats_h_at_one_as_unbounded(monkeypatch):
@@ -301,7 +347,7 @@ def test_lag0_same_with_single_threaded_blas():
         "from test_bootstrap import big_cohort; "
         "from mnlcs.bootstrap import lag0_batch; from mnlcs.model import Scheme; "
         "c = big_cohort(n_field=300, n_group=60, seed=2); "
-        "print(lag0_batch(c, [('US', Scheme.INCLUSIVE), ('US', Scheme.EXCLUSIVE)], 100, 9))"
+        "print(lag0_batch([c], [('US', Scheme.INCLUSIVE), ('US', Scheme.EXCLUSIVE)], 100, 9))"
     )
     src = str(Path(mnlcs.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
@@ -342,7 +388,7 @@ def test_lag0_memory_is_bounded_in_replicates():
         c.log_citations  # cached on the cohort: not part of the engine's working set
         tracemalloc.start()
         try:
-            table = lag0_batch(c, targets, replicates=1000, rng_seed=1)
+            (table,) = lag0_batch([c], targets, replicates=1000, rng_seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -363,17 +409,45 @@ def paper_cohort(n=300, seed=4):
 
 def test_lag0_memory_does_not_grow_with_replicates():
     c, targets = paper_cohort()
-    lag0_batch(c, targets, replicates=1, rng_seed=1)  # fills the per-cohort caches
+    lag0_batch([c], targets, replicates=1, rng_seed=1)  # fills the per-cohort caches
     peaks = []
     for replicates in (1000, 10_000):
         tracemalloc.start()
         try:
-            table = lag0_batch(c, targets, replicates=replicates, rng_seed=1)
+            (table,) = lag0_batch([c], targets, replicates=replicates, rng_seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert all(r.n_valid + r.n_excluded == replicates for r in table.values())
     assert peaks[1] <= 2 * peaks[0]
+
+
+def test_lag0_memory_does_not_grow_with_cohorts():
+    # cohorts are binned a block of at most ARTICLES articles at a time, so
+    # the peak stays flat in the cohort count; the per-cohort results the
+    # call returns add about 0.3 MiB at 684 cohorts
+    spec = ScenarioSpec(
+        n_journals=36, year_start=1996, year_end=2014, field_size_per_year=300,
+        groups=tuple(GroupSpec(code * 2, round(0.10 - 0.01 * i, 2), 0.6 + 0.1 * i, 1.0)
+                     for i, code in enumerate("ABCDEFGHIJ")),
+        collab_fraction=0.3, rng_seed=5,
+    )
+    cohorts = generate(spec)
+    targets = [(country, s) for country in top_countries(cohorts, 10).countries for s in Scheme]
+    for c in cohorts:
+        c.log_citations  # cached on the cohort: not part of the engine's working set
+    lag0_curve_points(cohorts[:1], targets, 1, 5)  # fills the per-cohort caches
+    peaks = []
+    for n in (114, 684):
+        tracemalloc.start()
+        try:
+            points = lag0_curve_points(cohorts[:n], targets, 20, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert any(points.values())
+    assert peaks[1] <= 10 * 2**20
+    assert peaks[1] - peaks[0] <= 2**20
 
 
 # the first article of a dual-route cohort alone is a one-article cohort
@@ -403,7 +477,7 @@ def test_per_target_records_are_named_tuples_with_the_same_fields():
     )
     record = ExclusionRecord("lag0", "replicates_excluded", 3)
     assert record == ("lag0", "replicates_excluded", 3, "", None, "", None, None)
-    table = lag0_batch(big_cohort(n_field=40, n_group=10), [("US", Scheme.INCLUSIVE)], 20, 1)
+    (table,) = lag0_batch([big_cohort(n_field=40, n_group=10)], [("US", Scheme.INCLUSIVE)], 20, 1)
     (result,) = table.values()
     assert result == Lag0Result(result.n_inside / result.n_valid, result.n_inside, result.n_valid,
                                 20 - result.n_valid)
@@ -411,13 +485,13 @@ def test_per_target_records_are_named_tuples_with_the_same_fields():
 
 def test_lag0_batch_excludes_every_replicate_of_a_one_article_cohort():
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("ZZ", Scheme.INCLUSIVE)]
-    table = lag0_batch(cohort([(4, ("US",))]), targets, replicates=7, rng_seed=1)
+    (table,) = lag0_batch([cohort([(4, ("US",))])], targets, replicates=7, rng_seed=1)
     assert [(r.n_valid, r.n_inside, r.n_excluded) for r in table.values()] == [(0, 0, 7)] * 3
     assert all(np.isnan(r.fraction) for r in table.values())
     # no replicates is an error for a one-article cohort as for any other
     for c in (cohort([(4, ("US",))]), big_cohort(n_field=40, n_group=10)):
         with pytest.raises(DomainError):
-            lag0_batch(c, targets, replicates=0, rng_seed=1)
+            lag0_batch([c], targets, replicates=0, rng_seed=1)
 
 
 def test_lag0_curve_points_at_zero_replicates_split_nothing(monkeypatch):
@@ -449,8 +523,8 @@ def test_lag0_minimum_size_group_flagged():
     with pytest.raises(NoValidReplicates):
         lag0_coverage(c, "US", Scheme.INCLUSIVE, replicates=40, rng_seed=2,
                       settings=CiSettings(min_group_n=5))
-    table = lag0_batch(c, [("US", Scheme.INCLUSIVE)], replicates=40, rng_seed=2,
-                       settings=CiSettings(min_group_n=5))
+    (table,) = lag0_batch([c], [("US", Scheme.INCLUSIVE)], replicates=40, rng_seed=2,
+                          settings=CiSettings(min_group_n=5))
     res = table[("US", Scheme.INCLUSIVE)]
     assert res.n_valid == 0
     assert res.n_excluded == 40

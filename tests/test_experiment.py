@@ -3,17 +3,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from _oracles import oracle_bundle
 from mnlcs import experiment
 from mnlcs.dataio import config_hash, write_records_csv
 from mnlcs.errors import ValidationError
-from mnlcs.fieller import CiSettings
+from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.experiment import ExperimentConfig, run_experiment, scenario_from_dict
 from mnlcs.model import Scheme
 from mnlcs.stability import lag0_curve_points
@@ -396,10 +398,37 @@ def test_run_experiment_writes_the_oracle_bundle(tmp_path):
     runs["csv_5"] = config(scenario=None, input_csv=str(data), lag0_replicates=5, min_group_n=2,
                            fieller_form="printed", year_min=1999, year_max=2002)
     for name, cfg in runs.items():
-        oracle_bundle(cfg, tmp_path / name / "oracle")
-        run_experiment(cfg, tmp_path / name / "run")
-        files = sorted(p.name for p in (tmp_path / name / "oracle").iterdir())
-        assert sorted(p.name for p in (tmp_path / name / "run").iterdir()) == files
-        for file in files:
-            expected = (tmp_path / name / "oracle" / file).read_bytes()
-            assert (tmp_path / name / "run" / file).read_bytes() == expected, (name, file)
+        check_oracle_bundle(cfg, tmp_path / name)
+
+
+@hyp_settings(max_examples=8, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(3, 5),
+    st.integers(20, 60),
+    st.integers(0, 4),
+    st.sampled_from([{"countries": ("AA", "BB")}, {"countries": ("ZZ", "BB")},
+                     {"countries": None, "top_k": 1}, {"countries": None, "top_k": 4}]),
+    st.sampled_from(FIELLER_FORMS),
+    st.integers(2, 5),
+    st.integers(0, 2**16),
+)
+def test_run_experiment_writes_the_oracle_bundle_on_drawn_configs(
+    journals, years, articles, replicates, countries, form, min_group_n, seed
+):
+    small = replace(scenario(seed), n_journals=journals, year_end=2000 + years - 1,
+                    field_size_per_year=articles)
+    cfg = config(scenario=small, lag0_replicates=replicates, fieller_form=form,
+                 min_group_n=min_group_n, seed=seed, **countries)
+    with tempfile.TemporaryDirectory() as out:
+        check_oracle_bundle(cfg, Path(out))
+
+
+def check_oracle_bundle(cfg, out):
+    """run_experiment's bundle equals oracle_bundle's, every file byte for byte."""
+    oracle_bundle(cfg, out / "oracle")
+    run_experiment(cfg, out / "run")
+    files = sorted(p.name for p in (out / "oracle").iterdir())
+    assert sorted(p.name for p in (out / "run").iterdir()) == files
+    for file in files:
+        assert (out / "run" / file).read_bytes() == (out / "oracle" / file).read_bytes(), file

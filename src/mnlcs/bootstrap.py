@@ -36,22 +36,21 @@ citation counts are large and close together.
 Each draw call writes its rows into buffers of BATCH rows shared by
 consecutive cohorts; the decision tail then runs once per full buffer, with
 one fieller_interval call, the code every indicator cell goes through, and
-t looked up per row from the cohort's half-A group count. Every value is
-the one a cohort on its own would give: the products keep draw-call size
-and everything after them works element by element.
+t from one fieller.t_memo read per call. Every value is the one a cohort on
+its own would give: the products keep draw-call size and everything after
+them works element by element. lag0_batch returns [cohorts, targets] counts.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .counting import set_membership
 from .errors import DomainError, InsufficientData, NoValidReplicates
-from .fieller import DEFAULT_SETTINGS, CiSettings, fieller_interval, t_quantile
-from .model import Cohort, Scheme, _frozen
+from .fieller import DEFAULT_SETTINGS, CiSettings, fieller_interval, t_memo, t_quantile
+from .model import Cohort, Scheme
 from .rngtools import stream, streams
 
 ROWS = 256  # replicates per draw call
@@ -90,16 +89,6 @@ class Lag0Result(NamedTuple):
     n_inside: int
     n_valid: int
     n_excluded: int
-
-
-@lru_cache(maxsize=256)
-def _t_table(n: int, alpha: float) -> np.ndarray:
-    """t critical value for each possible half-A group count on n_g + n_a - 2 df.
-
-    Counts under 2 never give a valid replicate (min_group_n >= 2); they
-    take count 2's value so that every df is positive.
-    """
-    return _frozen(t_quantile(np.maximum(np.arange(n // 2 + 1), 2) + n // 2 - 2, alpha))
 
 
 def _blocks(cohorts: Sequence[Cohort]) -> Iterator[list[tuple[int, Cohort]]]:
@@ -173,6 +162,11 @@ def replicate_decisions(
     """
     targets = tuple(targets)
     k = len(targets) + 1
+    # half A's t on n_g + n_a - 2 df at index n_g + n_a - 1, n_g of its n_a = n // 2
+    # articles in the group; counts under 2 are never valid, so their t stays 0
+    halves = [c.size // 2 for c in cohorts if c.size > 1] or [1]
+    t_at = np.zeros(2 * max(halves))
+    t_at[min(halves) + 1:] = t_memo(np.arange(min(halves), 2 * max(halves) - 1), settings.alpha)
     size = max(BATCH, ROWS)
     # per row: half A's four sums, half B's sums, the cohort's cited and
     # member counts, its centre and half A's t values
@@ -185,7 +179,6 @@ def replicate_decisions(
     for block in _blocks(cohorts):
         for i, cohort, centre, sizes, table, table_b in _binned(block, targets):
             total = sizes.astype(np.float64) @ table
-            t_table = _t_table(cohort.size, settings.alpha)
             for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
                 if filled + len(drawn) > size:
                     yield owner[:filled].copy(), *_decide(*(b[:filled] for b in buffers), settings)
@@ -195,7 +188,7 @@ def replicate_decisions(
                 # half B's sums from its own articles: total minus half A's rounds off a ratio of 1
                 np.matmul((sizes - drawn).astype(np.float64), table_b, out=sums_b[rows])
                 totals[rows], centres[rows], owner[rows] = total[2 * k:], centre, i
-                t[rows] = t_table[sums_a[rows, 3 * k + 1:].astype(np.intp)]
+                t[rows] = t_at[sums_a[rows, 3 * k + 1:].astype(np.intp) + (cohort.size // 2 - 1)]
                 filled += len(drawn)
     if filled:
         yield owner[:filled].copy(), *_decide(*(b[:filled] for b in buffers), settings)
@@ -228,14 +221,11 @@ def lag0_batch(
     replicates: int = 1000,
     rng_seed: int = 0,
     settings: CiSettings = DEFAULT_SETTINGS,
-) -> list[dict[tuple[str, Scheme], Lag0Result]]:
-    """Split-half coverage for several (country, scheme) targets at once,
-    one dict per cohort.
-
-    Exclusion rules are those of replicate_decisions; each cohort's counts
-    are added up batch by batch, so memory does not grow with replicates.
-    Every replicate of a one-article cohort is excluded. Targets that never
-    produce a valid replicate come back with n_valid == 0 rather than raising.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_valid, n_inside), int64 [cohorts, targets]: split-half counts for
+    several (country, scheme) targets at once, added up batch by batch, so
+    memory does not grow with replicates. Exclusion rules are those of
+    replicate_decisions; every replicate of a one-article cohort is excluded.
     """
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
@@ -246,13 +236,7 @@ def lag0_batch(
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         n_valid[owner[starts]] += np.add.reduceat(valid, starts)
         n_inside[owner[starts]] += np.add.reduceat(inside, starts)
-    return [
-        {
-            target: Lag0Result(ins / val if val else float("nan"), ins, val, replicates - val)
-            for target, val, ins in zip(targets, vals, inss)
-        }
-        for vals, inss in zip(n_valid.tolist(), n_inside.tolist())
-    ]
+    return n_valid, n_inside
 
 
 def lag0_coverage(
@@ -268,13 +252,14 @@ def lag0_coverage(
     Raises NoValidReplicates when every replicate was excluded; see
     lag0_batch for the exclusion rules.
     """
-    (result,) = lag0_batch([cohort], [(country, scheme)], replicates, rng_seed, settings)[0].values()
-    if result.n_valid == 0:
+    n_valid, n_inside = (a.item() for a in lag0_batch([cohort], [(country, scheme)], replicates,
+                                                       rng_seed, settings))
+    if n_valid == 0:
         raise NoValidReplicates(
             f"all {replicates} replicates excluded for {country}/{scheme.value} "
             f"in ({cohort.journal_id}, {cohort.year})"
         )
-    return result
+    return Lag0Result(n_inside / n_valid, n_inside, n_valid, replicates - n_valid)
 
 
 def coverage_probability_sim(

@@ -121,21 +121,18 @@ def cmd_indicator(args) -> int:
 def cmd_bootstrap(args) -> int:
     config = _config(args, seed=args.seed)
     cohorts = load_cohorts(config)
-    targets = [(c, s) for c in _countries(config, cohorts) for s in config.schemes]
+    targets = sorted((c, s) for c in _countries(config, cohorts) for s in config.schemes)
     # every cohort before --out is opened, so a failure leaves no file
-    tables = lag0_batch(cohorts, targets, args.replicates, config.seed, config.settings)
+    n_valid, n_inside = lag0_batch(cohorts, targets, args.replicates, config.seed, config.settings)
     with (open(args.out, "w", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"])
-        for cohort, table in zip(cohorts, tables):
-            for (country, scheme), res in sorted(
-                table.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-            ):
+        for cohort, valids, insides in zip(cohorts, n_valid.tolist(), n_inside.tolist()):
+            for (country, scheme), valid, inside in zip(targets, valids, insides):
                 writer.writerow([
                     cohort.journal_id, cohort.year, country, scheme.value,
-                    fmt(res.fraction) if res.n_valid else "",
-                    res.n_valid, res.n_excluded,
+                    fmt(inside / valid) if valid else "", valid, args.replicates - valid,
                 ])
     return 0
 

@@ -108,8 +108,8 @@ def scenario_from_dict(d: dict) -> synth.ScenarioSpec:
 class ExperimentConfig:
     """Resolved experiment parameters; ``to_dict`` is the canonical form that
     gets hashed into the manifest. Explicit countries are normalised by the
-    CSV's rule (``countries.normalize_country_token``) and must be distinct,
-    as must the schemes."""
+    CSV's rule (``countries.normalize_country_token``); they must be
+    distinct and at least one, as must the schemes."""
 
     input_csv: str | None = None
     scenario: synth.ScenarioSpec | None = None
@@ -132,9 +132,13 @@ class ExperimentConfig:
             raise ValidationError("config needs countries or top_k >= 1")
         if self.countries is not None:
             codes = tuple(normalize_country_token(c) for c in self.countries)
+            if not codes:
+                raise ValidationError("countries must not be empty")
             if len(set(codes)) < len(codes):
                 raise ValidationError(f"duplicate countries: {list(self.countries)}")
             object.__setattr__(self, "countries", codes)
+        if not self.schemes:
+            raise ValidationError("schemes must not be empty")
         if len(set(self.schemes)) < len(self.schemes):
             raise ValidationError(f"duplicate schemes: {[s.value for s in self.schemes]}")
         if None not in (self.year_min, self.year_max) and self.year_min > self.year_max:

@@ -21,7 +21,9 @@ arrays: the split-half engine calls it on [replicates, targets] arrays and
 ``interval_columns`` on the columns of every cell of a run at once, with
 the rules for enough data, the degrees of freedom and a degenerate field.
 ``estimate`` is ``interval_columns`` on one pair and alone builds an
-``MnlcsEstimate``; a run's cells stay arrays (``stability.CellGrid``).
+``MnlcsEstimate``; a run's cells stay arrays (``stability.CellGrid``). All
+of them take t from ``t_memo``, a process-wide memo keyed by (alpha, whole
+df) that computes the df it has not seen in one ``t_quantile`` call.
 
 ``t_quantile`` computes t with numpy and the standard library alone. From
 Hill's (1970) approximation it takes Newton steps on ln P(T > t) against
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -186,16 +187,23 @@ def t_quantile(df, alpha: float = 0.025):
         raise DomainError(f"degrees of freedom must be > 0, got {df}")
     if not 0.0 < alpha <= 0.5:
         raise DomainError(f"alpha must be in (0, 0.5], got {alpha}")
-    if df.size == 1:  # per-pair callers ask for the same few df again and again
-        t = np.full(df.shape, _t_one(df.item(), alpha))
-    else:
-        t = _t_values(df.ravel(), alpha).reshape(df.shape)
+    t = _t_values(df.ravel(), alpha).reshape(df.shape)
     return float(t) if t.ndim == 0 else t
 
 
-@lru_cache(maxsize=4096)
-def _t_one(df: float, alpha: float) -> float:
-    return float(_t_values(np.array([df]), alpha)[0])
+_T_MEMO: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # alpha -> (df in order, t on each)
+
+
+def t_memo(df, alpha: float) -> np.ndarray:
+    """``t_quantile`` on an array of whole df, from the memo: the df not seen
+    at this alpha are computed in one call, and only df asked for are kept."""
+    df = np.asarray(df, dtype=np.int64)
+    known, t = _T_MEMO.get(alpha, (np.empty(0, np.int64), np.empty(0)))
+    new = np.array(sorted(set(df.ravel().tolist()).difference(known.tolist())), dtype=np.int64)
+    if new.size:
+        i = np.searchsorted(known, new)
+        known, t = _T_MEMO[alpha] = np.insert(known, i, new), np.insert(t, i, t_quantile(new, alpha))
+    return t[np.searchsorted(known, df)]
 
 
 def _t_values(df, alpha: float):
@@ -303,9 +311,8 @@ def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_s
     if (field_mean <= 0.0).any():
         raise DegenerateField("field mean of ln(1+c) is zero")
     enough = (n_group >= settings.min_group_n) & (n_field >= 2)
-    # t once per distinct df; an insufficient pair's t (on df >= 1) goes unused
-    df, pick = np.unique(np.maximum(n_group + n_field - 2, 1), return_inverse=True)
-    t = t_quantile(df, settings.alpha)[pick]
+    # an insufficient pair's t (on df >= 1) goes unused
+    t = t_memo(np.maximum(n_group + n_field - 2, 1), settings.alpha)
     value, low, high, h, se = fieller_interval(group_mean, group_se, field_mean, field_se, t,
                                                settings.form)
     ok = enough & (h < 1.0)

@@ -244,31 +244,30 @@ def lag0_curve_points(
     """Offset-0 points: split-half coverage averaged over journal-years.
 
     Each target's fraction is the unweighted mean of per-journal-year
-    coverages; n_comparisons totals the valid replicates behind it.
-    Journal-years with no valid replicates, one-article ones among them, are
-    tallied and skipped; a target nothing contributes to maps to None, as
-    every target does at 0 replicates. All targets share each cohort's
-    splits, so one lag0_batch call over the cohorts serves every country
-    and scheme.
+    coverages, added in cohort order; n_comparisons totals the valid
+    replicates behind it. Journal-years with no valid replicates, one-article
+    ones among them, are tallied and skipped; a target nothing contributes
+    to maps to None, as every target does at 0 replicates. All targets share
+    each cohort's splits, so one lag0_batch call over the cohorts serves
+    every country and scheme.
     """
-    fractions: dict[tuple[str, Scheme], list[float]] = {t: [] for t in targets}
-    totals: dict[tuple[str, Scheme], int] = {t: 0 for t in targets}
-    tables = lag0_batch(cohorts, targets, replicates, rng_seed, settings) if replicates else []
-    for cohort, table in zip(cohorts, tables):
-        for target, result in table.items():
-            if exclusions is not None and result.n_excluded > 0:
-                exclusions.append(ExclusionRecord(
-                    "lag0", "replicates_excluded", result.n_excluded, cohort.journal_id,
-                    cohort.year, *target, offset=0,
-                ))
-            if result.n_valid == 0:
-                continue
-            fractions[target].append(result.fraction)
-            totals[target] += result.n_valid
+    if not replicates or not cohorts:
+        return dict.fromkeys(targets)
+    n_valid, n_inside = lag0_batch(cohorts, targets, replicates, rng_seed, settings)
+    if exclusions is not None:
+        exclusions.extend(
+            ExclusionRecord("lag0", "replicates_excluded", replicates - valid, c.journal_id, c.year,
+                            *target, offset=0)
+            for c, valids in zip(cohorts, n_valid.tolist())
+            for target, valid in zip(targets, valids) if valid < replicates
+        )
+    used = n_valid > 0
+    with np.errstate(invalid="ignore"):  # 0 / 0 where nothing is valid
+        # a left fold in cohort order: a sum down one target's column would add pairwise
+        means = np.where(used, n_inside / n_valid, 0.0).cumsum(axis=0)[-1] / used.sum(axis=0)
     return {
-        target: CurvePoint(0, sum(fracs) / len(fracs), totals[target], simulated=True)
-        if fracs else None
-        for target, fracs in fractions.items()
+        target: CurvePoint(0, mean, total, simulated=True) if total else None
+        for target, mean, total in zip(targets, means.tolist(), n_valid.sum(axis=0).tolist())
     }
 
 

@@ -21,8 +21,10 @@ the whole bundle of a run.
 """
 
 import csv
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,6 +235,12 @@ def fieller_oracle(value, group, field, t, form="standard") -> MnlcsEstimate:
     )
 
 
+@functools.cache
+def oracle_t(df: int, alpha: float) -> float:
+    """t_quantile on one df; the oracles ask for the same few df again and again."""
+    return t_quantile(df, alpha)
+
+
 def estimate_oracle(group, field, settings) -> MnlcsEstimate:
     """fieller.estimate through fieller_oracle, one pair at a time."""
     if field.mean <= 0.0:
@@ -242,7 +250,7 @@ def estimate_oracle(group, field, settings) -> MnlcsEstimate:
         return MnlcsEstimate(
             value, None, None, None, None, group.n, field.n, EstimateStatus.INSUFFICIENT_DATA
         )
-    t = t_quantile(group.n + field.n - 2, settings.alpha)
+    t = oracle_t(group.n + field.n - 2, settings.alpha)
     return fieller_oracle(value, group, field, t, form=settings.form)
 
 
@@ -343,7 +351,8 @@ def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
 
 def scalar_lag0_points(cohorts, targets, replicates, rng_seed, settings):
     """(points, exclusions) of stability.lag0_curve_points from scalar_decisions;
-    a one-article cohort cannot be halved, so all its replicates are excluded."""
+    a one-article cohort cannot be halved, so all its replicates are excluded.
+    Fractions are averaged by a left fold in cohort order, whatever ``sum`` does."""
     fractions, totals, exclusions = {t: [] for t in targets}, dict.fromkeys(targets, 0), []
     for c in cohorts:
         if c.size < 2:
@@ -360,7 +369,8 @@ def scalar_lag0_points(cohorts, targets, replicates, rng_seed, settings):
                 fractions[target].append(int(n_inside) / int(n_valid))
                 totals[target] += int(n_valid)
     points = {
-        target: CurvePoint(0, sum(fracs) / len(fracs), totals[target], simulated=True)
+        target: CurvePoint(0, functools.reduce(operator.add, fracs) / len(fracs), totals[target],
+                           simulated=True)
         if fracs else None
         for target, fracs in fractions.items()
     }

@@ -1,3 +1,6 @@
+import ast
+import functools
+import operator
 import os
 import subprocess
 import sys
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from _oracles import bin_members, scalar_decisions, scalar_lag0_points, split_half
 from conftest import cohort, rec
 import mnlcs
-from mnlcs import bootstrap, stability
+from mnlcs import bootstrap, fieller, stability
 from mnlcs.bootstrap import (
     Lag0Result,
     coverage_probability_sim,
@@ -104,17 +107,16 @@ def test_lag0_invariant_under_record_order():
 def test_lag0_batch_matches_individual_calls():
     c = big_cohort(n_field=150, n_group=40, seed=3)
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE)]
-    (table,) = lag0_batch([c], targets, replicates=50, rng_seed=8)
-    for country, scheme in targets:
+    (n_valid,), (n_inside,) = lag0_batch([c], targets, replicates=50, rng_seed=8)
+    for (country, scheme), val, ins in zip(targets, n_valid.tolist(), n_inside.tolist()):
         single = lag0_coverage(c, country, scheme, replicates=50, rng_seed=8)
-        assert table[(country, scheme)] == single
+        assert Lag0Result(ins / val, ins, val, 50 - val) == single
     # a target's splits do not depend on the other targets in the batch
     c, targets = paper_cohort(n=200, seed=2)
-    (table,) = lag0_batch([c], targets, replicates=50, rng_seed=8)
-    for target in targets:
-        single = lag0_batch([c], [target], replicates=50, rng_seed=8)[0][target]
-        assert (single.n_valid, single.n_inside) == (table[target].n_valid, table[target].n_inside)
-    assert any(r.n_valid for r in table.values())
+    counts = np.stack(lag0_batch([c], targets, replicates=50, rng_seed=8))
+    singles = [np.stack(lag0_batch([c], [target], replicates=50, rng_seed=8)) for target in targets]
+    np.testing.assert_array_equal(np.concatenate(singles, axis=2), counts)
+    assert counts[0].any()
 
 
 def engine_decisions(c, targets, replicates, rng_seed, settings=CiSettings()):
@@ -139,10 +141,10 @@ def test_lag0_engine_matches_scalar_interval_path():
         assert ref_valid[:, 0].any() and ref_inside[:, 0].any()
         np.testing.assert_array_equal(valid, ref_valid)
         np.testing.assert_array_equal(inside, ref_inside)
-        (table,) = lag0_batch([c], targets, 130, rng_seed=23, settings=settings)
-        assert [(table[t].n_valid, table[t].n_inside) for t in targets] == list(
-            zip(valid.sum(axis=0), inside.sum(axis=0))
-        )
+        n_valid, n_inside = lag0_batch([c], targets, 130, rng_seed=23, settings=settings)
+        assert n_valid.dtype == n_inside.dtype == np.int64
+        np.testing.assert_array_equal(n_valid, [valid.sum(axis=0)])
+        np.testing.assert_array_equal(n_inside, [inside.sum(axis=0)])
 
 
 # Up to one distinct author-country set per article; UC's articles are all
@@ -234,14 +236,16 @@ def test_engine_matches_scalar_route_across_cohorts(cohort_rows, one_article_at,
     settings = CiSettings(form=form, min_group_n=min_group_n)
     with mock.patch.multiple(bootstrap, ROWS=3, BATCH=5, ARTICLES=40):
         rows = decisions_by_cohort(cohorts, targets, replicates, seed, settings)
-        tables = lag0_batch(cohorts, targets, replicates, seed, settings)
-        for c, got, table in zip(cohorts, rows, tables):
+        counts = np.stack(lag0_batch(cohorts, targets, replicates, seed, settings))
+        assert counts.shape == (2, len(cohorts), len(targets))
+        for i, (c, got) in enumerate(zip(cohorts, rows)):
             if c.size < 2:
                 assert got is None
             else:
                 for actual, expected in zip(got, scalar_decisions(c, targets, replicates, seed, settings)):
                     np.testing.assert_array_equal(actual, expected)
-            np.testing.assert_equal(table, lag0_batch([c], targets, replicates, seed, settings)[0])
+            alone = np.stack(lag0_batch([c], targets, replicates, seed, settings))
+            np.testing.assert_array_equal(counts[:, i:i + 1], alone)
 
 
 def test_engine_treats_h_at_one_as_unbounded(monkeypatch):
@@ -347,7 +351,7 @@ def test_lag0_same_with_single_threaded_blas():
         "from test_bootstrap import big_cohort; "
         "from mnlcs.bootstrap import lag0_batch; from mnlcs.model import Scheme; "
         "c = big_cohort(n_field=300, n_group=60, seed=2); "
-        "print(lag0_batch([c], [('US', Scheme.INCLUSIVE), ('US', Scheme.EXCLUSIVE)], 100, 9))"
+        "print([a.tolist() for a in lag0_batch([c], [('US', Scheme.INCLUSIVE), ('US', Scheme.EXCLUSIVE)], 100, 9)])"
     )
     src = str(Path(mnlcs.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
@@ -363,7 +367,8 @@ def test_lag0_same_with_single_threaded_blas():
         )
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert "Lag0Result" in outputs[0]
+    [valid], [inside] = ast.literal_eval(outputs[0])
+    assert len(valid) == len(inside) == 2 and all(valid)
 
 
 def test_lag0_memory_is_bounded_in_replicates():
@@ -388,12 +393,12 @@ def test_lag0_memory_is_bounded_in_replicates():
         c.log_citations  # cached on the cohort: not part of the engine's working set
         tracemalloc.start()
         try:
-            (table,) = lag0_batch([c], targets, replicates=1000, rng_seed=1)
+            n_valid, n_inside = lag0_batch([c], targets, replicates=1000, rng_seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(table) == 20
-        assert all(r.n_valid + r.n_excluded == 1000 for r in table.values())
+        assert n_valid.shape == (1, 20)
+        assert ((0 <= n_inside) & (n_inside <= n_valid) & (n_valid <= 1000)).all()
         assert peak < 64 * 2**20
 
 
@@ -409,23 +414,23 @@ def paper_cohort(n=300, seed=4):
 
 def test_lag0_memory_does_not_grow_with_replicates():
     c, targets = paper_cohort()
-    lag0_batch([c], targets, replicates=1, rng_seed=1)  # fills the per-cohort caches
+    lag0_batch([c], targets, replicates=1, rng_seed=1)  # fills the t memo
     peaks = []
     for replicates in (1000, 10_000):
         tracemalloc.start()
         try:
-            (table,) = lag0_batch([c], targets, replicates=replicates, rng_seed=1)
+            n_valid, n_inside = lag0_batch([c], targets, replicates=replicates, rng_seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert all(r.n_valid + r.n_excluded == replicates for r in table.values())
+        assert ((0 <= n_inside) & (n_inside <= n_valid) & (n_valid <= replicates)).all()
     assert peaks[1] <= 2 * peaks[0]
 
 
 def test_lag0_memory_does_not_grow_with_cohorts():
     # cohorts are binned a block of at most ARTICLES articles at a time, so
-    # the peak stays flat in the cohort count; the per-cohort results the
-    # call returns add about 0.3 MiB at 684 cohorts
+    # the peak stays flat in the cohort count but for the [cohorts, targets]
+    # counts and fractions
     spec = ScenarioSpec(
         n_journals=36, year_start=1996, year_end=2014, field_size_per_year=300,
         groups=tuple(GroupSpec(code * 2, round(0.10 - 0.01 * i, 2), 0.6 + 0.1 * i, 1.0)
@@ -436,7 +441,7 @@ def test_lag0_memory_does_not_grow_with_cohorts():
     targets = [(country, s) for country in top_countries(cohorts, 10).countries for s in Scheme]
     for c in cohorts:
         c.log_citations  # cached on the cohort: not part of the engine's working set
-    lag0_curve_points(cohorts[:1], targets, 1, 5)  # fills the per-cohort caches
+    lag0_curve_points(cohorts[:1], targets, 1, 5)  # fills the t memo
     peaks = []
     for n in (114, 684):
         tracemalloc.start()
@@ -470,6 +475,43 @@ def test_lag0_curve_points_match_the_scalar_route(cohort_rows, replicates, seed)
     assert (points, exclusions) == scalar_lag0_points(cohorts, targets, replicates, seed, settings)
 
 
+def test_lag0_curve_points_compute_each_t_once(monkeypatch):
+    # 150 cohorts of distinct sizes need overlapping df ranges; each df's t
+    # is computed once, whichever cohorts ask for it
+    computed = []
+    compute = fieller._t_values
+
+    def recording(df, alpha):
+        computed.extend(df.tolist())
+        return compute(df, alpha)
+
+    monkeypatch.setattr(fieller, "_t_values", recording)
+    monkeypatch.setattr(fieller, "_T_MEMO", {})
+    rng = np.random.default_rng(8)
+    cohorts = [
+        cohort([(int(c), ("US",) if i % 3 else ()) for i, c in enumerate(rng.integers(0, 20, size=n))],
+               journal=f"J{n}")
+        for n in range(2, 302, 2)
+    ]
+    settings = CiSettings(alpha=0.0137)  # an alpha no other test asks t for
+    assert any(lag0_curve_points(cohorts, [("US", Scheme.INCLUSIVE)], 2, 3, settings).values())
+    assert computed and len(computed) == len(set(computed))
+
+
+def test_lag0_fraction_is_a_left_fold_of_the_cohort_fractions():
+    # one target: a sum over its column would add pairwise, and on this data
+    # a pairwise sum and a left fold differ in the last bit
+    cohorts = [big_cohort(n_field=60, n_group=20, seed=s, journal=f"J{s}") for s in range(40)]
+    targets = [("US", Scheme.INCLUSIVE)]
+    (point,) = lag0_curve_points(cohorts, targets, 13, 2).values()
+    n_valid, n_inside = (a[:, 0].tolist() for a in lag0_batch(cohorts, targets, 13, 2))
+    fractions = [ins / val for ins, val in zip(n_inside, n_valid) if val]
+    folded = functools.reduce(operator.add, fractions) / len(fractions)
+    assert np.sum(fractions) / len(fractions) != folded
+    assert point.inside_fraction == folded
+    assert point.n_comparisons == sum(n_valid)
+
+
 def test_per_target_records_are_named_tuples_with_the_same_fields():
     assert Lag0Result._fields == ("fraction", "n_inside", "n_valid", "n_excluded")
     assert ExclusionRecord._fields == (
@@ -477,17 +519,18 @@ def test_per_target_records_are_named_tuples_with_the_same_fields():
     )
     record = ExclusionRecord("lag0", "replicates_excluded", 3)
     assert record == ("lag0", "replicates_excluded", 3, "", None, "", None, None)
-    (table,) = lag0_batch([big_cohort(n_field=40, n_group=10)], [("US", Scheme.INCLUSIVE)], 20, 1)
-    (result,) = table.values()
+    result = lag0_coverage(big_cohort(n_field=40, n_group=10), "US", Scheme.INCLUSIVE, 20, 1)
     assert result == Lag0Result(result.n_inside / result.n_valid, result.n_inside, result.n_valid,
                                 20 - result.n_valid)
 
 
 def test_lag0_batch_excludes_every_replicate_of_a_one_article_cohort():
     targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("ZZ", Scheme.INCLUSIVE)]
-    (table,) = lag0_batch([cohort([(4, ("US",))])], targets, replicates=7, rng_seed=1)
-    assert [(r.n_valid, r.n_inside, r.n_excluded) for r in table.values()] == [(0, 0, 7)] * 3
-    assert all(np.isnan(r.fraction) for r in table.values())
+    one = cohort([(4, ("US",))])
+    n_valid, n_inside = lag0_batch([one], targets, replicates=7, rng_seed=1)
+    assert n_valid.tolist() == n_inside.tolist() == [[0, 0, 0]]
+    with pytest.raises(NoValidReplicates):
+        lag0_coverage(one, "US", Scheme.INCLUSIVE, replicates=7, rng_seed=1)
     # no replicates is an error for a one-article cohort as for any other
     for c in (cohort([(4, ("US",))]), big_cohort(n_field=40, n_group=10)):
         with pytest.raises(DomainError):
@@ -523,11 +566,9 @@ def test_lag0_minimum_size_group_flagged():
     with pytest.raises(NoValidReplicates):
         lag0_coverage(c, "US", Scheme.INCLUSIVE, replicates=40, rng_seed=2,
                       settings=CiSettings(min_group_n=5))
-    (table,) = lag0_batch([c], [("US", Scheme.INCLUSIVE)], replicates=40, rng_seed=2,
-                          settings=CiSettings(min_group_n=5))
-    res = table[("US", Scheme.INCLUSIVE)]
-    assert res.n_valid == 0
-    assert res.n_excluded == 40
+    n_valid, n_inside = lag0_batch([c], [("US", Scheme.INCLUSIVE)], replicates=40, rng_seed=2,
+                                   settings=CiSettings(min_group_n=5))
+    assert n_valid.tolist() == n_inside.tolist() == [[0]]
 
 
 def test_coverage_sim_extreme_large_first_sample():

@@ -1,10 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from _oracles import ingest_oracle, scalar_decisions
 from mnlcs.cli import main
-from mnlcs.dataio import write_records_csv
+from mnlcs.dataio import fmt, write_records_csv
+from mnlcs.fieller import CiSettings
+from mnlcs.model import Scheme
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
 
 SCENARIO = {
@@ -146,6 +150,30 @@ def test_bootstrap_prints_a_one_article_cohort_as_all_excluded(data_csv, capsys)
             if r["journal_id"] == "JX"] == [("", "0", "25")] * 2
 
 
+def test_bootstrap_rows_match_the_scalar_route(data_csv, capsys):
+    with open(data_csv, "a", encoding="utf-8") as f:
+        f.write("JX,2001,4,AA\n")
+    assert main(["bootstrap", "--input", str(data_csv), "--countries", "BB,AA",
+                 "--replicates", "25", "--seed", "3"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    # rows per journal-year in (country, scheme name) order
+    targets = [(country, scheme) for country in ("AA", "BB")
+               for scheme in (Scheme.EXCLUSIVE, Scheme.INCLUSIVE)]
+    expected = []
+    for c in ingest_oracle(data_csv)[0]:
+        valid = inside = np.zeros((25, len(targets)), dtype=bool)
+        if c.size > 1:
+            valid, inside = scalar_decisions(c, targets, 25, 3, CiSettings())
+        for (country, scheme), val, ins in zip(targets, valid.sum(axis=0).tolist(),
+                                               inside.sum(axis=0).tolist()):
+            expected.append([c.journal_id, str(c.year), country, scheme.value,
+                             fmt(ins / val) if val else "", str(val), str(25 - val)])
+    assert rows[1:] == expected
+    assert len(expected) == 4 * (8 + 1)
+    assert ["JX", "2001", "AA", "inclusive", "", "0", "25"] in expected
+    assert any(row[4] not in ("", "1") for row in expected)
+
+
 def test_run_command_with_scenario_config(tmp_path, capsys):
     config = {
         "input": {"scenario": SCENARIO},
@@ -224,6 +252,17 @@ def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, comma
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error", "message"}  # one object, nothing else
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["countries", "schemes"])
+def test_run_rejects_an_empty_selection(data_csv, tmp_path, capsys, field):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"input": {"csv": str(data_csv)}, "countries": ["AA"],
+                                       field: []}), encoding="utf-8")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err)  # one object, nothing else
+    assert error["error"] == "ValidationError" and field in error["message"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_run_rejects_an_out_that_is_not_a_path(data_csv, tmp_path, capsys, monkeypatch):

@@ -222,6 +222,24 @@ def test_import_and_run_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_capability_scenarios_script_prints_an_offset_0_row(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_capability_scenarios.py"), "--out", str(tmp_path),
+         "--journals", "2", "--year-start", "2000", "--year-end", "2003", "--field-size", "80",
+         "--max-offset", "2", "--lag0-replicates", "5"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines() if line.startswith("     0 ")]
+    assert len(rows) == 1 and rows[0][4:] == ["(split-half", "baseline)"]
+    assert all(0.0 <= float(x) <= 1.0 for x in rows[0][1:4])
+    for name in ("static", "resample", "drift"):
+        assert (tmp_path / name / "manifest.json").exists()
+
+
 def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):
     out = tmp_path / "out"
     run_experiment(config(), out)

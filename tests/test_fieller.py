@@ -118,6 +118,22 @@ def test_t_quantile_array_matches_scalar_calls():
     assert t.tolist() == [[t_quantile(d, 0.025) for d in row] for row in df.tolist()]
 
 
+@pytest.mark.parametrize("alpha", [0.005, 0.025, 0.3, 0.5])
+def test_t_memo_matches_t_quantile(monkeypatch, alpha):
+    # a fresh memo filled piecemeal: empty, then unsorted with repeats, then
+    # every df at once, seen and unseen mixed
+    monkeypatch.setattr(fieller, "_T_MEMO", {})
+    df = np.arange(1, 2101)
+    want = t_quantile(df, alpha)
+    assert fieller.t_memo(np.array([], dtype=np.int64), alpha).shape == (0,)
+    some = np.random.default_rng(1).permutation(df)[:600].reshape(2, 300)
+    some = np.concatenate([some, some[:, ::-1]], axis=1)
+    np.testing.assert_array_equal(fieller.t_memo(some, alpha), want[some - 1])
+    np.testing.assert_array_equal(fieller.t_memo(df[::-1], alpha), want[::-1])
+    np.testing.assert_array_equal(fieller.t_memo(df, alpha), want)
+    assert fieller._T_MEMO[alpha][0].tolist() == df.tolist()
+
+
 Interval = namedtuple("Interval", "value low high h se")
 
 
@@ -171,7 +187,7 @@ def test_h_at_threshold_flags_unbounded(monkeypatch):
     group = LogStats(n=20, mean=1.0, se=0.1)
     assert kernel(group, field, t=2.0).h == 1.0
     # the same numbers through the library's status rule, with t pinned to 2
-    monkeypatch.setattr(fieller, "t_quantile", lambda df, alpha: np.full(np.shape(df), 2.0))
+    monkeypatch.setattr(fieller, "t_memo", lambda df, alpha: np.full(np.shape(df), 2.0))
     for est in (estimate(group, field), *column_estimates([group, group], [field, field])):
         assert est.status is EstimateStatus.UNBOUNDED_FIELLER
         assert est.h == 1.0 and est.value == 1.0

@@ -15,14 +15,12 @@ stderr and return a nonzero code.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import json
 import sys
 
 from . import __version__
 from .bootstrap import lag0_batch
-from .dataio import cell_order, fmt, ingest, write_cell_rows, write_cells_csv, write_records_csv
+from .dataio import cell_order, cell_rows, fmt, ingest, write_cells_csv, write_records_csv, write_table
 from .errors import MnlcsError, ValidationError
 from .experiment import (
     ExperimentConfig,
@@ -114,7 +112,7 @@ def cmd_indicator(args) -> int:
         print(f"wrote {n} cells to {args.out}")
     else:
         fields = ["journal_id", "year", "country", "scheme", "value", "ci_low", "ci_high", "status"]
-        write_cell_rows(sys.stdout, grid, cell_order(grid), fields)
+        write_table(sys.stdout, fields, cell_rows(grid, cell_order(grid), fields))
     return 0
 
 
@@ -124,16 +122,14 @@ def cmd_bootstrap(args) -> int:
     targets = sorted((c, s) for c in _countries(config, cohorts) for s in config.schemes)
     # every cohort before --out is opened, so a failure leaves no file
     n_valid, n_inside = lag0_batch(cohorts, targets, args.replicates, config.seed, config.settings)
-    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
-          else contextlib.nullcontext(sys.stdout)) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"])
-        for cohort, valids, insides in zip(cohorts, n_valid.tolist(), n_inside.tolist()):
-            for (country, scheme), valid, inside in zip(targets, valids, insides):
-                writer.writerow([
-                    cohort.journal_id, cohort.year, country, scheme.value,
-                    fmt(inside / valid) if valid else "", valid, args.replicates - valid,
-                ])
+    rows = (
+        [cohort.journal_id, cohort.year, country, scheme.value,
+         fmt(inside / valid) if valid else "", valid, args.replicates - valid]
+        for cohort, valids, insides in zip(cohorts, n_valid.tolist(), n_inside.tolist())
+        for (country, scheme), valid, inside in zip(targets, valids, insides)
+    )
+    header = ["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"]
+    write_table(args.out or sys.stdout, header, rows)
     return 0
 
 

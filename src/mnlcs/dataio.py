@@ -17,9 +17,12 @@ each column's strings become int codes, every distinct string parsed once
 (``_Column``), and row errors, filters and cohort grouping are array
 operations on the codes' values.
 
-Output files render numbers with 9 significant digits so byte-level golden
-comparisons survive double rounding, and every experiment directory carries
-a manifest recording the resolved configuration and its hash. cells.csv is
+``write_table`` is the one CSV form of every output table, to a path or to
+stdout, and ``write_json`` the one JSON form; only ``write_records_csv``
+joins its own text, in the same CSV form, for the speed of data.csv's rows.
+Numbers get 9 significant digits so byte-level golden comparisons survive
+double rounding, and every experiment directory carries a manifest
+recording the resolved configuration and its hash. cells.csv is
 written from the ``CellGrid``'s arrays: ``cell_order`` picks the present
 cells by flat index in (journal, year, country, scheme) order, and each
 column is formatted for 1024 cells at a time.
@@ -33,7 +36,8 @@ import io
 import json
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import IngestError, ValidationError
 from .model import (
-    YEAR_MAX_DEFAULT,
+    YEAR_MAX,
     Cohort,
     check_citations,
     check_journal_id,
@@ -64,6 +68,27 @@ def fmt(x: object) -> str:
     if isinstance(x, float):
         return f"{x:.9g}"
     return str(x)
+
+
+def write_table(out, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write ``header`` and ``rows`` as CSV to ``out``, a path or an open text
+    file; returns the number of rows. Rows are counted as csv.writer takes
+    them, with no Python step per row."""
+    if not hasattr(out, "write"):
+        with open(out, "w", encoding="utf-8", newline="") as f:
+            return write_table(f, header, rows)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    counter = count()  # zip takes a row first, so counter stops at the row count
+    writer.writerows(map(itemgetter(0), zip(rows, counter)))
+    return next(counter)
+
+
+def write_json(path: str | Path, data: dict) -> None:
+    """Write ``data`` as JSON with sorted keys, a two-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        json.dump(data, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def write_records_csv(path: str | Path, cohorts: Iterable[Cohort]) -> int:
@@ -110,7 +135,7 @@ class IngestReport:
 # lines that ingest takes at a time
 _CHUNK = 2048
 # (journal code, year) pairs key cohorts as code * _YEAR_SPAN + year
-_YEAR_SPAN = YEAR_MAX_DEFAULT + 1
+_YEAR_SPAN = YEAR_MAX + 1
 
 
 def _plain_columns(lines: list[str]) -> list[list[str]] | None:
@@ -341,15 +366,12 @@ def cell_order(grid: CellGrid) -> np.ndarray:
     return np.ravel_multi_index((np.array(rank, dtype=np.intp)[r], j, y), grid.present.shape)
 
 
-def write_cell_rows(f, grid: CellGrid, flat: np.ndarray, fields=CELL_FIELDS) -> None:
-    """Write a header and the cells at the ``flat`` grid indices as CSV rows
-    of ``fields``, 1024 cells at a time so that little formatted text is
-    alive at once."""
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(fields)
+def cell_rows(grid: CellGrid, flat: np.ndarray, fields=CELL_FIELDS):
+    """The cells at the ``flat`` grid indices as rows of ``fields``,
+    formatted 1024 cells at a time so that little text is alive at once."""
     for start in range(0, len(flat), 1024):
         columns = _cell_columns(grid, flat[start:start + 1024])
-        writer.writerows(zip(*(columns[name] for name in fields)))
+        yield from zip(*(columns[name] for name in fields))
 
 
 def _cell_columns(grid: CellGrid, flat: np.ndarray) -> dict[str, list[str]]:
@@ -386,28 +408,20 @@ def _cell_columns(grid: CellGrid, flat: np.ndarray) -> dict[str, list[str]]:
 
 def write_cells_csv(path: str | Path, grid: CellGrid) -> int:
     """Write the grid's cells sorted by (journal, year, country, scheme)."""
-    order = cell_order(grid)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        write_cell_rows(f, grid, order)
-    return len(order)
+    return write_table(path, CELL_FIELDS, cell_rows(grid, cell_order(grid)))
 
 
 def write_curves_csv(path: str | Path, curves: Sequence[CoverageCurve], scheme: bool = True) -> int:
     """One row per curve point, curves sorted by (country, scheme); with
     ``scheme`` False the scheme column is left out."""
     header = ["country", "scheme", "offset_years", "inside_fraction", "n_comparisons", "simulated"]
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header if scheme else header[:1] + header[2:])
-        for curve in sorted(curves, key=lambda c: (c.country, c.scheme.value)):
-            for p in curve.points:
-                writer.writerow([
-                    curve.country, *([curve.scheme.value] if scheme else []), p.offset_years,
-                    fmt(p.inside_fraction), p.n_comparisons, fmt(p.simulated),
-                ])
-                n += 1
-    return n
+    rows = (
+        [curve.country, *([curve.scheme.value] if scheme else []), p.offset_years,
+         fmt(p.inside_fraction), p.n_comparisons, fmt(p.simulated)]
+        for curve in sorted(curves, key=lambda c: (c.country, c.scheme.value))
+        for p in curve.points
+    )
+    return write_table(path, header if scheme else header[:1] + header[2:], rows)
 
 
 def write_scheme_curves_csv(path: str | Path, curves: Sequence[CoverageCurve]) -> int:
@@ -421,38 +435,25 @@ def write_series_csv(
 ) -> int:
     """Write (journal_id, country, scheme_value, points) series blocks, in one pass."""
     header = ["journal_id", "country", "scheme", "year", "value", "ci_low", "ci_high", "status"]
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for journal_id, country, scheme_value, points in series:
-            for p in points:
-                writer.writerow([
-                    journal_id, country, scheme_value, p.year,
-                    fmt(p.value), fmt(p.ci_low), fmt(p.ci_high), p.status,
-                ])
-                n += 1
-    return n
+    rows = (
+        [journal_id, country, scheme_value, p.year, fmt(p.value), fmt(p.ci_low), fmt(p.ci_high), p.status]
+        for journal_id, country, scheme_value, points in series
+        for p in points
+    )
+    return write_table(path, header, rows)
 
 
 def write_exclusions_csv(path: str | Path, exclusions: Sequence[ExclusionRecord]) -> int:
     header = ["stage", "reason", "count", "journal_id", "year", "country", "scheme", "offset"]
-    rows = sorted(
-        exclusions,
-        key=lambda e: (
+    rows = (
+        [e.stage, e.reason, e.count, e.journal_id,
+         fmt(e.year), e.country, e.scheme.value if e.scheme else "", fmt(e.offset)]
+        for e in sorted(exclusions, key=lambda e: (
             e.stage, e.reason, e.journal_id, e.year if e.year is not None else -1,
             e.country, e.scheme.value if e.scheme else "", e.offset if e.offset is not None else -1,
-        ),
+        ))
     )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for e in rows:
-            writer.writerow([
-                e.stage, e.reason, e.count, e.journal_id,
-                fmt(e.year), e.country, e.scheme.value if e.scheme else "", fmt(e.offset),
-            ])
-    return len(rows)
+    return write_table(path, header, rows)
 
 
 def config_hash(config: dict) -> str:
@@ -466,11 +467,4 @@ def write_manifest(path: str | Path, config: dict, outputs: dict[str, int]) -> N
     Deliberately carries no timestamps or host details: rerunning the same
     manifest must reproduce every output byte for byte.
     """
-    manifest = {
-        "config": config,
-        "config_sha256": config_hash(config),
-        "outputs": outputs,
-    }
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, {"config": config, "config_sha256": config_hash(config), "outputs": outputs})

@@ -9,7 +9,6 @@ manifest. Identical configuration and seed reproduce identical bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .dataio import (
     write_cells_csv,
     write_curves_csv,
     write_exclusions_csv,
+    write_json,
     write_manifest,
     write_records_csv,
     write_scheme_curves_csv,
@@ -64,15 +64,20 @@ _SCALARS = {
 }
 
 
-def _from_json(cls, d: dict, **built):
+def _from_json(cls, d: dict, keys=(), **built):
     """Dataclass ``cls`` from the JSON object ``d``: the fields in ``built``
     as given, every other field present in ``d`` converted to its annotated
-    scalar type (so "step": 1 becomes 1.0; ints by ``_int``). A ``d`` that is
-    not an object, or a value that does not convert, raises ValidationError
-    naming ``cls`` or ``Class.field``; a missing field without a default
-    raises KeyError, a field of any other type TypeError."""
+    scalar type (so "step": 1 becomes 1.0; ints by ``_int``). ``d`` may hold
+    only those fields and the ``keys`` its caller reads. A ``d`` that is not
+    an object, an unknown key, or a value that does not convert raises
+    ValidationError naming ``cls`` or ``Class.field``; a missing field
+    without a default raises KeyError, a field of any other type TypeError."""
     if not isinstance(d, dict):
         raise ValidationError(f"{cls.__name__}: expected a JSON object, got {d!r}")
+    known = {f.name for f in fields(cls) if f.name not in built}.union(keys)
+    for key in d:
+        if key not in known:
+            raise ValidationError(f"{cls.__name__}: unknown key {key!r}")
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         if f.name not in built and (f.name in d or required):
@@ -97,8 +102,9 @@ def scenario_from_dict(d: dict) -> synth.ScenarioSpec:
         return _from_json(
             synth.ScenarioSpec,
             d,
+            ("groups", "capability_mode"),
             groups=tuple(_from_json(synth.GroupSpec, g) for g in d["groups"]),
-            capability_mode=_from_json(CAPABILITY_MODES[mode["mode"]], mode),
+            capability_mode=_from_json(CAPABILITY_MODES[mode["mode"]], mode, ("mode",)),
         )
     except KeyError as exc:
         raise ValidationError(f"scenario config missing key: {exc}") from None
@@ -175,18 +181,21 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config of ``to_dict`` output; absent settings take their defaults.
-        A setting that does not convert raises ValidationError."""
+        A setting that does not convert, or a key that ``to_dict`` does not
+        write, raises ValidationError."""
         input_part, countries = d.get("input", {}), d.get("countries")
-        if not isinstance(input_part, dict) or not isinstance(input_part.get("scenario", {}), dict):
+        if not (isinstance(input_part, dict) and input_part.keys() <= {"csv", "scenario"}
+                and isinstance(input_part.get("scenario", {}), dict)):
             raise ValidationError(f"input must be a csv or scenario object, got {input_part!r}")
-        if not isinstance(countries, list) and not (isinstance(countries, dict) and "top" in countries):
+        top = isinstance(countries, dict) and countries.keys() == {"top"}
+        if not (top or isinstance(countries, list)):
             raise ValidationError(f'countries must be a JSON list or {{"top": k}}, got {countries!r}')
-        top, schemes = isinstance(countries, dict), d.get("schemes", "both")
+        schemes = d.get("schemes", "both")
         if isinstance(schemes, str):
             schemes = ("inclusive", "exclusive") if schemes == "both" else (schemes,)
         try:
             return _from_json(
-                cls, d,
+                cls, d, ("input", "countries", "schemes"),
                 input_csv=input_part.get("csv"),
                 scenario=scenario_from_dict(input_part["scenario"]) if "scenario" in input_part else None,
                 countries=None if top else tuple(str(c) for c in countries),
@@ -226,10 +235,14 @@ def load_cohorts(config: ExperimentConfig) -> list[Cohort]:
 
 
 def resolve_countries(config: ExperimentConfig, cohorts: list[Cohort]) -> RankedCountries:
-    """The config's own countries, or its ``top_k`` ranked over ``cohorts``."""
+    """The config's own countries, or its ``top_k`` ranked over ``cohorts``;
+    ValidationError when no article of ``cohorts`` names a country."""
     if config.countries is not None:
         return RankedCountries(config.countries, requested=len(config.countries))
-    return top_countries(cohorts, config.top_k)
+    ranked = top_countries(cohorts, config.top_k)
+    if not ranked.countries:
+        raise ValidationError(f"countries: top {config.top_k} selects none, no article names a country")
+    return ranked
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
@@ -307,14 +320,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
 
     # manifest.json holds config + hash + output sizes; derived values go to
     # a sibling file so the hash covers exactly the reproduction inputs
-    resolved = {
+    write_json(out / "resolved.json", {
         "countries": list(countries),
         "countries_complete": complete,
         "years": [years.start, years[-1]],
-    }
-    with open(out / "resolved.json", "w", encoding="utf-8", newline="") as f:
-        json.dump(resolved, f, sort_keys=True, indent=2)
-        f.write("\n")
+    })
     write_manifest(out / "manifest.json", config.to_dict(), outputs)
 
     return ExperimentResult(

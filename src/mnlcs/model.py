@@ -38,10 +38,10 @@ from .errors import (
     ValidationError,
 )
 
-# Sanity bounds on plausible publication years; ingestion-time filters narrow
-# these further per run.
-YEAR_MIN_DEFAULT = 1000
-YEAR_MAX_DEFAULT = 2999
+# Sanity bounds on plausible publication years; a run's year_min and year_max
+# filters narrow them at ingestion.
+YEAR_MIN = 1000
+YEAR_MAX = 2999
 
 # The CSV schema is unquoted, so identifiers must not collide with delimiters.
 _JOURNAL_ID_RE = re.compile(r"[^,;\r\n]+")
@@ -78,13 +78,13 @@ def check_citations(citations: int) -> None:
         raise NegativeCitations(f"citations must be >= 0, got {citations}")
 
 
-def parse_year(raw: object, year_min: int = YEAR_MIN_DEFAULT, year_max: int = YEAR_MAX_DEFAULT) -> int:
+def parse_year(raw: object) -> int:
     try:
         year = int(str(raw).strip())
     except ValueError:
         raise UnparseableYear(f"unparseable year: {raw!r}") from None
-    if not year_min <= year <= year_max:
-        raise UnparseableYear(f"year {year} outside [{year_min}, {year_max}]")
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise UnparseableYear(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     return year
 
 
@@ -123,12 +123,7 @@ class CitationRecord:
             check_country_code(code)
 
 
-def validate_record(
-    raw: Mapping[str, object],
-    *,
-    year_min: int = YEAR_MIN_DEFAULT,
-    year_max: int = YEAR_MAX_DEFAULT,
-) -> CitationRecord:
+def validate_record(raw: Mapping[str, object]) -> CitationRecord:
     """Build a normalised CitationRecord from a parsed row.
 
     ``raw`` must provide journal_id, year, citations and countries fields.
@@ -142,7 +137,7 @@ def validate_record(
 
     return CitationRecord(
         journal_id=str(raw["journal_id"]).strip(),
-        year=parse_year(raw["year"], year_min, year_max),
+        year=parse_year(raw["year"]),
         citations=parse_citations(raw["citations"]),
         countries=parse_countries(str(raw["countries"])),
     )

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from _oracles import ingest_oracle, scalar_decisions
 from mnlcs.cli import main
 from mnlcs.dataio import fmt, write_records_csv
+from mnlcs.errors import ValidationError
+from mnlcs.experiment import ExperimentConfig
 from mnlcs.fieller import CiSettings
 from mnlcs.model import Scheme
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
@@ -265,6 +268,78 @@ def test_run_rejects_an_empty_selection(data_csv, tmp_path, capsys, field):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "indicator", "bootstrap"])
+def test_top_k_over_data_without_countries_fails(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    data.write_text("journal_id,year,citations,countries\n" + "".join(
+        f"J{j},{year},{j + year % 3},\n" for j in (1, 2) for year in (2000, 2001, 2002)
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "run":
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"input": {"csv": str(data)}, "countries": {"top": 3}}),
+                               encoding="utf-8")
+        argv = ["run", "--config", str(config_path)]
+    else:
+        argv = [command, "--input", str(data), "--top-k", "3"]
+    assert main([*argv, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)  # one object, nothing else
+    assert error["error"] == "ValidationError" and "countries" in error["message"]
+    assert not (out / "manifest.json").exists() and not out.is_file()
+
+
+@pytest.mark.parametrize("via, where, key", [
+    (via, where, key)
+    for where, key in [((), "max_ofset"), (("input",), "scenaro"), (("input", "scenario"), "n_journal"),
+                       (("input", "scenario", "groups", 0), "shar"),
+                       (("input", "scenario", "capability_mode"), "slop")]
+    for via in ("from_dict", "run", "simulate")
+    if via != "simulate" or where[:2] == ("input", "scenario")
+])
+def test_unknown_config_keys_fail_naming_the_key(tmp_path, capsys, via, where, key):
+    scenario = {**SCENARIO, "groups": [dict(g) for g in SCENARIO["groups"]],
+                "capability_mode": {"mode": "linear_drift", "slope": 0.1}}
+    config = {"input": {"scenario": scenario}, "countries": ["AA"], "lag0_replicates": 2}
+    node = config
+    for step in where:
+        node = node[step]
+    node[key] = 1
+    if via == "from_dict":
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig.from_dict(config)
+        return
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config if via == "run" else scenario), encoding="utf-8")
+    assert main([via, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err)  # one object, nothing else
+    assert error["error"] == "ValidationError" and key in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["indicator", "bootstrap"])
+def test_stdout_and_out_file_share_one_csv_form(data_csv, tmp_path, capsys, command):
+    # csv.writer must quote this journal id, on stdout as in the file
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(data_csv.read_text(encoding="utf-8").replace("\nJ1,", '\n"J""1",'),
+                      encoding="utf-8")
+    argv = [command, "--input", str(quoted), "--countries", "AA,BB"]
+    argv += ["--replicates", "5"] if command == "bootstrap" else []
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert '\n"J""1",2000,AA,' in printed
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    if command == "bootstrap":
+        assert printed.encode("utf-8") == out.read_bytes()
+        return
+    with open(out, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    columns = [rows[0].index(name) for name in printed.split("\n", 1)[0].split(",")]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([[r[k] for k in columns] for r in rows])
+    assert printed.encode("utf-8") == expected.getvalue().encode("utf-8")
+
+
 def test_run_rejects_an_out_that_is_not_a_path(data_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(
@@ -356,7 +431,7 @@ def test_negative_seed_fails_with_one_json_error_before_any_output(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("countries", ["US", 5, None, {"of": 4}])
+@pytest.mark.parametrize("countries", ["US", 5, None, {"of": 4}, {"top": 3, "tpo": 3}])
 def test_countries_other_than_a_list_or_top_k_fail_naming_the_field(
     data_csv, tmp_path, capsys, countries
 ):

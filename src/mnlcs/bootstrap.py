@@ -34,11 +34,15 @@ are centred on the cohort mean first, so sums of squares do not cancel when
 citation counts are large and close together.
 
 Each draw call writes its rows into buffers of BATCH rows shared by
-consecutive cohorts; the decision tail then runs once per full buffer, with
-one fieller_interval call, the code every indicator cell goes through, and
-t from one fieller.t_memo read per call. Every value is the one a cohort on
-its own would give: the products keep draw-call size and everything after
-them works element by element. lag0_batch returns [cohorts, targets] counts.
+consecutive cohorts. The decision tail runs once per full buffer on a
+targets-major copy, [values, rows], so every elementwise loop runs over the
+rows; each cohort's cited and member totals, centre and n // 2 - 1 (for the
+t index) are kept once and gathered by row owner. One fieller_interval
+call, the code every indicator cell goes through, and t from one
+fieller.t_memo read per call decide the batch. Every value is the one a
+cohort on its own would give: the products keep draw-call size and
+everything after them works element by element. lag0_batch returns
+[cohorts, targets] counts.
 """
 
 from __future__ import annotations
@@ -167,39 +171,42 @@ def replicate_decisions(
     halves = [c.size // 2 for c in cohorts if c.size > 1] or [1]
     t_at = np.zeros(2 * max(halves))
     t_at[min(halves) + 1:] = t_memo(np.arange(min(halves), 2 * max(halves) - 1), settings.alpha)
+    # per cohort, gathered by owner once per batch: its cited and member
+    # counts [2 x (targets + 1), cohorts], its centre and n // 2 - 1
+    totals, centres = np.zeros((2 * k, len(cohorts))), np.zeros(len(cohorts))
+    constants = totals, centres, np.array([c.size // 2 - 1 for c in cohorts], dtype=np.intp), t_at
     size = max(BATCH, ROWS)
-    # per row: half A's four sums, half B's sums, the cohort's cited and
-    # member counts, its centre and half A's t values
-    buffers = sums_a, sums_b, totals, centres, t = (
-        np.empty((size, 4 * k)), np.empty((size, k)), np.empty((size, 2 * k)),
-        np.empty((size, 1)), np.empty((size, k - 1)),
-    )
+    sums_a, sums_b = np.empty((size, 4 * k)), np.empty((size, k))
     owner = np.empty(size, dtype=np.intp)
     filled = 0
     for block in _blocks(cohorts):
         for i, cohort, centre, sizes, table, table_b in _binned(block, targets):
-            total = sizes.astype(np.float64) @ table
+            totals[:, i], centres[i] = (sizes.astype(np.float64) @ table)[2 * k:], centre
             for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
                 if filled + len(drawn) > size:
-                    yield owner[:filled].copy(), *_decide(*(b[:filled] for b in buffers), settings)
+                    yield _decide(owner[:filled].copy(), sums_a, sums_b, constants, settings)
                     filled = 0
                 rows = slice(filled, filled + len(drawn))
                 np.matmul(drawn.astype(np.float64), table, out=sums_a[rows])
                 # half B's sums from its own articles: total minus half A's rounds off a ratio of 1
                 np.matmul((sizes - drawn).astype(np.float64), table_b, out=sums_b[rows])
-                totals[rows], centres[rows], owner[rows] = total[2 * k:], centre, i
-                t[rows] = t_at[sums_a[rows, 3 * k + 1:].astype(np.intp) + (cohort.size // 2 - 1)]
+                owner[rows] = i
                 filled += len(drawn)
     if filled:
-        yield owner[:filled].copy(), *_decide(*(b[:filled] for b in buffers), settings)
+        yield _decide(owner[:filled].copy(), sums_a, sums_b, constants, settings)
 
 
-def _decide(sums_a, sums_b, totals, centre, t, settings):
-    """(valid, inside) bool [rows, targets] from a batch's buffers."""
-    # each [rows, targets + 1]; half B needs only its means and counts
-    sums, squares, cited, counts = np.split(sums_a, 4, axis=1)
-    cited_b, counts_b = np.split(totals, 2, axis=1)
+def _decide(owner, sums_a, sums_b, constants, settings):
+    """(owner, valid, inside) of a batch: the first len(owner) rows of the
+    buffers, copied targets-major so every elementwise loop runs over the
+    rows, then transposed back to bool [rows, targets]."""
+    rows, (totals, centres, half, t_at) = len(owner), constants
+    # each [targets + 1, rows]; half B needs only its means and counts
+    sums, squares, cited, counts = np.split(sums_a[:rows].T.copy(), 4)
+    sums_b = sums_b[:rows].T.copy()
+    cited_b, counts_b = np.split(totals[:, owner], 2)
     cited_b, counts_b = cited_b - cited, counts_b - counts
+    centre = centres[owner]
     with np.errstate(divide="ignore", invalid="ignore"):
         # a half with no cited article has mean and SE exactly 0, as a direct
         # sum would; the clamp guards tiny negative residue from cancellation
@@ -207,12 +214,13 @@ def _decide(sums_a, sums_b, totals, centre, t, settings):
         var = np.maximum((squares - sums * sums / counts) / (counts - 1.0), 0.0)
         se = np.where(cited > 0.0, np.sqrt(var / counts), 0.0)
         mean_b = np.where(cited_b > 0.0, centre + sums_b / counts_b, 0.0)
-        value_b = mean_b[:, 1:] / mean_b[:, :1]
-    field_a, counts_a = mean[:, :1], counts[:, 1:]
-    _, low, high, h, _ = fieller_interval(mean[:, 1:], se[:, 1:], field_a, se[:, :1], t, settings.form)
-    valid = (field_a > 0.0) & (mean_b[:, :1] > 0.0) & (counts_a >= settings.min_group_n)
-    valid &= (counts_b[:, 1:] >= 1.0) & (h < 1.0)
-    return valid, valid & (low <= value_b) & (value_b <= high)
+        value_b = mean_b[1:] / mean_b[:1]
+    field_a, counts_a = mean[:1], counts[1:]
+    t = t_at[counts_a.astype(np.intp) + half[owner]]
+    _, low, high, h, _ = fieller_interval(mean[1:], se[1:], field_a, se[:1], t, settings.form)
+    valid = (field_a > 0.0) & (mean_b[:1] > 0.0) & (counts_a >= settings.min_group_n)
+    valid &= (counts_b[1:] >= 1.0) & (h < 1.0)
+    return owner, valid.T, (valid & (low <= value_b) & (value_b <= high)).T
 
 
 def lag0_batch(

@@ -47,6 +47,7 @@ from .errors import IngestError, ValidationError
 from .model import (
     YEAR_MAX,
     Cohort,
+    Scheme,
     check_citations,
     check_journal_id,
     parse_citations,
@@ -107,11 +108,14 @@ def write_records_csv(path: str | Path, cohorts: Iterable[Cohort]) -> int:
         return buffer.getvalue()
 
     n = 0
+    tails_of: dict[tuple, list[str]] = {}  # ",labels\n" of each set, per distinct sets tuple
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(csv_line(*CSV_HEADER))
         for cohort in cohorts:
             head = csv_line(cohort.journal_id, cohort.year, "")[:-1]  # "id,year,"
-            tails = [csv_line("", ";".join(sorted(s))) for s in cohort.sets]  # ",labels\n"
+            tails = tails_of.get(cohort.sets)
+            if tails is None:
+                tails = tails_of[cohort.sets] = [csv_line("", ";".join(sorted(s))) for s in cohort.sets]
             f.write("".join(chain.from_iterable(zip(
                 repeat(head),
                 map(str, cohort.citations.tolist()),
@@ -436,22 +440,29 @@ def write_series_csv(
     """Write (journal_id, country, scheme_value, points) series blocks, in one pass."""
     header = ["journal_id", "country", "scheme", "year", "value", "ci_low", "ci_high", "status"]
     rows = (
-        [journal_id, country, scheme_value, p.year, fmt(p.value), fmt(p.ci_low), fmt(p.ci_high), p.status]
+        [journal_id, country, scheme_value, year,
+         "" if value is None else f"{value:.9g}", "" if low is None else f"{low:.9g}",
+         "" if high is None else f"{high:.9g}", status]
         for journal_id, country, scheme_value, points in series
-        for p in points
+        for year, value, low, high, status in points
     )
     return write_table(path, header, rows)
 
 
+_SCHEME_TEXT = {None: "", **{s: s.value for s in Scheme}}
+
+
 def write_exclusions_csv(path: str | Path, exclusions: Sequence[ExclusionRecord]) -> int:
+    """Write the exclusion tallies sorted by their fields, count left out."""
     header = ["stage", "reason", "count", "journal_id", "year", "country", "scheme", "offset"]
     rows = (
-        [e.stage, e.reason, e.count, e.journal_id,
-         fmt(e.year), e.country, e.scheme.value if e.scheme else "", fmt(e.offset)]
-        for e in sorted(exclusions, key=lambda e: (
-            e.stage, e.reason, e.journal_id, e.year if e.year is not None else -1,
-            e.country, e.scheme.value if e.scheme else "", e.offset if e.offset is not None else -1,
-        ))
+        [stage, reason, n, journal_id, "" if year is None else year, country,
+         _SCHEME_TEXT[scheme], "" if offset is None else offset]
+        for stage, reason, n, journal_id, year, country, scheme, offset in sorted(
+            exclusions, key=lambda e: (
+                e.stage, e.reason, e.journal_id, -1 if e.year is None else e.year,
+                e.country, _SCHEME_TEXT[e.scheme], -1 if e.offset is None else e.offset,
+            ))
     )
     return write_table(path, header, rows)
 

@@ -203,7 +203,7 @@ class ExperimentConfig:
                 schemes=tuple(Scheme(s) for s in schemes),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad config: {exc!r}") from None
+            raise ValidationError(f"bad config: {exc}") from None
 
 
 # the fields written to JSON as they are; a field added to the config enters

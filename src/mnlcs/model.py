@@ -228,6 +228,19 @@ class Cohort:
         object.__setattr__(self, "codes", _frozen(codes))
         object.__setattr__(self, "sets", sets)
 
+    def with_citations(self, journal_id: str, year: int, citations) -> Cohort:
+        """A cohort sharing this one's canonical, checked ``codes`` and ``sets``;
+        the journal id and ``citations`` are checked as the constructor does."""
+        citations = np.array(citations, dtype=np.int64)
+        if citations.shape != self.codes.shape:
+            raise ValidationError("citations and codes must be 1-d and of equal length")
+        check_journal_id(journal_id)
+        check_citations(citations.min())
+        cohort = object.__new__(Cohort)  # frozen: the fields go straight into its __dict__
+        vars(cohort).update(journal_id=journal_id, year=year, citations=_frozen(citations),
+                            codes=self.codes, sets=self.sets)
+        return cohort
+
     @property
     def records(self) -> tuple[CitationRecord, ...]:
         """The articles as CitationRecords, in order; built on every access."""

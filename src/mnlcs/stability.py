@@ -284,6 +284,9 @@ class SeriesPoint(NamedTuple):
     status: str
 
 
+_STATUS_TEXT = tuple(status.value for status in STATUSES)
+
+
 def series_report(
     grid: CellGrid, *, journal_id: str, country: str, scheme: Scheme
 ) -> list[SeriesPoint]:
@@ -299,8 +302,7 @@ def series_report(
         grid.present, grid.ok, grid.value, grid.ci_low_reported, grid.ci_high, grid.status
     ))
     return [
-        SeriesPoint(year, value, low if ok else None, high if ok else None,
-                    STATUSES[code].value)
+        SeriesPoint(year, value, low if ok else None, high if ok else None, _STATUS_TEXT[code])
         if present else SeriesPoint(year, None, None, None, "missing")
         for year, present, ok, value, low, high, code in zip(grid.years, *row)
     ]

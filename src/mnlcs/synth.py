@@ -177,8 +177,9 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
 
     Within a cohort each group's articles come in spec order, the first
     collab_fraction of them also labelled collab_partner, followed by the
-    unlabelled rest of the field. The labels depend only on the spec, so
-    one set-code column serves every cohort.
+    unlabelled rest of the field. The labels depend only on the spec, so they
+    are put in canonical form once and every cohort shares the same
+    read-only codes and sets (``Cohort.with_citations``).
     """
     sets = [frozenset()]
     codes = []
@@ -199,6 +200,7 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
     rngs = streams(spec.rng_seed, [("citations", j, year, label) for j in spec.journal_ids
                                    for year in spec.years for label in labels])
 
+    shared = Cohort(spec.journal_ids[0], spec.year_start, np.zeros(len(codes)), codes, sets)
     cohorts = []
     for journal_id in spec.journal_ids:
         paths = {g.country: capability_path(spec, journal_id, g) for g in spec.groups}
@@ -206,5 +208,5 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
             logs = [next(rngs).normal(paths[g.country][year], g.sigma, size=n) for g, n in sizes.items()]
             if n_rest > 0:
                 logs.append(next(rngs).normal(spec.field_mu, spec.field_sigma, size=n_rest))
-            cohorts.append(Cohort(journal_id, year, _counts(np.concatenate(logs)), codes, sets))
+            cohorts.append(shared.with_citations(journal_id, year, _counts(np.concatenate(logs))))
     return cohorts

@@ -12,8 +12,9 @@ not through the library's membership matrix, CSV ingest and writing go
 through one CitationRecord per row, not through columns, coverage curves
 and series look up one cell per (journal, year) pair in a dict, not in the
 library's cell grid, cells.csv is sorted and written one ``CellRow`` (this
-module's own cell record) at a time, not from the grid's arrays, a
-cohort's canonical sets are ranked from its used sets alone, not looked up
+module's own cell record) at a time, not from the grid's arrays,
+series.csv and exclusions.csv are written a row at a time through
+csv.writer and ``fmt``, not through the library's writers, a cohort's canonical sets are ranked from its used sets alone, not looked up
 in the cached order of its whole sets tuple, and synthetic cohorts are drawn
 one group at a time, each from its own ``stream`` (numpy's SeedSequence),
 not from one batch of streams. ``oracle_bundle`` composes these stages into
@@ -38,10 +39,8 @@ from mnlcs.dataio import (
     IngestReport,
     fmt,
     write_curves_csv,
-    write_exclusions_csv,
     write_manifest,
     write_scheme_curves_csv,
-    write_series_csv,
 )
 from mnlcs.errors import DegenerateField, IngestError, ValidationError
 from mnlcs.experiment import load_cohorts, resolve_countries
@@ -595,13 +594,48 @@ def write_cells_csv_oracle(path, cells) -> int:
     return len(rows)
 
 
+def write_series_csv_oracle(path, series) -> int:
+    """dataio.write_series_csv through csv.writer and ``fmt``, one point a row."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["journal_id", "country", "scheme", "year", "value", "ci_low", "ci_high",
+                         "status"])
+        for journal_id, country, scheme_value, points in series:
+            for p in points:
+                writer.writerow([journal_id, country, scheme_value, p.year, fmt(p.value),
+                                 fmt(p.ci_low), fmt(p.ci_high), p.status])
+                n += 1
+    return n
+
+
+def write_exclusions_csv_oracle(path, exclusions) -> int:
+    """dataio.write_exclusions_csv through csv.writer and ``fmt``: sorted by
+    (stage, reason, journal_id, year, country, scheme, offset), an absent
+    year or offset as -1 and an absent scheme as ""."""
+    def key(e):
+        return (e.stage, e.reason, e.journal_id, e.year if e.year is not None else -1,
+                e.country, e.scheme.value if e.scheme else "",
+                e.offset if e.offset is not None else -1)
+
+    rows = sorted(exclusions, key=key)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["stage", "reason", "count", "journal_id", "year", "country", "scheme",
+                         "offset"])
+        for e in rows:
+            writer.writerow([e.stage, e.reason, e.count, e.journal_id, fmt(e.year), e.country,
+                             e.scheme.value if e.scheme else "", fmt(e.offset)])
+    return len(rows)
+
+
 def oracle_bundle(config, out_dir) -> None:
     """Write the bundle of experiment.run_experiment(config, out_dir) stage by
     stage through the oracles: ingest_oracle (a scenario is generated by the
     library), cells_oracle, scalar_lag0_points, coverage_curve_oracle,
-    series_oracle, write_cells_csv_oracle and write_records_csv_oracle. The
-    countries are ranked, and curves, series, exclusions and the manifest
-    written, by the library."""
+    series_oracle and the csv.writer oracles of cells.csv, series.csv,
+    exclusions.csv and data.csv. The countries are ranked, and the curves
+    and the manifest written, by the library."""
     out = Path(out_dir)
     out.mkdir(parents=True)
     low, high = config.year_min, config.year_max
@@ -636,8 +670,8 @@ def oracle_bundle(config, out_dir) -> None:
     outputs = {
         "cells.csv": write_cells_csv_oracle(out / "cells.csv", cells),
         "curves.csv": write_curves_csv(out / "curves.csv", curves),
-        "series.csv": write_series_csv(out / "series.csv", series),
-        "exclusions.csv": write_exclusions_csv(out / "exclusions.csv", exclusions),
+        "series.csv": write_series_csv_oracle(out / "series.csv", series),
+        "exclusions.csv": write_exclusions_csv_oracle(out / "exclusions.csv", exclusions),
     }
     for scheme in config.schemes:
         name = f"curves_{scheme.value}.csv"

@@ -240,6 +240,9 @@ def test_run_prints_the_summary_and_row_counts(data_csv, tmp_path, capsys):
     ("run", {"year_min": 2001.5}),
     ("run", {"year_min": 2003, "year_max": 2001}),
     ("indicator", ["--year-min", "2003", "--year-max", "2001"]),
+    ("run", {"alpha": 0.0}),
+    ("run", {"fieller_form": "nope"}),
+    ("run", {"schemes": ["nope"]}),
 ])
 def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, command, flags):
     if command == "run":
@@ -253,7 +256,9 @@ def test_bad_settings_fail_with_one_json_error(data_csv, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert code != 0
     assert "Traceback" not in err
-    assert set(json.loads(err)) == {"error", "message"}  # one object, nothing else
+    error = json.loads(err)
+    assert set(error) == {"error", "message"}  # one object, nothing else
+    assert "Error(" not in error["message"]  # the exception's text, not its repr
     assert not (tmp_path / "out").exists()
 
 

@@ -419,7 +419,7 @@ def test_run_experiment_writes_the_oracle_bundle(tmp_path):
         check_oracle_bundle(cfg, tmp_path / name)
 
 
-@hyp_settings(max_examples=8, deadline=None)
+@hyp_settings(max_examples=24, deadline=None)
 @given(
     st.integers(2, 3),
     st.integers(3, 5),
@@ -430,15 +430,36 @@ def test_run_experiment_writes_the_oracle_bundle(tmp_path):
     st.sampled_from(FIELLER_FORMS),
     st.integers(2, 5),
     st.integers(0, 2**16),
+    st.sampled_from(["scenario", "csv", "csv_quoted"]),
+    st.sampled_from([None, -2, 1]),
+    st.sampled_from([None, 2, -1]),
+    st.integers(1, 7),
 )
 def test_run_experiment_writes_the_oracle_bundle_on_drawn_configs(
-    journals, years, articles, replicates, countries, form, min_group_n, seed
+    journals, years, articles, replicates, countries, form, min_group_n, seed, source,
+    low, high, max_offset,
 ):
+    # input: the scenario, or its data.csv re-ingested, with J1 as J"1 (a
+    # field csv.writer quotes) or not; year bounds unset, wider or narrower
+    # than the data at either end; max_offset up to past the year span
     small = replace(scenario(seed), n_journals=journals, year_end=2000 + years - 1,
                     field_size_per_year=articles)
-    cfg = config(scenario=small, lag0_replicates=replicates, fieller_form=form,
-                 min_group_n=min_group_n, seed=seed, **countries)
+    bounds = {"year_min": None if low is None else small.year_start + low,
+              "year_max": None if high is None else small.year_end + high}
     with tempfile.TemporaryDirectory() as out:
+        inputs = {"scenario": small}
+        if source != "scenario":
+            data = Path(out) / "data.csv"
+            write_records_csv(data, generate(small))
+            if source == "csv_quoted":
+                with open(data, encoding="utf-8", newline="") as f:
+                    rows = [['J"1' if row[0] == "J1" else row[0], *row[1:]] for row in csv.reader(f)]
+                with open(data, "w", encoding="utf-8", newline="") as f:
+                    csv.writer(f, lineterminator="\n").writerows(rows)
+            inputs = {"scenario": None, "input_csv": str(data)}
+        cfg = config(**inputs, lag0_replicates=replicates, fieller_form=form,
+                     min_group_n=min_group_n, seed=seed, max_offset=max_offset,
+                     **bounds, **countries)
         check_oracle_bundle(cfg, Path(out))
 
 

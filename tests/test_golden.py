@@ -15,6 +15,12 @@ runs 80 replicates, each cohort's bin counts drawn in one call from its own
 stream, and so pins the offset-0 rows of the curve files and the lag0
 exclusions byte for byte.
 
+``test_paper_bundle_bytes_match_golden`` runs the paper's shape: 36
+journals x 19 years x 300 articles with the same group mix, top 10
+countries, both schemes, offsets up to 18 and 80 split-half replicates at
+seed 0. Its 684 cohorts fill 57 split-half decision batches, so a change
+that moves one decision there, or one byte of data.csv, shows.
+
 A declared change to the synthetic RNG layout changes data.csv and every
 file computed from it; that change must re-record these digests. A declared
 change to the split-half RNG layout must re-record the ``split_half``
@@ -155,3 +161,36 @@ def test_bundle_bytes_match_golden(variant, tmp_path):
         for path in sorted(tmp_path.iterdir())
     }
     assert digests == GOLDEN[variant]
+
+
+PAPER_CONFIG = {
+    "input": {"scenario": {**SCENARIO, "n_journals": 36, "year_start": 1996, "year_end": 2014,
+                           "rng_seed": 0}},
+    "countries": {"top": 10},
+    "schemes": ["inclusive", "exclusive"],
+    "max_offset": 18,
+    "lag0_replicates": 80,
+    "seed": 0,
+}
+
+# recorded on the code before split-half decisions ran targets-major
+PAPER_GOLDEN = {
+    "cells.csv": "d5d04b29580f63e07f91d812bafae55b8dbcd36cd77db08e9c9bceaa6e61b0b9",
+    "curves.csv": "f72760eb8d7b7e794f8d095eb26b4266cdd1688b44b27bb5e54b53f70bdb52d3",
+    "curves_exclusive.csv": "36f30a80e7f7488badc2d6047a609db37f366952880dcffe15ae531ace01dadf",
+    "curves_inclusive.csv": "2a9469cbb13ef919ec833e2a7301d640f90a799dd1141dff7a1f9cc90d514efe",
+    "data.csv": "5e6349f8307f89988330ca188a2ecede87424d06b3d4f08eb00249f2a73b6ad8",
+    "exclusions.csv": "23a8a838bcef4c4346929f08c2d53b9ae92833404a351e411481ef94f733503f",
+    "manifest.json": "7dd8252a628359275c7182a2f8452b37068885fafd13ed1ddc708eeb84450eae",
+    "resolved.json": "c4bdaaf95df17a6ed13389de2cf65e514f6abf0dc13534a13b9d59385bdec27c",
+    "series.csv": "4a5cc1a6b80ceacfadfcf39c75edd7611901119eace84cf4ea524a8e7edeff4b",
+}
+
+
+def test_paper_bundle_bytes_match_golden(tmp_path):
+    run_experiment(ExperimentConfig.from_dict(PAPER_CONFIG), tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == PAPER_GOLDEN

@@ -226,6 +226,22 @@ def test_cohort_validates_columns():
     assert Cohort("J1", 2000, [1], [0], (frozenset(), frozenset({"us"}))).sets == (frozenset(),)
 
 
+def test_with_citations_shares_the_labels_and_checks_the_rest(simple_cohort):
+    citations = np.arange(simple_cohort.size)
+    other = simple_cohort.with_citations("J2", 2001, citations)
+    citations[0] = 99  # the cohort holds its own read-only copy
+    assert other.codes is simple_cohort.codes and other.sets is simple_cohort.sets
+    assert other == Cohort("J2", 2001, np.arange(8), simple_cohort.codes, simple_cohort.sets)
+    with pytest.raises(ValueError):
+        other.citations[0] = 1
+    with pytest.raises(NegativeCitations):
+        simple_cohort.with_citations("J2", 2001, [-1] + [0] * 7)
+    with pytest.raises(ValidationError):
+        simple_cohort.with_citations("J,2", 2001, np.arange(8))
+    with pytest.raises(ValidationError):
+        simple_cohort.with_citations("J2", 2001, [1, 2])
+
+
 # sets tuples drawn from a few small sets, so equal sets repeat in any order
 # and some sets go unused
 set_tuples = st.lists(

@@ -75,6 +75,8 @@ def test_generate_shapes_and_labels():
     cohorts = generate(spec)
     assert len(cohorts) == 3 * 5
     assert [c.journal_id for c in cohorts[:5]] == ["J1"] * 5
+    # one canonical label set, shared by every cohort
+    assert all(c.codes is cohorts[0].codes and c.sets is cohorts[0].sets for c in cohorts)
     for c in cohorts:
         assert c.size == 60
         aa = [r for r in c.records if "AA" in r.countries]

@@ -25,13 +25,14 @@ whatever the total, and memory grows with neither replicates nor bins.
 Cohorts are binned a block at a time: consecutive cohorts of at most
 ARTICLES articles together (a larger cohort alone) go through one sort on
 (block set code, citation rank). Each cohort's sets take their own range of
-block codes, so its bins, their order and sizes are the cohort's own. One
-product of a call's counts with the cohort's [bins, 4 x (targets + 1)] table
-gives half A's sums, sums of squares, cited and member counts for the field
-and every target. Half B's sums come the same way from the rest of each
-bin; its cited and member counts are the cohort's minus half A's. Values
-are centred on the cohort mean first, so sums of squares do not cancel when
-citation counts are large and close together.
+block codes, so its bins, their order and sizes are the cohort's own. The
+product of a call's counts with the cohort's [bins, 4 x (targets + 1)]
+table, taken PRODUCT_ROWS rows at a time so that OpenBLAS starts no threads
+at the paper's shape, gives half A's sums, sums of squares, cited and
+member counts for the field and every target. Half B's sums come the same
+way from the rest of each bin; its cited and member counts are the cohort's
+minus half A's. Values are centred on the cohort mean first, so sums of
+squares do not cancel when citation counts are large and close together.
 
 Each draw call writes its rows into buffers of BATCH rows shared by
 consecutive cohorts. The decision tail runs once per full buffer on a
@@ -40,9 +41,9 @@ rows; each cohort's cited and member totals, centre and n // 2 - 1 (for the
 t index) are kept once and gathered by row owner. One fieller_interval
 call, the code every indicator cell goes through, and t from one
 fieller.t_memo read per call decide the batch. Every value is the one a
-cohort on its own would give: the products keep draw-call size and
-everything after them works element by element. lag0_batch returns
-[cohorts, targets] counts.
+cohort on its own would give: the products' row slices are set by the draw
+call alone and everything after them works element by element. lag0_batch
+returns [cohorts, targets] counts.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ ROWS = 256  # replicates per draw call
 CELLS = 2**16  # at most this many bin counts per draw call, unless one row holds more
 ARTICLES = 8192  # articles binned at once, unless one cohort holds more
 BATCH = 1024  # rows per decision batch, unless one draw call holds more
+PRODUCT_ROWS = 64  # rows per product; at the paper's ~100 bins OpenBLAS keeps these on one thread
 
 
 def _rows_per_call(n_bins: int) -> int:
@@ -186,11 +188,14 @@ def replicate_decisions(
                 if filled + len(drawn) > size:
                     yield _decide(owner[:filled].copy(), sums_a, sums_b, constants, settings)
                     filled = 0
-                rows = slice(filled, filled + len(drawn))
-                np.matmul(drawn.astype(np.float64), table, out=sums_a[rows])
-                # half B's sums from its own articles: total minus half A's rounds off a ratio of 1
-                np.matmul((sizes - drawn).astype(np.float64), table_b, out=sums_b[rows])
-                owner[rows] = i
+                for lo in range(0, len(drawn), PRODUCT_ROWS):
+                    part = drawn[lo:lo + PRODUCT_ROWS]
+                    rows = slice(filled + lo, filled + lo + len(part))
+                    np.matmul(part.astype(np.float64), table, out=sums_a[rows])
+                    # half B's sums from its own articles: total minus half A's
+                    # rounds off a ratio of 1
+                    np.matmul((sizes - part).astype(np.float64), table_b, out=sums_b[rows])
+                owner[filled:filled + len(drawn)] = i
                 filled += len(drawn)
     if filled:
         yield _decide(owner[:filled].copy(), sums_a, sums_b, constants, settings)

@@ -20,7 +20,8 @@ import sys
 
 from . import __version__
 from .bootstrap import lag0_batch
-from .dataio import cell_order, cell_rows, fmt, ingest, write_cells_csv, write_records_csv, write_table
+from .dataio import (cell_order, cell_rows, fmt, ingest, quote_field, write_cells_csv,
+                     write_records_csv, write_table)
 from .errors import MnlcsError, ValidationError
 from .experiment import (
     ExperimentConfig,
@@ -123,9 +124,10 @@ def cmd_bootstrap(args) -> int:
     # every cohort before --out is opened, so a failure leaves no file
     n_valid, n_inside = lag0_batch(cohorts, targets, args.replicates, config.seed, config.settings)
     rows = (
-        [cohort.journal_id, cohort.year, country, scheme.value,
-         fmt(inside / valid) if valid else "", valid, args.replicates - valid]
+        [journal_id, year, country, scheme.value,
+         fmt(inside / valid) if valid else "", str(valid), str(args.replicates - valid)]
         for cohort, valids, insides in zip(cohorts, n_valid.tolist(), n_inside.tolist())
+        for journal_id, year in [(quote_field(cohort.journal_id), str(cohort.year))]
         for (country, scheme), valid, inside in zip(targets, valids, insides)
     )
     header = ["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"]

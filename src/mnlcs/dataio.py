@@ -17,15 +17,18 @@ each column's strings become int codes, every distinct string parsed once
 (``_Column``), and row errors, filters and cohort grouping are array
 operations on the codes' values.
 
-``write_table`` is the one CSV form of every output table, to a path or to
-stdout, and ``write_json`` the one JSON form; only ``write_records_csv``
-joins its own text, in the same CSV form, for the speed of data.csv's rows.
-Numbers get 9 significant digits so byte-level golden comparisons survive
-double rounding, and every experiment directory carries a manifest
-recording the resolved configuration and its hash. cells.csv is
-written from the ``CellGrid``'s arrays: ``cell_order`` picks the present
-cells by flat index in (journal, year, country, scheme) order, and each
-column is formatted for 1024 cells at a time.
+Every output table is written from text its writer formats: a row is one
+``",".join`` (``write_table``, to a path or to stdout) or one f-string, and
+lines reach the file in chunks. ``quote_field`` is the one quoting rule,
+csv.writer's, run once per distinct journal id or label text; the journal
+id is the only field that can need it (``check_journal_id`` allows a quote),
+as the other texts are fixed or numbers. ``write_json`` is the one JSON
+form. Numbers get 9 significant digits so byte-level golden comparisons
+survive double rounding, and every experiment directory carries a manifest
+recording the resolved configuration and its hash. cells.csv is written
+from the ``CellGrid``'s arrays: ``cell_order`` picks the present cells by
+flat index in (journal, year, country, scheme) order, and each column is
+formatted for 1024 cells at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ import io
 import json
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
-from operator import itemgetter
+from functools import cache
+from itertools import chain, islice
+from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -71,18 +75,35 @@ def fmt(x: object) -> str:
     return str(x)
 
 
-def write_table(out, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write ``header`` and ``rows`` as CSV to ``out``, a path or an open text
-    file; returns the number of rows. Rows are counted as csv.writer takes
-    them, with no Python step per row."""
+def quote_field(text: str) -> str:
+    """``text`` as csv.writer writes it as one field of a row of several:
+    quoted, its quotes doubled, where it holds a comma, quote or line break."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
+
+
+def _write_lines(out, header: Sequence[str], lines: Iterable[str]) -> int:
+    """Write ``header`` and ``lines``, each a row's CSV text without its line
+    end, to ``out``, a path or an open text file, 1024 lines per write;
+    returns the number of lines."""
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as f:
-            return write_table(f, header, rows)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    counter = count()  # zip takes a row first, so counter stops at the row count
-    writer.writerows(map(itemgetter(0), zip(rows, counter)))
-    return next(counter)
+            return _write_lines(f, header, lines)
+    out.write(",".join(header) + "\n")
+    n, lines = 0, iter(lines)
+    while chunk := list(islice(lines, 1024)):
+        n += len(chunk)
+        out.write("\n".join(chunk) + "\n")
+    return n
+
+
+def write_table(out, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
+    """Write ``header`` and ``rows`` as CSV to ``out``, a path or an open text
+    file; returns the number of rows. Every field is text in CSV form: a
+    field that may hold a comma, quote or line break (a journal id) has been
+    through ``quote_field``, so each row is one join."""
+    return _write_lines(out, header, map(",".join, rows))
 
 
 def write_json(path: str | Path, data: dict) -> None:
@@ -92,35 +113,35 @@ def write_json(path: str | Path, data: dict) -> None:
         f.write("\n")
 
 
+_COUNT_TEXTS = 1 << 16  # write_records_csv's list of count texts stops below this
+
+
 def write_records_csv(path: str | Path, cohorts: Iterable[Cohort]) -> int:
     """Write cohorts in the input schema; returns the number of rows.
 
-    csv.writer quotes each cohort's journal id, year and set labels once;
-    the rows of a cohort are then joined from those pieces and the counts.
+    Each distinct journal id and each cohort's set labels are quoted once,
+    and a citation count's text comes from one list of number strings,
+    grown to the largest count seen; a cohort's rows, each its count's text
+    and its set's tail, are joined with the cohort's "id,year," head in one
+    write.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-
-    def csv_line(*fields) -> str:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow(fields)
-        return buffer.getvalue()
-
-    n = 0
+    quoted = cache(quote_field)
+    counts: list[str] = []
     tails_of: dict[tuple, list[str]] = {}  # ",labels\n" of each set, per distinct sets tuple
+    n = 0
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(csv_line(*CSV_HEADER))
+        f.write(",".join(CSV_HEADER) + "\n")
         for cohort in cohorts:
-            head = csv_line(cohort.journal_id, cohort.year, "")[:-1]  # "id,year,"
+            head = f"{quoted(cohort.journal_id)},{cohort.year},"
             tails = tails_of.get(cohort.sets)
             if tails is None:
-                tails = tails_of[cohort.sets] = [csv_line("", ";".join(sorted(s))) for s in cohort.sets]
-            f.write("".join(chain.from_iterable(zip(
-                repeat(head),
-                map(str, cohort.citations.tolist()),
-                map(tails.__getitem__, cohort.codes.tolist()),
-            ))))
+                tails = tails_of[cohort.sets] = [f",{quote_field(';'.join(sorted(s)))}\n"
+                                                 for s in cohort.sets]
+            top = int(cohort.citations.max())
+            if len(counts) <= top < _COUNT_TEXTS:
+                counts.extend(map(str, range(len(counts), top + 1)))
+            texts = map(counts.__getitem__ if top < len(counts) else str, cohort.citations.tolist())
+            f.write(head + head.join(map(add, texts, map(tails.__getitem__, cohort.codes.tolist()))))
             n += cohort.size
     return n
 
@@ -371,21 +392,22 @@ def cell_order(grid: CellGrid) -> np.ndarray:
 
 
 def cell_rows(grid: CellGrid, flat: np.ndarray, fields=CELL_FIELDS):
-    """The cells at the ``flat`` grid indices as rows of ``fields``,
-    formatted 1024 cells at a time so that little text is alive at once."""
+    """The cells at the ``flat`` grid indices as rows of ``fields`` in CSV
+    text (see ``write_table``), formatted 1024 cells at a time so that little
+    text is alive at once."""
+    journals = [quote_field(j) for j in grid.journals]
     for start in range(0, len(flat), 1024):
-        columns = _cell_columns(grid, flat[start:start + 1024])
+        columns = _cell_columns(grid, flat[start:start + 1024], journals)
         yield from zip(*(columns[name] for name in fields))
 
 
-def _cell_columns(grid: CellGrid, flat: np.ndarray) -> dict[str, list[str]]:
+def _cell_columns(grid: CellGrid, flat: np.ndarray, journals) -> dict[str, list[str]]:
     """The text of the cells at the ``flat`` grid indices, one list per
     CELL_FIELDS name, as ``fmt`` formats each value: bounds and se are empty
     unless the cell is OK, h is empty where NaN, and the reported low is
-    clamped at zero."""
+    clamped at zero. ``journals`` holds the grid's quoted journal ids."""
     ok = grid.ok.reshape(-1)[flat].tolist()
     targets = [(country, scheme.value) for country, scheme in grid.targets]
-    journals = list(grid.journals)
     target, journal, year = (a.tolist() for a in np.unravel_index(flat, grid.present.shape))
 
     def at(column):
@@ -420,8 +442,8 @@ def write_curves_csv(path: str | Path, curves: Sequence[CoverageCurve], scheme: 
     ``scheme`` False the scheme column is left out."""
     header = ["country", "scheme", "offset_years", "inside_fraction", "n_comparisons", "simulated"]
     rows = (
-        [curve.country, *([curve.scheme.value] if scheme else []), p.offset_years,
-         fmt(p.inside_fraction), p.n_comparisons, fmt(p.simulated)]
+        [curve.country, *([curve.scheme.value] if scheme else []), str(p.offset_years),
+         fmt(p.inside_fraction), str(p.n_comparisons), fmt(p.simulated)]
         for curve in sorted(curves, key=lambda c: (c.country, c.scheme.value))
         for p in curve.points
     )
@@ -437,16 +459,18 @@ def write_series_csv(
     path: str | Path,
     series: Iterable[tuple[str, str, str, Sequence[SeriesPoint]]],
 ) -> int:
-    """Write (journal_id, country, scheme_value, points) series blocks, in one pass."""
+    """Write (journal_id, country, scheme_value, points) series blocks, in one
+    pass; each line is one f-string after its block's quoted head."""
     header = ["journal_id", "country", "scheme", "year", "value", "ci_low", "ci_high", "status"]
-    rows = (
-        [journal_id, country, scheme_value, year,
-         "" if value is None else f"{value:.9g}", "" if low is None else f"{low:.9g}",
-         "" if high is None else f"{high:.9g}", status]
+    quoted = cache(quote_field)
+    lines = (
+        f"{head}{year},{'' if value is None else f'{value:.9g}'},"
+        f"{'' if low is None else f'{low:.9g}'},{'' if high is None else f'{high:.9g}'},{status}"
         for journal_id, country, scheme_value, points in series
+        for head in [f"{quoted(journal_id)},{country},{scheme_value},"]
         for year, value, low, high, status in points
     )
-    return write_table(path, header, rows)
+    return _write_lines(path, header, lines)
 
 
 _SCHEME_TEXT = {None: "", **{s: s.value for s in Scheme}}
@@ -455,16 +479,17 @@ _SCHEME_TEXT = {None: "", **{s: s.value for s in Scheme}}
 def write_exclusions_csv(path: str | Path, exclusions: Sequence[ExclusionRecord]) -> int:
     """Write the exclusion tallies sorted by their fields, count left out."""
     header = ["stage", "reason", "count", "journal_id", "year", "country", "scheme", "offset"]
-    rows = (
-        [stage, reason, n, journal_id, "" if year is None else year, country,
-         _SCHEME_TEXT[scheme], "" if offset is None else offset]
+    quoted = cache(quote_field)
+    lines = (
+        f"{stage},{reason},{n},{quoted(journal_id)},{'' if year is None else year},{country},"
+        f"{_SCHEME_TEXT[scheme]},{'' if offset is None else offset}"
         for stage, reason, n, journal_id, year, country, scheme, offset in sorted(
             exclusions, key=lambda e: (
                 e.stage, e.reason, e.journal_id, -1 if e.year is None else e.year,
                 e.country, _SCHEME_TEXT[e.scheme], -1 if e.offset is None else e.offset,
             ))
     )
-    return write_table(path, header, rows)
+    return _write_lines(path, header, lines)
 
 
 def config_hash(config: dict) -> str:

@@ -13,9 +13,11 @@ through one CitationRecord per row, not through columns, coverage curves
 and series look up one cell per (journal, year) pair in a dict, not in the
 library's cell grid, cells.csv is sorted and written one ``CellRow`` (this
 module's own cell record) at a time, not from the grid's arrays,
-series.csv and exclusions.csv are written a row at a time through
-csv.writer and ``fmt``, not through the library's writers, a cohort's canonical sets are ranked from its used sets alone, not looked up
-in the cached order of its whole sets tuple, and synthetic cohorts are drawn
+series.csv, exclusions.csv, curves.csv and curves_<scheme>.csv are
+written a row at a time through csv.writer and ``fmt``, and manifest.json
+through json and hashlib, not through the library's writers, a cohort's
+canonical sets are ranked from its used sets alone, not looked up in the
+cached order of its whole sets tuple, and synthetic cohorts are drawn
 one group at a time, each from its own ``stream`` (numpy's SeedSequence),
 not from one batch of streams. ``oracle_bundle`` composes these stages into
 the whole bundle of a run.
@@ -23,6 +25,7 @@ the whole bundle of a run.
 
 import csv
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -38,9 +41,6 @@ from mnlcs.dataio import (
     CSV_HEADER,
     IngestReport,
     fmt,
-    write_curves_csv,
-    write_manifest,
-    write_scheme_curves_csv,
 )
 from mnlcs.errors import DegenerateField, IngestError, ValidationError
 from mnlcs.experiment import load_cohorts, resolve_countries
@@ -629,13 +629,42 @@ def write_exclusions_csv_oracle(path, exclusions) -> int:
     return len(rows)
 
 
+def write_curves_csv_oracle(path, curves, scheme=True) -> int:
+    """dataio.write_curves_csv through csv.writer and ``fmt``: curves sorted
+    by (country, scheme), one point a row; with ``scheme`` False (the
+    curves_<scheme>.csv view) the scheme column is left out."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["country", *(["scheme"] if scheme else []), "offset_years",
+                         "inside_fraction", "n_comparisons", "simulated"])
+        for curve in sorted(curves, key=lambda c: (c.country, c.scheme.value)):
+            for p in curve.points:
+                writer.writerow([curve.country, *([curve.scheme.value] if scheme else []),
+                                 p.offset_years, fmt(p.inside_fraction), p.n_comparisons,
+                                 fmt(p.simulated)])
+                n += 1
+    return n
+
+
+def write_manifest_oracle(path, config: dict, outputs: dict) -> None:
+    """dataio.write_manifest through json.dumps and hashlib: the config, the
+    sha256 of its compact sorted-key JSON and the row counts, as sorted-key
+    JSON with a two-space indent and a final newline."""
+    digest = hashlib.sha256(
+        json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+    manifest = {"config": config, "config_sha256": digest, "outputs": outputs}
+    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def oracle_bundle(config, out_dir) -> None:
     """Write the bundle of experiment.run_experiment(config, out_dir) stage by
     stage through the oracles: ingest_oracle (a scenario is generated by the
     library), cells_oracle, scalar_lag0_points, coverage_curve_oracle,
-    series_oracle and the csv.writer oracles of cells.csv, series.csv,
-    exclusions.csv and data.csv. The countries are ranked, and the curves
-    and the manifest written, by the library."""
+    series_oracle and the csv.writer oracles of cells.csv, curves.csv,
+    curves_<scheme>.csv, series.csv, exclusions.csv and data.csv, and
+    write_manifest_oracle. The countries are ranked by the library."""
     out = Path(out_dir)
     out.mkdir(parents=True)
     low, high = config.year_min, config.year_max
@@ -669,14 +698,14 @@ def oracle_bundle(config, out_dir) -> None:
     ]
     outputs = {
         "cells.csv": write_cells_csv_oracle(out / "cells.csv", cells),
-        "curves.csv": write_curves_csv(out / "curves.csv", curves),
+        "curves.csv": write_curves_csv_oracle(out / "curves.csv", curves),
         "series.csv": write_series_csv_oracle(out / "series.csv", series),
         "exclusions.csv": write_exclusions_csv_oracle(out / "exclusions.csv", exclusions),
     }
     for scheme in config.schemes:
         name = f"curves_{scheme.value}.csv"
-        outputs[name] = write_scheme_curves_csv(
-            out / name, [curve for curve in curves if curve.scheme is scheme]
+        outputs[name] = write_curves_csv_oracle(
+            out / name, [curve for curve in curves if curve.scheme is scheme], scheme=False
         )
     if config.scenario is not None:
         outputs["data.csv"] = write_records_csv_oracle(out / "data.csv", cohorts)
@@ -684,4 +713,4 @@ def oracle_bundle(config, out_dir) -> None:
                 "years": [years.start, years[-1]]}
     (out / "resolved.json").write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n",
                                        encoding="utf-8")
-    write_manifest(out / "manifest.json", config.to_dict(), outputs)
+    write_manifest_oracle(out / "manifest.json", config.to_dict(), outputs)

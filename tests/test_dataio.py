@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import tempfile
 import tracemalloc
@@ -23,13 +24,14 @@ from mnlcs.dataio import (
     config_hash,
     fmt,
     ingest,
+    quote_field,
     write_cells_csv,
     write_records_csv,
 )
 from mnlcs.errors import IngestError
 from mnlcs.fieller import CiSettings
 from mnlcs.stability import compute_cells
-from mnlcs.model import Cohort, EstimateStatus, MnlcsEstimate, Scheme
+from mnlcs.model import Cohort, EstimateStatus, MnlcsEstimate, Scheme, check_journal_id
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
 
 
@@ -67,15 +69,18 @@ def test_round_trip_larger_than_one_chunk(tmp_path):
 
 
 def test_records_csv_equals_row_writer(tmp_path):
-    # journal ids that csv.writer must quote, repeated sets, an empty set
+    # journal ids that csv.writer must quote, repeated sets, an empty set,
+    # counts past the writer's list of count texts and then just inside it
     sets = (frozenset(), frozenset({"US", "JP"}), frozenset({"DE"}))
     cohorts = [
         *generate(small_scenario()),
         Cohort('J"1', 1999, [3, 0, 12, 3], [1, 0, 2, 1], sets),
         Cohort(" J 2 ", 2001, [7], [2], sets),
+        Cohort("J3", 2002, [5, dataio._COUNT_TEXTS, 2**40], [0, 1, 2], sets),
+        Cohort("J3", 2003, [dataio._COUNT_TEXTS - 1, 9], [2, 0], sets),
     ]
-    assert write_records_csv(tmp_path / "joined.csv", cohorts) == 245
-    assert write_records_csv_oracle(tmp_path / "rows.csv", cohorts) == 245
+    assert write_records_csv(tmp_path / "joined.csv", cohorts) == 250
+    assert write_records_csv_oracle(tmp_path / "rows.csv", cohorts) == 250
     assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -152,6 +157,24 @@ def test_group_into_cohorts_sorted():
     assert [(c.journal_id, c.year) for c in regrouped] == [
         (c.journal_id, c.year) for c in cohorts
     ]
+
+
+# the journal ids check_journal_id accepts: no comma, semicolon or line
+# break, but quotes, blanks at either end and any other character
+journal_ids = st.text(
+    st.one_of(st.sampled_from('"\' \t\xe9\u6587'), st.characters(blacklist_characters=",;\r\n")),
+    min_size=1,
+).map(check_journal_id)  # which returns the id, or raises on one it rejects
+
+
+@settings(max_examples=300, deadline=None)
+@given(journal_ids, st.lists(st.sampled_from(["", "x", "1.5", "US"]), min_size=1, max_size=3))
+def test_quote_field_writes_what_csv_writer_writes(journal_id, others):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([*others, journal_id, *others])
+    joined = ",".join([*others, quote_field(journal_id), *others]) + "\n"
+    assert joined == buffer.getvalue()
+    assert next(csv.reader(io.StringIO(joined)))[len(others)] == journal_id
 
 
 def test_fmt_nine_significant_digits():

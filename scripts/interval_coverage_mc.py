@@ -19,7 +19,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mnlcs.fieller import OK, CiSettings, interval_columns
+from mnlcs.fieller import FIELLER_FORMS, OK, CiSettings, interval_columns
 from mnlcs.indicator import log_stats_from_logs
 from mnlcs.rngtools import streams
 from mnlcs.synth import sample_citations
@@ -34,7 +34,7 @@ def main() -> int:
     parser.add_argument("--replicates", type=int, default=10000)
     parser.add_argument("--seed", type=int, default=404)
     parser.add_argument("--alpha", type=float, default=0.025)
-    parser.add_argument("--form", choices=("standard", "printed"), default="standard")
+    parser.add_argument("--form", choices=FIELLER_FORMS, default="standard")
     args = parser.parse_args()
 
     settings = CiSettings(alpha=args.alpha, form=args.form)

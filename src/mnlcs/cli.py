@@ -20,8 +20,7 @@ import sys
 
 from . import __version__
 from .bootstrap import lag0_batch
-from .dataio import (cell_order, cell_rows, fmt, ingest, quote_field, write_cells_csv,
-                     write_records_csv, write_table)
+from .dataio import fmt, ingest, quote_field, write_cells_csv, write_records_csv, write_table
 from .errors import MnlcsError, ValidationError
 from .experiment import (
     ExperimentConfig,
@@ -30,6 +29,8 @@ from .experiment import (
     run_experiment,
     scenario_from_dict,
 )
+from .fieller import FIELLER_FORMS
+from .model import Scheme
 from .stability import compute_cells
 from .synth import generate
 
@@ -113,7 +114,7 @@ def cmd_indicator(args) -> int:
         print(f"wrote {n} cells to {args.out}")
     else:
         fields = ["journal_id", "year", "country", "scheme", "value", "ci_low", "ci_high", "status"]
-        write_table(sys.stdout, fields, cell_rows(grid, cell_order(grid), fields))
+        write_cells_csv(sys.stdout, grid, fields)
     return 0
 
 
@@ -123,15 +124,15 @@ def cmd_bootstrap(args) -> int:
     targets = sorted((c, s) for c in _countries(config, cohorts) for s in config.schemes)
     # every cohort before --out is opened, so a failure leaves no file
     n_valid, n_inside = lag0_batch(cohorts, targets, args.replicates, config.seed, config.settings)
-    rows = (
-        [journal_id, year, country, scheme.value,
-         fmt(inside / valid) if valid else "", str(valid), str(args.replicates - valid)]
+    lines = (
+        f"{head}{country},{scheme.value},{fmt(inside / valid) if valid else ''},{valid},"
+        f"{args.replicates - valid}"
         for cohort, valids, insides in zip(cohorts, n_valid.tolist(), n_inside.tolist())
-        for journal_id, year in [(quote_field(cohort.journal_id), str(cohort.year))]
+        for head in [f"{quote_field(cohort.journal_id)},{cohort.year},"]
         for (country, scheme), valid, inside in zip(targets, valids, insides)
     )
     header = ["journal_id", "year", "country", "scheme", "fraction", "n_valid", "n_excluded"]
-    write_table(args.out or sys.stdout, header, rows)
+    write_table(args.out or sys.stdout, header, lines)
     return 0
 
 
@@ -168,7 +169,7 @@ def _add_ci_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.025, help="per-tail alpha (0.025 = 95%% two-sided)")
     p.add_argument(
         "--fieller-form",
-        choices=("standard", "printed"),
+        choices=FIELLER_FORMS,
         default="standard",
         help="interval curvature form; 'printed' is the comparison variant",
     )
@@ -177,7 +178,7 @@ def _add_ci_flags(p: argparse.ArgumentParser) -> None:
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--countries", help="comma-separated ISO alpha-2 codes")
     p.add_argument("--top-k", type=int, default=10, help="rank countries by article count when --countries absent")
-    p.add_argument("--scheme", choices=("inclusive", "exclusive", "both"), default="both")
+    p.add_argument("--scheme", choices=(*(s.value for s in Scheme), "both"), default="both")
     p.add_argument("--year-min", type=int, default=None)
     p.add_argument("--year-max", type=int, default=None)
 
@@ -224,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--scheme", choices=("inclusive", "exclusive", "both"), default=None)
+    p.add_argument("--scheme", choices=(*(s.value for s in Scheme), "both"), default=None)
     p.add_argument("--min-group-n", type=int, default=None)
-    p.add_argument("--fieller-form", choices=("standard", "printed"), default=None)
+    p.add_argument("--fieller-form", choices=FIELLER_FORMS, default=None)
     p.set_defaults(func=cmd_run)
 
     return parser

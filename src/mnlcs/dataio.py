@@ -17,18 +17,20 @@ each column's strings become int codes, every distinct string parsed once
 (``_Column``), and row errors, filters and cohort grouping are array
 operations on the codes' values.
 
-Every output table is written from text its writer formats: a row is one
-``",".join`` (``write_table``, to a path or to stdout) or one f-string, and
-lines reach the file in chunks. ``quote_field`` is the one quoting rule,
-csv.writer's, run once per distinct journal id or label text; the journal
-id is the only field that can need it (``check_journal_id`` allows a quote),
-as the other texts are fixed or numbers. ``write_json`` is the one JSON
-form. Numbers get 9 significant digits so byte-level golden comparisons
+Every output table but data.csv, whose writer joins a cohort's rows at
+once, goes through ``write_table`` (to a path or an open text file such as
+stdout), which takes each row as ready CSV text, one f-string or one
+``",".join``, and writes lines in chunks. ``quote_field`` is the one quoting
+rule, csv.writer's, run once per distinct journal id or label text; the
+journal id is the only field that can need it (``check_journal_id`` allows a
+quote), as the other texts are fixed or numbers. ``write_json`` is the one
+JSON form. Numbers get 9 significant digits so byte-level golden comparisons
 survive double rounding, and every experiment directory carries a manifest
-recording the resolved configuration and its hash. cells.csv is written
-from the ``CellGrid``'s arrays: ``cell_order`` picks the present cells by
-flat index in (journal, year, country, scheme) order, and each column is
-formatted for 1024 cells at a time.
+recording the resolved configuration and its hash. ``write_cells_csv``
+writes cells.csv, and the CLI's shorter stdout table of cells, from the
+``CellGrid``'s arrays: it picks the present cells by flat index in
+(journal, year, country, scheme) order, and ``_cell_columns`` formats each
+column for 1024 cells at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .model import (
     parse_countries,
     parse_year,
 )
-from .fieller import STATUSES
+from .fieller import STATUS_TEXT
 from .stability import CellGrid, CoverageCurve, ExclusionRecord, SeriesPoint
 
 CSV_HEADER = ["journal_id", "year", "citations", "countries"]
@@ -83,27 +85,20 @@ def quote_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _write_lines(out, header: Sequence[str], lines: Iterable[str]) -> int:
+def write_table(out, header: Sequence[str], lines: Iterable[str]) -> int:
     """Write ``header`` and ``lines``, each a row's CSV text without its line
     end, to ``out``, a path or an open text file, 1024 lines per write;
-    returns the number of lines."""
+    returns the number of lines. A field that may hold a comma, quote or
+    line break (a journal id) has been through ``quote_field``."""
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8", newline="") as f:
-            return _write_lines(f, header, lines)
+            return write_table(f, header, lines)
     out.write(",".join(header) + "\n")
     n, lines = 0, iter(lines)
     while chunk := list(islice(lines, 1024)):
         n += len(chunk)
         out.write("\n".join(chunk) + "\n")
     return n
-
-
-def write_table(out, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
-    """Write ``header`` and ``rows`` as CSV to ``out``, a path or an open text
-    file; returns the number of rows. Every field is text in CSV form: a
-    field that may hold a comma, quote or line break (a journal id) has been
-    through ``quote_field``, so each row is one join."""
-    return _write_lines(out, header, map(",".join, rows))
 
 
 def write_json(path: str | Path, data: dict) -> None:
@@ -380,27 +375,6 @@ CELL_FIELDS = (
 )
 
 
-def cell_order(grid: CellGrid) -> np.ndarray:
-    """Flat [target, journal, year] indices of the grid's cells, sorted by
-    (journal, year, country, scheme): ``np.nonzero`` over the cells with the
-    target axis last, in (country, scheme) order. Journals and years are
-    axes in sorted order and targets are distinct, so no two cells tie."""
-    targets = list(grid.targets)
-    rank = sorted(range(len(targets)), key=lambda t: (targets[t][0], targets[t][1].value))
-    j, y, r = np.nonzero(grid.present[rank].transpose(1, 2, 0))
-    return np.ravel_multi_index((np.array(rank, dtype=np.intp)[r], j, y), grid.present.shape)
-
-
-def cell_rows(grid: CellGrid, flat: np.ndarray, fields=CELL_FIELDS):
-    """The cells at the ``flat`` grid indices as rows of ``fields`` in CSV
-    text (see ``write_table``), formatted 1024 cells at a time so that little
-    text is alive at once."""
-    journals = [quote_field(j) for j in grid.journals]
-    for start in range(0, len(flat), 1024):
-        columns = _cell_columns(grid, flat[start:start + 1024], journals)
-        yield from zip(*(columns[name] for name in fields))
-
-
 def _cell_columns(grid: CellGrid, flat: np.ndarray, journals) -> dict[str, list[str]]:
     """The text of the cells at the ``flat`` grid indices, one list per
     CELL_FIELDS name, as ``fmt`` formats each value: bounds and se are empty
@@ -428,26 +402,38 @@ def _cell_columns(grid: CellGrid, flat: np.ndarray, journals) -> dict[str, list[
         "ci_high": bounded(grid.ci_high),
         "h": ["" if x != x else f"{x:.9g}" for x in at(grid.h)],
         "se_mnlcs": bounded(grid.se),
-        "status": [STATUSES[code].value for code in at(grid.status)],
+        "status": [STATUS_TEXT[code] for code in at(grid.status)],
     }
 
 
-def write_cells_csv(path: str | Path, grid: CellGrid) -> int:
-    """Write the grid's cells sorted by (journal, year, country, scheme)."""
-    return write_table(path, CELL_FIELDS, cell_rows(grid, cell_order(grid)))
+def write_cells_csv(out, grid: CellGrid, fields: Sequence[str] = CELL_FIELDS) -> int:
+    """Write the grid's cells as rows of ``fields``, two or more CELL_FIELDS
+    names, to ``out``, a path or an open text file, sorted by (journal, year,
+    country, scheme): ``np.nonzero`` over the cells with the target axis
+    last, in (country, scheme) order. Journals and years are sorted axes and
+    targets are distinct, so no two cells tie. Rows are formatted 1024 cells
+    at a time, so that little text is alive at once; returns the cell count."""
+    targets = list(grid.targets)
+    rank = sorted(range(len(targets)), key=lambda t: (targets[t][0], targets[t][1].value))
+    j, y, r = np.nonzero(grid.present[rank].transpose(1, 2, 0))
+    flat = np.ravel_multi_index((np.array(rank, dtype=np.intp)[r], j, y), grid.present.shape)
+    journals = [quote_field(journal_id) for journal_id in grid.journals]
+    chunks = (_cell_columns(grid, flat[k:k + 1024], journals) for k in range(0, len(flat), 1024))
+    rows = chain.from_iterable(zip(*(columns[name] for name in fields)) for columns in chunks)
+    return write_table(out, fields, map(",".join, rows))
 
 
 def write_curves_csv(path: str | Path, curves: Sequence[CoverageCurve], scheme: bool = True) -> int:
     """One row per curve point, curves sorted by (country, scheme); with
     ``scheme`` False the scheme column is left out."""
     header = ["country", "scheme", "offset_years", "inside_fraction", "n_comparisons", "simulated"]
-    rows = (
-        [curve.country, *([curve.scheme.value] if scheme else []), str(p.offset_years),
-         fmt(p.inside_fraction), str(p.n_comparisons), fmt(p.simulated)]
+    lines = (
+        f"{head}{p.offset_years},{fmt(p.inside_fraction)},{p.n_comparisons},{fmt(p.simulated)}"
         for curve in sorted(curves, key=lambda c: (c.country, c.scheme.value))
+        for head in [f"{curve.country},{curve.scheme.value}," if scheme else f"{curve.country},"]
         for p in curve.points
     )
-    return write_table(path, header if scheme else header[:1] + header[2:], rows)
+    return write_table(path, header if scheme else header[:1] + header[2:], lines)
 
 
 def write_scheme_curves_csv(path: str | Path, curves: Sequence[CoverageCurve]) -> int:
@@ -470,7 +456,7 @@ def write_series_csv(
         for head in [f"{quoted(journal_id)},{country},{scheme_value},"]
         for year, value, low, high, status in points
     )
-    return _write_lines(path, header, lines)
+    return write_table(path, header, lines)
 
 
 _SCHEME_TEXT = {None: "", **{s: s.value for s in Scheme}}
@@ -489,7 +475,7 @@ def write_exclusions_csv(path: str | Path, exclusions: Sequence[ExclusionRecord]
                 e.country, _SCHEME_TEXT[e.scheme], -1 if e.offset is None else e.offset,
             ))
     )
-    return _write_lines(path, header, lines)
+    return write_table(path, header, lines)
 
 
 def config_hash(config: dict) -> str:

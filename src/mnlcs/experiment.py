@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import synth
 from .counting import RankedCountries, top_countries
-from .countries import normalize_country_token
 from .dataio import (
     ingest,
     write_cells_csv,
@@ -28,7 +27,7 @@ from .dataio import (
 )
 from .errors import ValidationError
 from .fieller import CiSettings
-from .model import Cohort, Scheme
+from .model import Cohort, Scheme, normalize_country_token
 from .stability import (
     CoverageCurve,
     compute_cells,
@@ -114,7 +113,7 @@ def scenario_from_dict(d: dict) -> synth.ScenarioSpec:
 class ExperimentConfig:
     """Resolved experiment parameters; ``to_dict`` is the canonical form that
     gets hashed into the manifest. Explicit countries are normalised by the
-    CSV's rule (``countries.normalize_country_token``); they must be
+    CSV's rule (``model.normalize_country_token``); they must be
     distinct and at least one, as must the schemes."""
 
     input_csv: str | None = None
@@ -192,7 +191,7 @@ class ExperimentConfig:
             raise ValidationError(f'countries must be a JSON list or {{"top": k}}, got {countries!r}')
         schemes = d.get("schemes", "both")
         if isinstance(schemes, str):
-            schemes = ("inclusive", "exclusive") if schemes == "both" else (schemes,)
+            schemes = tuple(Scheme) if schemes == "both" else (schemes,)
         try:
             return _from_json(
                 cls, d, ("input", "countries", "schemes"),

@@ -23,7 +23,9 @@ the rules for enough data, the degrees of freedom and a degenerate field.
 ``estimate`` is ``interval_columns`` on one pair and alone builds an
 ``MnlcsEstimate``; a run's cells stay arrays (``stability.CellGrid``). All
 of them take t from ``t_memo``, a process-wide memo keyed by (alpha, whole
-df) that computes the df it has not seen in one ``t_quantile`` call.
+df) that computes the df it has not seen in one ``t_quantile`` call. A
+status code indexes ``STATUSES``, and ``STATUS_TEXT``, the one table of
+status texts in the outputs, holds "missing" at -1, where there is no cell.
 
 ``t_quantile`` computes t with numpy and the standard library alone. From
 Hill's (1970) approximation it takes Newton steps on ln P(T > t) against
@@ -296,6 +298,7 @@ DEFAULT_SETTINGS = CiSettings()
 # status codes of the array paths: an index into STATUSES
 STATUSES = (EstimateStatus.OK, EstimateStatus.UNBOUNDED_FIELLER, EstimateStatus.INSUFFICIENT_DATA)
 OK, UNBOUNDED, INSUFFICIENT = range(len(STATUSES))
+STATUS_TEXT = (*(status.value for status in STATUSES), "missing")
 
 
 def interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se,

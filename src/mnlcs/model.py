@@ -16,7 +16,8 @@ read-only) and safe to share across parallel tasks.
 The field rules (``parse_year``, ``parse_citations``, ``parse_countries``,
 ``check_journal_id``, ``check_citations``, ``check_country_code``) are shared by
 ``validate_record`` and the columnar CSV ingest, so both routes accept and
-reject the same rows with the same messages.
+reject the same rows with the same messages. ``normalize_country_token``,
+the rule for one country token, also normalises a config's countries.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .countries import normalize_country_token
 from .errors import (
     MalformedCountry,
     NegativeCitations,
@@ -46,6 +46,7 @@ YEAR_MAX = 2999
 # The CSV schema is unquoted, so identifiers must not collide with delimiters.
 _JOURNAL_ID_RE = re.compile(r"[^,;\r\n]+")
 _COUNTRY_CODE_RE = re.compile(r"[A-Z]{2}")
+_COUNTRY_TOKEN_RE = re.compile(r"[A-Za-z]{2}")  # a country token that is a code in either case
 
 
 class Scheme(str, enum.Enum):
@@ -94,6 +95,119 @@ def parse_citations(raw: object) -> int:
         return int(str(raw).strip())
     except ValueError:
         raise ValidationError(f"unparseable citations: {raw!r}") from None
+
+
+# Affiliation exports rarely agree on country spelling, so a country token may
+# be a name: those of the countries that dominate journal-level national
+# output, with common variants. Anything unrecognised is rejected, not guessed.
+COUNTRY_NAME_TO_CODE: dict[str, str] = {
+    "united states": "US",
+    "united states of america": "US",
+    "usa": "US",
+    "united kingdom": "GB",
+    "uk": "GB",
+    "great britain": "GB",
+    "england": "GB",
+    "scotland": "GB",
+    "wales": "GB",
+    "northern ireland": "GB",
+    "japan": "JP",
+    "germany": "DE",
+    "france": "FR",
+    "china": "CN",
+    "peoples r china": "CN",
+    "peoples republic of china": "CN",
+    "pr china": "CN",
+    "italy": "IT",
+    "spain": "ES",
+    "canada": "CA",
+    "india": "IN",
+    "south korea": "KR",
+    "republic of korea": "KR",
+    "korea": "KR",
+    "russia": "RU",
+    "russian federation": "RU",
+    "ussr": "RU",
+    "netherlands": "NL",
+    "the netherlands": "NL",
+    "holland": "NL",
+    "australia": "AU",
+    "brazil": "BR",
+    "switzerland": "CH",
+    "sweden": "SE",
+    "poland": "PL",
+    "belgium": "BE",
+    "taiwan": "TW",
+    "israel": "IL",
+    "austria": "AT",
+    "denmark": "DK",
+    "finland": "FI",
+    "norway": "NO",
+    "greece": "GR",
+    "portugal": "PT",
+    "czech republic": "CZ",
+    "czechia": "CZ",
+    "czechoslovakia": "CZ",
+    "hungary": "HU",
+    "ireland": "IE",
+    "mexico": "MX",
+    "turkey": "TR",
+    "iran": "IR",
+    "egypt": "EG",
+    "south africa": "ZA",
+    "argentina": "AR",
+    "chile": "CL",
+    "new zealand": "NZ",
+    "singapore": "SG",
+    "ukraine": "UA",
+    "romania": "RO",
+    "slovakia": "SK",
+    "slovenia": "SI",
+    "croatia": "HR",
+    "bulgaria": "BG",
+    "serbia": "RS",
+    "thailand": "TH",
+    "malaysia": "MY",
+    "indonesia": "ID",
+    "vietnam": "VN",
+    "viet nam": "VN",
+    "philippines": "PH",
+    "pakistan": "PK",
+    "saudi arabia": "SA",
+    "hong kong": "HK",
+    "colombia": "CO",
+    "venezuela": "VE",
+    "peru": "PE",
+    "cuba": "CU",
+    "morocco": "MA",
+    "tunisia": "TN",
+    "nigeria": "NG",
+    "kenya": "KE",
+    "estonia": "EE",
+    "latvia": "LV",
+    "lithuania": "LT",
+    "belarus": "BY",
+    "iceland": "IS",
+    "luxembourg": "LU",
+}
+
+
+def normalize_country_token(token: str) -> str:
+    """Map a raw country token to an uppercase ISO alpha-2 code.
+
+    Raises MalformedCountry when the token is neither a two-letter code nor
+    a recognised country name.
+    """
+    stripped = token.strip()
+    if not stripped:
+        raise MalformedCountry("empty country token")
+    if _COUNTRY_TOKEN_RE.fullmatch(stripped):
+        return stripped.upper()
+    cleaned = stripped.replace(".", " ").replace("'", "").replace(",", " ")
+    code = COUNTRY_NAME_TO_CODE.get(" ".join(cleaned.lower().split()))
+    if code is None:
+        raise MalformedCountry(f"unrecognised country token: {token!r}")
+    return code
 
 
 def parse_countries(field: str) -> frozenset[str]:

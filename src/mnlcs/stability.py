@@ -27,7 +27,7 @@ import numpy as np
 from .bootstrap import lag0_batch
 from .counting import membership
 from .errors import ValidationError
-from .fieller import DEFAULT_SETTINGS, OK, STATUSES, CiSettings, estimate, interval_columns
+from .fieller import DEFAULT_SETTINGS, OK, STATUS_TEXT, CiSettings, estimate, interval_columns
 from .indicator import log_moments, log_stats_from_logs
 from .model import Cohort, MnlcsEstimate, Scheme
 
@@ -157,7 +157,7 @@ class CellGrid:
     ``n_field``, ``value``, the raw bounds ``ci_low``/``ci_high``, ``h``
     and ``se`` (NaN where the cell's estimate reports None or there is no
     cell), ``ci_low_reported`` (clamped at zero), ``status`` (an index into
-    ``fieller.STATUSES``, -1 where there is no cell) and the masks
+    ``fieller.STATUS_TEXT``, -1 where there is no cell) and the masks
     ``present`` and ``ok`` (bounded). ``has_cells`` [target, journal] marks
     the journals with any cell for the target.
 
@@ -284,9 +284,6 @@ class SeriesPoint(NamedTuple):
     status: str
 
 
-_STATUS_TEXT = tuple(status.value for status in STATUSES)
-
-
 def series_report(
     grid: CellGrid, *, journal_id: str, country: str, scheme: Scheme
 ) -> list[SeriesPoint]:
@@ -297,13 +294,13 @@ def series_report(
     """
     t, j = grid.targets.get((country, scheme)), grid.journals.get(journal_id)
     if t is None or j is None:
-        return [SeriesPoint(year, None, None, None, "missing") for year in grid.years]
+        return [SeriesPoint(year, None, None, None, STATUS_TEXT[-1]) for year in grid.years]
     row = (a[t, j].tolist() for a in (
         grid.present, grid.ok, grid.value, grid.ci_low_reported, grid.ci_high, grid.status
     ))
     return [
-        SeriesPoint(year, value, low if ok else None, high if ok else None, _STATUS_TEXT[code])
-        if present else SeriesPoint(year, None, None, None, "missing")
+        SeriesPoint(year, value if present else None, low if ok else None, high if ok else None,
+                    STATUS_TEXT[code])
         for year, present, ok, value, low, high, code in zip(grid.years, *row)
     ]
 

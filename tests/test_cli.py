@@ -7,11 +7,12 @@ import pytest
 
 from _oracles import ingest_oracle, scalar_decisions
 from mnlcs.cli import main
-from mnlcs.dataio import fmt, write_records_csv
+from mnlcs.dataio import fmt, ingest, write_cells_csv, write_records_csv
 from mnlcs.errors import ValidationError
 from mnlcs.experiment import ExperimentConfig
-from mnlcs.fieller import CiSettings
+from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Scheme
+from mnlcs.stability import compute_cells
 from mnlcs.synth import GroupSpec, ScenarioSpec, generate
 
 SCENARIO = {
@@ -117,6 +118,30 @@ def test_indicator_stdout(data_csv, tmp_path, capsys):
         assert len(printed) == n_cells
         assert sum(r["status"] == "insufficient_data" for r in printed) == n_insufficient
         assert [[r[k] for k in shown] for r in printed] == [[r[k] for k in shown] for r in written]
+
+
+@pytest.mark.parametrize("form", FIELLER_FORMS)
+@pytest.mark.parametrize("scheme", [*(s.value for s in Scheme), "both"])
+def test_indicator_prints_the_shown_columns_of_its_out_file(data_csv, tmp_path, capsys, form,
+                                                            scheme):
+    argv = ["indicator", "--input", str(data_csv), "--countries", "BB,AA", "--scheme", scheme,
+            "--fieller-form", form, "--min-group-n", "2"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "cells.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    # the file holds the cells of the chosen form and schemes
+    schemes = list(Scheme) if scheme == "both" else [Scheme(scheme)]
+    expected = io.StringIO()
+    write_cells_csv(expected, compute_cells(ingest(data_csv)[0], ["BB", "AA"], schemes,
+                                            CiSettings(form=form, min_group_n=2)))
+    assert out.read_text(encoding="utf-8") == expected.getvalue()
+    with open(out, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert {r[3] for r in rows[1:]} == {s.value for s in schemes}
+    shown = ("journal_id", "year", "country", "scheme", "value", "ci_low", "ci_high", "status")
+    columns = [rows[0].index(name) for name in shown]
+    assert printed == "".join(",".join(r[k] for k in columns) + "\n" for r in rows)
 
 
 def test_indicator_to_file(data_csv, tmp_path, capsys):
@@ -448,6 +473,22 @@ def test_countries_other_than_a_list_or_top_k_fail_naming_the_field(
     assert code == 1
     assert error["error"] == "ValidationError" and "countries" in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_run_flags_override_the_config_in_the_manifest(data_csv, tmp_path):
+    config = {"input": {"csv": str(data_csv)}, "countries": ["AA", "BB"], "schemes": "both",
+              "fieller_form": "standard", "min_group_n": 5, "lag0_replicates": 0}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--scheme", "exclusive",
+                 "--fieller-form", "printed", "--min-group-n", "3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["schemes"] == ["exclusive"]
+    assert manifest["config"]["fieller_form"] == "printed"
+    assert manifest["config"]["min_group_n"] == 3
+    with open(out / "cells.csv", encoding="utf-8", newline="") as f:
+        assert {row["scheme"] for row in csv.DictReader(f)} == {"exclusive"}
 
 
 @pytest.mark.parametrize("countries", [["AA"], {"top": 3}])

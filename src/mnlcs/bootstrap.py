@@ -97,13 +97,14 @@ class Lag0Result(NamedTuple):
     n_excluded: int
 
 
-def _blocks(cohorts: Sequence[Cohort]) -> Iterator[list[tuple[int, Cohort]]]:
+def blocks(cohorts: Sequence[Cohort], singles: bool) -> Iterator[list[tuple[int, Cohort]]]:
     """Consecutive (index, cohort) pairs of at most ARTICLES articles, or one
-    larger cohort; cohorts of one article cannot be halved and are left out."""
+    larger cohort; cohorts of one article, which cannot be halved, are left
+    out unless ``singles``."""
     block: list[tuple[int, Cohort]] = []
     articles = 0
     for i, cohort in enumerate(cohorts):
-        if cohort.size < 2:
+        if cohort.size < 2 and not singles:
             continue
         if block and articles + cohort.size > ARTICLES:
             yield block
@@ -181,7 +182,7 @@ def replicate_decisions(
     sums_a, sums_b = np.empty((size, 4 * k)), np.empty((size, k))
     owner = np.empty(size, dtype=np.intp)
     filled = 0
-    for block in _blocks(cohorts):
+    for block in blocks(cohorts, singles=False):
         for i, cohort, centre, sizes, table, table_b in _binned(block, targets):
             totals[:, i], centres[i] = (sizes.astype(np.float64) @ table)[2 * k:], centre
             for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):

@@ -3,8 +3,10 @@
 The indicator is the ratio of the group mean to the whole-field mean of the
 log-transformed citation counts ln(1+c), so 1.0 means the group sits exactly
 at the field average. The field denominator always includes the group's own
-articles. Means use compensated summation (math.fsum); journal-year cohorts
-reach 10^4 articles and naive accumulation loses digits there.
+articles. Every sum is correctly rounded, the value math.fsum gives: one
+sample at a time through math.fsum, or many samples at once through
+segment_fsums; journal-year cohorts reach 10^4 articles and naive
+accumulation loses digits there.
 """
 
 from __future__ import annotations
@@ -27,6 +29,36 @@ def log_moments(logs: np.ndarray) -> tuple[int, float, float]:
         return 1, mean, math.nan
     centred = logs - mean
     return n, mean, math.sqrt(math.fsum((centred * centred).tolist()) / (n - 1) / n)
+
+
+def segment_fsums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """math.fsum of each segment of float64 ``values``, bit for bit: segment i
+    runs from starts[i] to starts[i + 1], the last to the end; none is empty.
+
+    Two of Rump, Ogita and Oishi's error-free splitting passes. With sigma a
+    power of two above a segment's length times its largest |r|, the
+    remainders still to add, q = (sigma + r) - sigma is r rounded to a
+    multiple of sigma * 2**-53 without error, and r - q is exact. Below
+    2**26 values every partial sum of a segment's q is such a multiple no
+    larger than sigma, so np.add.reduceat adds them exactly in any order. A
+    segment whose remainders are all zero after two passes sums exactly to
+    the two pass totals, and their one addition rounds that correctly, as
+    fsum does. The rare segment with a remainder left, or of 2**26 values or
+    more, takes math.fsum itself.
+    """
+    lengths = np.diff(starts, append=len(values))
+    _, length_exp = np.frexp(lengths)
+    r, total = values.copy(), np.zeros(len(starts))
+    for _ in range(2):
+        _, exp = np.frexp(np.maximum.reduceat(np.abs(r), starts))
+        sigma = np.repeat(np.ldexp(1.0, length_exp + exp), lengths)
+        q = (sigma + r) - sigma
+        r -= q
+        total += np.add.reduceat(q, starts)
+    redo = (np.maximum.reduceat(np.abs(r), starts) > 0.0) | (lengths >= 2**26)
+    for i in np.flatnonzero(redo).tolist():
+        total[i] = math.fsum(values[starts[i]:starts[i] + lengths[i]].tolist())
+    return total
 
 
 def log_stats_from_logs(logs: np.ndarray) -> LogStats:

@@ -11,24 +11,25 @@ split-half baseline and is flagged as simulated.
 
 ``compute_cells`` returns a ``CellGrid``, one [target, journal, year]
 array per cell field, filled from one interval-kernel call on the columns
-of every cell. The pairs at offset k are then the year columns ``[:, :-k]``
-against ``[:, k:]``, a series is a row, and cells.csv is sorted and
-formatted a column at a time.
+of every cell. The groups' means and SEs come a block of cohorts at a time
+(bootstrap.blocks), each from two segmented sums, one segment per group,
+that equal math.fsum bit for bit. The pairs at offset k are then the year
+columns ``[:, :-k]`` against ``[:, k:]``, a series is a row, and cells.csv
+is sorted and formatted a column at a time.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bootstrap import lag0_batch
+from .bootstrap import blocks, lag0_batch
 from .counting import membership
 from .errors import ValidationError
 from .fieller import DEFAULT_SETTINGS, OK, STATUS_TEXT, CiSettings, estimate, interval_columns
-from .indicator import log_moments, log_stats_from_logs
+from .indicator import log_stats_from_logs, segment_fsums
 from .model import Cohort, MnlcsEstimate, Scheme
 
 
@@ -83,9 +84,12 @@ def compute_cells(
     Cells exist whenever the group is non-empty and the field mean is
     positive; their status records whether an interval was possible. Cohorts
     with a zero field mean and empty group selections are skipped and
-    tallied. Each cohort's groups come from one membership matrix, in
-    country-major, scheme-minor order; each group's mean and SE are
-    compensated sums, and every cell gets its interval from one
+    tallied. Each block of cohorts of at most ``bootstrap.ARTICLES``
+    articles (a larger cohort alone) takes one membership matrix, the field
+    and then the targets in country-major, scheme-minor order; every
+    group's mean and SE come from its sums of ln(1+c) and of squares about
+    the mean, both correctly rounded by ``segment_fsums`` as math.fsum
+    rounds them, and every cell gets its interval from one
     ``interval_columns`` call on the resulting columns. ``years`` (None is
     the cohorts' span) is the grid's year axis. Two cohorts with one
     (journal, year), a repeated (country, scheme) target or a cohort year
@@ -107,45 +111,54 @@ def compute_cells(
 
     journals = sorted({c.journal_id for c in cohorts})
     code = {j: i for i, j in enumerate(journals)}
-    # per cohort with cells: its [journal, year] position, cell count, field (n, mean, se)
-    position, counts, fields = [], [], []
-    # per cell: target index, group (n, mean, se) as doubles, a tenth of a tuple's memory
-    target, groups = [], array("d")
-    for cohort in cohorts:
-        logs = cohort.log_citations
-        field = log_moments(logs)
-        if field[1] <= 0.0:  # the field mean
+    # per row (the field, then each target) and cohort: n, mean and se of the
+    # group's ln(1+c); n is 0 for an empty group
+    n, mean, se = np.zeros((3, len(targets) + 1, len(cohorts)))
+    for pairs in blocks(cohorts, singles=True):
+        index, block = zip(*pairs)
+        # [targets + 1, articles]: row 0 is the field, the cohorts side by side
+        member = np.vstack([
+            np.ones((1, sum(c.size for c in block)), dtype=bool),
+            np.hstack([membership(c, targets) for c in block]),
+        ])
+        edges = np.cumsum([0] + [c.size for c in block[:-1]])
+        sizes = np.add.reduceat(member, edges, axis=1, dtype=np.intp)  # [targets + 1, cohorts]
+        # the member logs row by row hold each (row, cohort) group in turn,
+        # so the non-empty groups, row-major, are their segments
+        row, at = np.nonzero(sizes)
+        counts = sizes[row, at]
+        starts = np.cumsum(counts) - counts
+        logs = np.broadcast_to(np.concatenate([c.log_citations for c in block]), member.shape)[member]
+        means = segment_fsums(logs, starts) / counts
+        centred = logs - np.repeat(means, counts)
+        with np.errstate(invalid="ignore"):  # 0 / 0: se is NaN where n == 1
+            ses = np.sqrt(segment_fsums(centred * centred, starts) / (counts - 1) / counts)
+        cell = row, np.array(index)[at]
+        n[cell], mean[cell], se[cell] = counts, means, ses
+
+    degenerate = mean[0] <= 0.0
+    for cohort, skip, empty in zip(cohorts, degenerate.tolist(), (n[1:] == 0).T.tolist()):
+        if skip:
             exclusions.append(ExclusionRecord(
                 "cells", "degenerate_field", len(targets), cohort.journal_id, cohort.year
             ))
-            continue
-        members = membership(cohort, targets)
-        nonempty = members.any(axis=1).tolist()
-        exclusions.extend(
-            ExclusionRecord("cells", "empty_group", 1, cohort.journal_id, cohort.year, *key)
-            for key, any_member in zip(targets, nonempty) if not any_member
-        )
-        cells = [k for k, any_member in enumerate(nonempty) if any_member]
-        if cells:
-            position.append(code[cohort.journal_id] * len(years) + cohort.year - years.start)
-            counts.append(len(cells))
-            fields.append(field)
-            target += cells
-            for k in cells:
-                groups.extend(log_moments(logs[members[k]]))
-
-    n_group, group_mean, group_se = np.array(groups).reshape(-1, 3).T
-    n_field, field_mean, field_se = np.repeat(
-        np.array(fields, dtype=np.float64).reshape(-1, 3), counts, axis=0
-    ).T
-    n_group, n_field = n_group.astype(np.intp), n_field.astype(np.intp)
-    # flat [target, journal, year] index of each cell
-    flat = np.array(target, dtype=np.intp) * (len(journals) * len(years)) + np.repeat(
-        np.array(position, dtype=np.intp), counts
+        else:
+            exclusions.extend(
+                ExclusionRecord("cells", "empty_group", 1, cohort.journal_id, cohort.year, *key)
+                for key, missing in zip(targets, empty) if missing
+            )
+    # the cells in cohort-major, target-minor order
+    at, target = np.nonzero((n[1:] > 0).T & ~degenerate[:, None])
+    position = np.array(
+        [code[c.journal_id] * len(years) + c.year - years.start for c in cohorts], dtype=np.intp
     )
+    # flat [target, journal, year] index of each cell
+    flat = target * (len(journals) * len(years)) + position[at]
+    n_group, n_field = n[target + 1, at].astype(np.intp), n[0, at].astype(np.intp)
     return CellGrid(
         years, journals, targets, flat, n_group, n_field,
-        *interval_columns(n_group, group_mean, group_se, n_field, field_mean, field_se, settings),
+        *interval_columns(n_group, mean[target + 1, at], se[target + 1, at],
+                          n_field, mean[0, at], se[0, at], settings),
     )
 
 

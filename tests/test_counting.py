@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from _oracles import cell_key, cells_oracle, grid_cells, record_in_group
 from conftest import cohort, rec, records
+from mnlcs import bootstrap
 from mnlcs.counting import membership, select_group, set_membership, top_countries
 from mnlcs.fieller import FIELLER_FORMS, CiSettings
 from mnlcs.model import Cohort, Scheme
@@ -163,10 +165,13 @@ def test_set_membership_table_is_read_only_and_shared(simple_cohort):
 )
 def test_compute_cells_matches_per_cell_oracle(cohorts, schemes, min_group_n, form):
     settings = CiSettings(form=form, min_group_n=min_group_n)
-    exclusions = []
-    grid = compute_cells(cohorts, ORACLE_COUNTRIES, schemes, settings, exclusions)
     want, want_exclusions = cells_oracle(cohorts, ORACLE_COUNTRIES, schemes, settings)
-    assert exclusions == want_exclusions
-    assert sorted(grid_cells(grid), key=cell_key) == sorted(want, key=cell_key)
+    # blocks of 12 articles: cohorts over 12 stand alone, smaller ones share
+    for articles in (bootstrap.ARTICLES, 12):
+        exclusions = []
+        with mock.patch.object(bootstrap, "ARTICLES", articles):
+            grid = compute_cells(cohorts, ORACLE_COUNTRIES, schemes, settings, exclusions)
+        assert exclusions == want_exclusions
+        assert sorted(grid_cells(grid), key=cell_key) == sorted(want, key=cell_key)
 
 

@@ -1,10 +1,12 @@
 import math
+from math import fsum
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mnlcs.errors import DegenerateField, InsufficientData
-from mnlcs.indicator import log_stats, log_stats_from_logs, mnlcs
+from mnlcs.indicator import log_stats, log_stats_from_logs, mnlcs, segment_fsums
 
 
 def test_single_uncited_article():
@@ -98,9 +100,54 @@ def test_adding_a_citation_never_decreases_group_mean(group_counts, idx):
 
 
 def test_fast_path_agrees_with_raw_counts_path():
-    import numpy as np
-
     counts_list = [0, 1, 3, 7, 2, 9]
     a = log_stats(counts_list)
     b = log_stats_from_logs(np.log1p(np.asarray(counts_list, dtype=float)))
     assert a == b
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# a segment is runs of one citation count, small or near 2**63 - 1
+segment = st.lists(
+    st.tuples(st.one_of(st.integers(0, 60), st.integers(2**63 - 2**12, 2**63 - 1)), st.integers(1, 12)),
+    min_size=1,
+    max_size=6,
+).map(lambda runs: [count for count, repeat in runs for _ in range(repeat)])
+
+
+@given(st.lists(segment, min_size=1, max_size=8))
+@example([[0], [7], [2**63 - 1], [3, 3]])  # one-element segments
+@example([[0, 5, 35]])  # squares that two passes leave a remainder of
+def test_segment_fsums_equal_fsum_bit_for_bit(segments):
+    # the sums of compute_cells: ln(1+c), then its squares about the mean;
+    # the centred values themselves add cancellation
+    lengths = [len(s) for s in segments]
+    starts = np.cumsum([0] + lengths[:-1])
+    logs = np.log1p(np.array([c for s in segments for c in s], dtype=np.float64))
+    centred = logs - np.repeat(segment_fsums(logs, starts) / lengths, lengths)
+    for values in (logs, centred, centred * centred):
+        want = [fsum(values[a:a + k].tolist()) for a, k in zip(starts, lengths)]
+        np.testing.assert_array_equal(bits(segment_fsums(values, starts)), bits(want))
+
+
+def test_segment_fsums_hand_a_remainder_to_fsum(monkeypatch):
+    # ln 1, ln 6 and ln 36 have mean ln 6 to within rounding, so the middle
+    # square is tiny beside the others: two passes leave a remainder there,
+    # and only there
+    logs = np.log1p(np.array([0.0, 5.0, 35.0]))
+    centred = logs - fsum(logs.tolist()) / 3
+    witness = (centred * centred).tolist()
+    called = []
+
+    def spy(values):
+        called.append(values)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    plain = np.log1p([1.0, 2.0, 3.0]).tolist()  # two passes sum these exactly
+    got = segment_fsums(np.array(plain + witness), np.array([0, 3]))
+    assert called == [witness]
+    np.testing.assert_array_equal(bits(got), bits([fsum(plain), fsum(witness)]))

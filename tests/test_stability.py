@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +295,28 @@ def test_compute_cells_tallies_empty_groups():
     assert not grid.present[grid.targets[("XX", Scheme.INCLUSIVE)]].any()
     empty = [e for e in exclusions if e.reason == "empty_group"]
     assert len(empty) == 4 * 10  # XX never appears
+
+
+def test_compute_cells_memory_does_not_grow_with_cohorts():
+    # the moments come a block of at most ARTICLES articles at a time, so the
+    # peak stays flat in the cohort count but for the per-cohort moments and
+    # the cells
+    groups = tuple(GroupSpec(code * 2, round(0.10 - 0.01 * i, 2), 0.6 + 0.1 * i, 1.0)
+                   for i, code in enumerate("ABCDEFGHIJ"))
+    cohorts = generate(scenario(field_size_per_year=10**4, groups=groups, rng_seed=5))
+    countries = [g.country for g in groups]
+    compute_cells(cohorts, countries, list(Scheme))  # fills the t memo and each log_citations
+    peaks = []
+    for n in (10, 40):
+        tracemalloc.start()
+        try:
+            grid = compute_cells(cohorts[:n], countries, list(Scheme))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(grid.present) == n * len(countries) * 2
+    assert peaks[1] <= 5 * 2**20
+    assert peaks[1] - peaks[0] <= 2**18
 
 
 def test_lag0_curve_point_pools_journal_years():

@@ -11,6 +11,11 @@ author-country sets and a tuple of (country, scheme) targets, cached so
 cohorts that share their sets decide them once. ``membership`` broadcasts
 it through the cohort's set codes to [targets, n] for cells and
 ``select_group``; the split-half engine reads the table directly.
+
+``top_countries`` adds up each cohort's article count per set, one array
+per distinct ``sets`` tuple, and tallies the countries once per tuple:
+generated cohorts all share one tuple, and ingested cohorts share one per
+pattern of the sets they use.
 """
 
 from __future__ import annotations
@@ -72,13 +77,23 @@ class RankedCountries:
 
 
 def top_countries(cohorts: Iterable[Cohort], k: int) -> RankedCountries:
-    """Rank countries by inclusive article count, ties broken lexicographically."""
+    """Rank countries by inclusive article count, ties broken lexicographically.
+
+    Each cohort's article count per set adds into one array per distinct
+    ``sets`` tuple, and each tuple's sets are then counted once.
+    """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    counts: Counter[str] = Counter()
+    per_set: dict[tuple[frozenset[str], ...], np.ndarray] = {}
     for cohort in cohorts:
-        per_set = np.bincount(cohort.codes, minlength=len(cohort.sets)).tolist()
-        for countries, n in zip(cohort.sets, per_set):
+        n = np.bincount(cohort.codes, minlength=len(cohort.sets))
+        if (total := per_set.get(cohort.sets)) is None:
+            per_set[cohort.sets] = n
+        else:
+            total += n
+    counts: Counter[str] = Counter()
+    for sets, total in per_set.items():
+        for countries, n in zip(sets, total.tolist()):
             for country in countries:
                 counts[country] += n
     ranked = sorted(counts, key=lambda c: (-counts[c], c))

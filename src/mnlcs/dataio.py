@@ -8,14 +8,18 @@ where countries is a semicolon-separated list of ISO alpha-2 codes or
 recognised country names, possibly empty. ``write_records_csv`` quotes a
 field only where csv.writer would, as in a journal id with a quote.
 
-``ingest`` reads the rows ``_CHUNK`` lines at a time. A plain chunk (no
-quote, CR or NUL, three commas a line) splits into its four columns with
-one join, replace and split; any other chunk goes through csv.reader, which
-reads on past the chunk only to close a quoted field, so the next chunk is
-tested for the plain route again. After that both routes are one path:
-each column's strings become int codes, every distinct string parsed once
-(``_Column``), and row errors, filters and cohort grouping are array
-operations on the codes' values.
+``ingest`` reads the rows in text blocks of whole lines, ``_BLOCK``
+characters at a time with the last partial line carried into the next
+block. A plain block (no quote, CR or NUL, three commas a line) splits into
+its four columns with one replace and split, with no string per line; any
+other block is split into lines as file iteration splits them and goes
+through csv.reader, which reads on past the block only to close a quoted
+field, so the next block is tested for the plain route again. After that
+both routes are one path: each column's strings become int codes, every
+distinct string parsed once (``_Column``), and row errors, filters and
+cohort grouping are array operations on the codes' values. The cohorts are
+built from the file's one list of sets, each distinct pattern of used sets
+ordered and checked once (``model._canonical_codes``).
 
 Every output table but data.csv, whose writer joins a cohort's rows at
 once, goes through ``write_table`` (to a path or an open text file such as
@@ -54,6 +58,7 @@ from .model import (
     YEAR_MAX,
     Cohort,
     Scheme,
+    _canonical_codes,
     check_citations,
     check_journal_id,
     parse_citations,
@@ -152,56 +157,96 @@ class IngestReport:
     row_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-# lines that ingest takes at a time
-_CHUNK = 2048
+# characters that ingest reads at a time
+_BLOCK = 1 << 15
 # (journal code, year) pairs key cohorts as code * _YEAR_SPAN + year
 _YEAR_SPAN = YEAR_MAX + 1
 
 
-def _plain_columns(lines: list[str]) -> list[list[str]] | None:
-    """The four columns of ``lines`` if csv.reader would read each of them
-    as its text split at its three commas, else None.
+def _plain_columns(text: str) -> list[list[str]] | None:
+    """The four columns of the lines of ``text`` if csv.reader would read
+    each line as its text split at its three commas, else None.
 
-    That holds when the lines have no quote, CR or NUL, exactly three commas
-    each, and none is longer than the csv field size limit. The first field
-    of every line after the first keeps the newline before it; the journal
-    id rule strips it, as it strips blanks.
+    That holds when the text has no quote, CR or NUL, every line has exactly
+    three commas, and none is longer than the csv field size limit. The
+    first field of every line after the first keeps the newline before it;
+    the journal id rule strips it, as it strips blanks.
     """
-    text = "".join(lines)
     limit = csv.field_size_limit()
     if '"' in text or "\r" in text or "\0" in text or (
-        len(text) > limit and max(map(len, lines)) > limit
+        len(text) > limit and max(map(len, text.split("\n"))) > limit
     ):
         return None
-    n = len(lines)
+    ends = text.endswith("\n")
+    n = text.count("\n") + (not ends)
     # each newline now starts a field and no field holds two, so the lines
     # have three commas each exactly when the fields 4, 8, ... hold the n - 1
     # newlines between them and the field count fits
     fields = text.replace("\n", ",\n").split(",")
-    if len(fields) != 4 * n + text.endswith("\n") or "".join(fields[4:4 * n:4]).count("\n") != n - 1:
+    if len(fields) != 4 * n + ends or "".join(fields[4:4 * n:4]).count("\n") != n - 1:
         return None
     return [fields[k:4 * n:4] for k in range(4)]
 
 
+def _blocks(f):
+    """The rest of ``f`` as blocks of whole lines: ``_BLOCK`` characters are
+    read at a time and the last partial line is carried into the next block,
+    so a block holds at most ``_BLOCK`` characters plus its longest line.
+    Lines end at LF, CRLF or a lone CR, as file iteration with
+    ``newline=""`` ends them; a CR that ends a read is carried, as an LF may
+    follow it."""
+    parts: list[str] = []  # the text read since the last line end
+    while block := f.read(_BLOCK):
+        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
+        if cut or parts and parts[-1].endswith("\r"):  # a carried CR ends a line
+            yield "".join([*parts, block[:cut]])
+            parts = []
+        parts.append(block[cut:])
+    if tail := "".join(parts):
+        yield tail
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` with their line ends, split as file iteration
+    with ``newline=""`` splits them: not at the other breaks that
+    ``str.splitlines`` knows, such as \\x0b or \\x85."""
+    return list(io.StringIO(text, newline=""))
+
+
+def _read_on(blocks, lines: list[str]):
+    """The lines of ``blocks``, each block's lines appended to ``lines``
+    when the block is reached."""
+    for block in blocks:
+        start = len(lines)
+        lines += _lines(block)
+        yield from lines[start:]
+
+
 def _chunks(f):
-    """The rows after the header, ``_CHUNK`` lines at a time, as (lines,
-    columns, errors): the line number of each row with four fields, their
-    four columns, and (line, message) of each row with another number of
-    fields. Lines are numbered by csv.reader's records: blank rows are
+    """The rows after the header, one block (``_blocks``) at a time, as
+    (lines, columns, errors): the line number of each row with four fields,
+    their four columns, and (line, message) of each row with another number
+    of fields. Lines are numbered by csv.reader's records: blank rows are
     skipped but numbered, and a quoted newline makes two lines one record.
 
-    A plain chunk (see ``_plain_columns``) is split as one string; any other
-    chunk goes through csv.reader. The reader takes a line only when it
-    needs one, so it reads past the chunk only while a quoted field is open:
-    every chunk starts on a record boundary and may take the plain route.
+    A plain block (see ``_plain_columns``) is split as one string; any other
+    block is split into lines and goes through csv.reader. The reader takes
+    a line only when it needs one, so it reads on into the next blocks only
+    while a quoted field is open; the lines it leaves of the last block it
+    reached form a block of their own. Every block starts on a record
+    boundary and may take the plain route.
     """
     line = 2
-    while lines := list(islice(f, _CHUNK)):
-        if (columns := _plain_columns(lines)) is not None:
-            yield range(line, line + len(lines)), columns, []
-            line += len(lines)
+    blocks = _blocks(f)
+    text = next(blocks, "")
+    while text:
+        if (columns := _plain_columns(text)) is not None:
+            yield range(line, line + len(columns[0])), columns, []
+            line += len(columns[0])
+            text = next(blocks, "")
             continue
-        reader = csv.reader(chain(lines, f))
+        lines, later = _lines(text), []
+        reader = csv.reader(chain(lines, _read_on(blocks, later)))
         rows, numbers, errors = [], [], []
         while reader.line_num < len(lines):
             row = next(reader)
@@ -212,6 +257,7 @@ def _chunks(f):
                 errors.append((line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
             line += 1
         yield numbers, list(zip(*rows)) or [()] * len(CSV_HEADER), errors
+        text = "".join(later[reader.line_num - len(lines):]) or next(blocks, "")
 
 
 class _Column(dict):
@@ -278,16 +324,20 @@ def ingest(
     numbers; more than ``max_bad_rows`` of them aborts with IngestError.
     An empty file with a valid header yields zero cohorts.
 
-    The header goes through csv.reader, the rows through ``_chunks``:
-    ``_CHUNK`` lines at a time, each plain chunk split into its four columns
-    in one pass and each other chunk read by csv.reader. Each column's
+    The header goes through csv.reader, the rows through ``_chunks``: one
+    block of whole lines at a time, each plain block split into its four
+    columns in one pass and each other block read by csv.reader. Each column's
     strings become int codes (``_Column``): every distinct journal, year,
     citations and countries string is parsed once, and a row's fields are
     its codes' values. Boolean masks then find each row's first error in
     ``validate_record``'s order (year, citations, countries, journal id,
     negative count) and apply the filters; messages are built for bad rows
-    only. Kept rows join their cohort's int32 columns chunk by chunk, stable
-    within each cohort.
+    only. Kept rows join their cohort's int32 columns block by block, stable
+    within each cohort. Each cohort then takes its set codes in canonical
+    form from ``_canonical_codes`` over the file's sets, which remaps each
+    distinct pattern of used sets once and gives its cohorts one shared
+    ``sets`` tuple, and is built without the constructor's checks, which
+    the rows have passed (``Cohort._trusted``).
     """
     journal_filter = set(journals) if journals is not None else None
     ids: dict[str, int] = {}
@@ -360,12 +410,14 @@ def ingest(
             f"{path}: {len(row_errors)} malformed rows exceed tolerance {max_bad_rows} ({detail})",
             row_errors=row_errors,
         )
-    names, all_sets = list(ids), tuple(sets)
+    names, canonical = list(ids), _canonical_codes(tuple(sets))
     cohorts = []
     for key in sorted(cohort_columns, key=lambda k: (names[k // _YEAR_SPAN], k % _YEAR_SPAN)):
         citations, codes = (np.frombuffer(a, dtype=np.intc) for a in cohort_columns.pop(key))
         journal, year = divmod(key, _YEAR_SPAN)
-        cohorts.append(Cohort(names[journal], year, count_col.value[citations], codes, all_sets))
+        # a count beyond int64 raises here, as Cohort raises on it
+        counts = count_col.value[citations].astype(np.int64, copy=False)
+        cohorts.append(Cohort._trusted(names[journal], year, counts, *canonical(codes)))
     return cohorts, IngestReport(n_rows, n_kept, n_filtered, len(row_errors), row_errors)
 
 

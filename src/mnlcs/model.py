@@ -277,14 +277,29 @@ def _check_countries(countries: frozenset[str]) -> None:
         check_country_code(code)
 
 
-def _canonical_sets(codes: np.ndarray, sets: tuple) -> tuple[np.ndarray, tuple]:
-    """Drop unused sets, merge equal ones and sort the rest by their sorted
-    country tuples, remapping ``codes`` to match."""
-    rank, ranked = _set_order(tuple(map(frozenset, sets)))
-    ranks = rank[codes]
-    used = np.zeros(len(ranked), dtype=bool)
-    used[ranks] = True
-    return (np.cumsum(used, dtype=np.intp) - 1)[ranks], tuple(compress(ranked, used))
+def _canonical_codes(sets: tuple[frozenset, ...]):
+    """A function from codes into ``sets`` to (codes, sets) in canonical
+    form: unused sets dropped, equal ones merged and the rest sorted by
+    their sorted country tuples, with the codes remapped to match. ``sets``
+    is ordered once (``_set_order``), and each distinct pattern of used sets
+    gets one remap and one shared tuple, whose country codes are checked
+    when the pattern is first seen."""
+    rank, ranked = _set_order(sets)
+    patterns: dict[bytes, tuple[np.ndarray, tuple]] = {}
+
+    def canonical(codes) -> tuple[np.ndarray, tuple]:
+        ranks = rank[codes]
+        used = np.zeros(len(ranked), dtype=bool)
+        used[ranks] = True
+        pattern = patterns.get(key := used.tobytes())
+        if pattern is None:
+            pattern = patterns[key] = (np.cumsum(used, dtype=np.intp) - 1,
+                                       tuple(compress(ranked, used)))
+            for s in pattern[1]:
+                _check_countries(s)
+        return pattern[0][ranks], pattern[1]
+
+    return canonical
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -333,14 +348,20 @@ class Cohort:
         check_citations(citations.min())
         if codes.min() < 0 or codes.max() >= len(sets):
             raise ValidationError(f"set codes must lie in [0, {len(sets)})")
-        codes, sets = _canonical_sets(codes, sets)
-        for s in sets:
-            _check_countries(s)
-        object.__setattr__(self, "journal_id", journal_id)
-        object.__setattr__(self, "year", year)
-        object.__setattr__(self, "citations", _frozen(citations))
-        object.__setattr__(self, "codes", _frozen(codes))
-        object.__setattr__(self, "sets", sets)
+        codes, sets = _canonical_codes(tuple(map(frozenset, sets)))(codes)
+        Cohort._trusted(journal_id, year, citations, codes, sets, self)
+
+    @staticmethod
+    def _trusted(journal_id, year, citations, codes, sets, cohort=None) -> Cohort:
+        """The cohort of columns that are already checked and canonical:
+        int64 ``citations`` and intp ``codes`` that nothing else writes, frozen
+        in place, and ``sets`` as ``_canonical_codes`` gives them. Nothing is
+        checked. ``cohort``, if given, is the instance to fill."""
+        cohort = object.__new__(Cohort) if cohort is None else cohort
+        # frozen: the fields go straight into its __dict__
+        vars(cohort).update(journal_id=journal_id, year=year, citations=_frozen(citations),
+                            codes=_frozen(codes), sets=sets)
+        return cohort
 
     def with_citations(self, journal_id: str, year: int, citations) -> Cohort:
         """A cohort sharing this one's canonical, checked ``codes`` and ``sets``;
@@ -350,10 +371,7 @@ class Cohort:
             raise ValidationError("citations and codes must be 1-d and of equal length")
         check_journal_id(journal_id)
         check_citations(citations.min())
-        cohort = object.__new__(Cohort)  # frozen: the fields go straight into its __dict__
-        vars(cohort).update(journal_id=journal_id, year=year, citations=_frozen(citations),
-                            codes=self.codes, sets=self.sets)
-        return cohort
+        return Cohort._trusted(journal_id, year, citations, self.codes, self.sets)
 
     @property
     def records(self) -> tuple[CitationRecord, ...]:

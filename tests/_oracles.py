@@ -398,7 +398,7 @@ def write_records_csv_oracle(path, cohorts) -> int:
 
 
 def canonical_sets_oracle(codes, sets):
-    """model._canonical_sets from the used sets alone: drop unused sets,
+    """model._canonical_codes from the used sets alone: drop unused sets,
     merge equal ones, sort the rest by their sorted country tuples."""
     codes = np.asarray(codes, dtype=np.intp)
     used = np.flatnonzero(np.bincount(codes, minlength=len(sets)))

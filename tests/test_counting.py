@@ -61,6 +61,33 @@ def test_top_countries_ranked_with_lexicographic_ties():
     assert top_countries(tied, 2).countries == ("US", "DE")
 
 
+# cohorts over a few small country sets, so counts often tie
+article_lists = st.lists(
+    st.tuples(st.integers(0, 5), st.frozensets(st.sampled_from(["US", "JP", "DE", "FR"]), max_size=2)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(st.lists(article_lists, min_size=1, max_size=4), st.lists(st.integers(0, 9), max_size=5),
+       st.integers(1, 5))
+def test_top_countries_matches_per_record_count(drawn, copies, k):
+    cohorts = [cohort(articles, year=2000 + i) for i, articles in enumerate(drawn)]
+    # cohorts sharing an earlier cohort's sets tuple, and equal tuples rebuilt
+    shared = [cohorts[i % len(cohorts)] for i in copies]
+    cohorts += [c.with_citations("J2", 2000 + i, c.citations) for i, c in enumerate(shared)]
+    cohorts += [cohort(drawn[i % len(drawn)], journal="J3") for i in copies]
+    tally = Counter()
+    for c in cohorts:
+        for r in c.records:
+            for country in ("DE", "FR", "JP", "US"):
+                tally[country] += record_in_group(r, country, Scheme.INCLUSIVE)
+    want = sorted((country for country in tally if tally[country]), key=lambda c: (-tally[c], c))
+    ranked = top_countries(iter(cohorts), k)
+    assert ranked.countries == tuple(want[:k])
+    assert ranked.complete == (len(want) >= k)
+
+
 def test_top_countries_single_country():
     ranked = top_countries([cohort([(1, ("US",)), (2, ("US",))])], 1)
     assert ranked.countries == ("US",)

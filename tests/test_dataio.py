@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,10 +64,23 @@ def test_round_trip_larger_than_one_chunk(tmp_path):
     spec = ScenarioSpec(**{**vars(small_scenario()), "n_journals": 4, "field_size_per_year": 300})
     cohorts = generate(spec)
     path = tmp_path / "data.csv"
-    assert write_records_csv(path, cohorts) == 3600 > dataio._CHUNK
+    assert write_records_csv(path, cohorts) == 3600
+    assert path.stat().st_size > dataio._BLOCK
     back, report = ingest(path)
     assert (report.n_rows, report.n_kept, report.n_bad) == (3600, 3600, 0)
     assert back == cohorts
+
+
+def test_ingested_cohorts_share_one_sets_tuple_per_pattern(tmp_path):
+    cohorts = generate(small_scenario())
+    path = tmp_path / "data.csv"
+    write_records_csv(path, cohorts + [Cohort("J9", 2000, [1, 2], [0, 0], (frozenset({"US"}),))])
+    back, _ = ingest(path)
+    assert back[:-1] == cohorts and back[-1].sets == (frozenset({"US"}),)
+    assert len({id(c.sets) for c in back}) == len({c.sets for c in back}) == 2
+    for c in back:
+        assert c.citations.dtype == np.int64 and c.codes.dtype == np.intp
+        assert not c.citations.flags.writeable and not c.codes.flags.writeable
 
 
 def test_records_csv_equals_row_writer(tmp_path):
@@ -361,18 +375,32 @@ def test_ingest_matches_per_row_oracle(rows, **kwargs):
     assert_ingest_matches_oracle(rows, **kwargs)
 
 
+# block sizes that cut inside a line, inside a quoted field and below the
+# longest line
+SMALL_BLOCKS = [1, 5, 16, 64]
+
+
 @settings(max_examples=150, deadline=None)
-@given(**ingest_arguments)
-def test_ingest_in_small_chunks_matches_per_row_oracle(rows, **kwargs):
-    # three lines a chunk: each chunk with a quote, blank row or other field
-    # count goes through csv.reader, the chunks around it take the plain route
-    with mock.patch.object(dataio, "_CHUNK", 3):
+@given(block=st.sampled_from(SMALL_BLOCKS), **ingest_arguments)
+def test_ingest_in_small_chunks_matches_per_row_oracle(rows, block, **kwargs):
+    # a few lines a block: each block with a quote, blank row or other field
+    # count goes through csv.reader, the blocks around it take the plain route
+    with mock.patch.object(dataio, "_BLOCK", block):
         assert_ingest_matches_oracle(rows, **kwargs)
 
 
 HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 PLAIN_LINES = "J1,2000,5,US\nJ1,2000,oops,US\nJ2,2001,0,\nJ1,2000,7,JP;US\n"
 LATER_LINES = "J1,1999,2,DE\nJ1,2000,-1,US\nJ2,2001,3,\nJ1,2000,1,Atlantis\n"
+CROSSING_LINES = "J1,2000,5,US\n" * ((dataio._BLOCK - 30) // 13)
+
+
+def crossing(end: str, rest: str) -> str:
+    """Plain lines, then a line whose text ``end`` ends the body's first
+    2**15 characters, as it ends reads of 1, 16 and 64 characters, then ``rest``."""
+    return CROSSING_LINES + "J" * (dataio._BLOCK - len(CROSSING_LINES) - len(end)) + end + rest
+
+
 TOKENIZER_FILES = {
     "quoted field in a later chunk": PLAIN_LINES + '"J,1",2000,5,US\nJ1,2000,"4",US\n' + LATER_LINES,
     "quoted newline in a later chunk": PLAIN_LINES + 'J1,2000,5,"US;\nJP"\nJ1,x,1,US\n' + LATER_LINES,
@@ -389,8 +417,8 @@ TOKENIZER_FILES = {
     "field over the csv limit in a later chunk": PLAIN_LINES + "J1,2000,5,"
     + "US;" * (csv.field_size_limit() // 3 + 1) + "\n" + LATER_LINES,
     "count beyond int64": PLAIN_LINES + "J1,2000,99999999999999999999,US\n",
-    # the quote opens on the last line of the first 3-line chunk and of the
-    # second 4-line chunk
+    # two quotes that open on one line and close on the next; 1-character
+    # reads end a block on both opening lines, 5-character reads on the first
     "quote opening on a chunk's last line": 'J1,2000,5,US\nJ1,2000,oops,US\nJ1,2000,5,"US;\nJP"\n'
     + 'J2,2001,0,\nJ1,2000,7,JP;US\nJ2,2001,3,\nJ1,2001,4,"DE;\nUS"\n' + LATER_LINES,
     "quoted field spanning two chunks": PLAIN_LINES[:13] + 'J1,2000,5,"US;\nJP;\nDE;\nFR;\nGB"\n'
@@ -399,24 +427,66 @@ TOKENIZER_FILES = {
     "stray quotes inside unquoted fields": PLAIN_LINES + 'J1,2000,5,U"S\nJ"1,2000,6,JP;US"\n'
     + LATER_LINES + 'J1,2000,"7",US\n',
     "quote left open at EOF": PLAIN_LINES + 'J1,2000,5,"US;\n' + LATER_LINES,
+    "only CR line ends": (PLAIN_LINES + LATER_LINES).replace("\n", "\r"),
+    "only CR line ends, a blank line and a quoted CR": (
+        PLAIN_LINES + "\n" + 'J1,2000,5,"US;\rJP"\n' + LATER_LINES
+    ).replace("\n", "\r"),
+    # three blocks of the default size and thousands of the small ones
+    "line longer than several blocks": PLAIN_LINES + "J1,2000,5,"
+    + "US;" * (dataio._BLOCK + 7) + "JP\n" + LATER_LINES,
+    # a cut between CR and LF would read a blank record and number every
+    # later line one too high
+    "CRLF across two blocks": crossing(",2000,6,JP\r", "\n" + LATER_LINES.replace("\n", "\r\n")),
+    # csv.reader reads on into the next block for one line and leaves the
+    # rest of that block to the plain route
+    "quote open across two blocks": crossing(',2000,6,"JP;\n', 'US"\n' + LATER_LINES),
+    # str.splitlines breaks at these, csv.reader and file iteration do not
+    "other line breaks inside fields": PLAIN_LINES + "J\x0b1,2000,5,US\x85\n"
+    + '"J1",2000,6,JP\u2028\nJ\x1c1,2001, \x0c7,US;\x1cDE\n' + LATER_LINES,
+    "other line breaks inside plain fields": "J\x0b1,2000,5,US\x85\n"
+    + "J\u20281,2001,\x0c7,US\x1c\n" + PLAIN_LINES,
+    "counts beyond int64 in later cohorts": PLAIN_LINES + "J1,2001,3,US\nJ2,2002,4,US\n"
+    + "J2,2002,99999999999999999999,US\n",
+    "counts beyond int64 in dropped rows": PLAIN_LINES + "J1,x,99999999999999999999,US\n"
+    + "J1,2000,-99999999999999999999,US\n" + LATER_LINES,
 }
 
 
-@pytest.mark.parametrize("chunk", [3, 4, 2048])
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [dataio._BLOCK])
 @pytest.mark.parametrize("max_bad_rows", [0, 100])
 @pytest.mark.parametrize("name", TOKENIZER_FILES)
-def test_tokenizer_routes_match_per_row_oracle(tmp_path, monkeypatch, name, max_bad_rows, chunk):
-    monkeypatch.setattr(dataio, "_CHUNK", chunk)
+def test_tokenizer_routes_match_per_row_oracle(tmp_path, monkeypatch, name, max_bad_rows, block):
+    monkeypatch.setattr(dataio, "_BLOCK", block)
     path = tmp_path / "data.csv"
     path.write_bytes((HEADER_LINE + TOKENIZER_FILES[name]).encode("utf-8"))
     got = ingest_outcome(ingest, path, max_bad_rows=max_bad_rows)
     assert got == ingest_outcome(ingest_oracle, path, max_bad_rows=max_bad_rows)
 
 
-def test_line_numbers_after_a_quoted_newline(tmp_path, monkeypatch):
-    # lines 2-5 are a plain chunk; the quoted newline makes lines 6-7 one
-    # record, so later rows are numbered by record, as csv.reader counts
-    monkeypatch.setattr(dataio, "_CHUNK", 4)
+def test_crossing_cases_cross_the_first_block_end():
+    end = dataio._BLOCK
+    assert TOKENIZER_FILES["CRLF across two blocks"][end - 1:end + 1] == "\r\n"
+    assert TOKENIZER_FILES["quote open across two blocks"][end - 4:end + 4] == 'JP;\nUS"\n'
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("name", TOKENIZER_FILES)
+def test_blocks_hold_whole_lines_within_the_bound(monkeypatch, name, block):
+    monkeypatch.setattr(dataio, "_BLOCK", block)
+    body = TOKENIZER_FILES[name]
+    blocks = list(dataio._blocks(io.StringIO(body, newline="")))
+    assert "".join(blocks) == body
+    longest = max(map(len, io.StringIO(body, newline="")))
+    assert all(len(b) <= block + longest for b in blocks)
+    for a, b in zip(blocks, blocks[1:]):
+        assert a.endswith(("\n", "\r")) and not (a.endswith("\r") and b.startswith("\n"))
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [dataio._BLOCK])
+def test_line_numbers_after_a_quoted_newline(tmp_path, monkeypatch, block):
+    # the quoted newline makes lines 6-7 one record, whichever block it falls
+    # in or across, so later rows are numbered by record, as csv.reader counts
+    monkeypatch.setattr(dataio, "_BLOCK", block)
     path = tmp_path / "data.csv"
     path.write_text(HEADER_LINE + TOKENIZER_FILES["quoted newline in a later chunk"], encoding="utf-8")
     cohorts, report = ingest(path, max_bad_rows=100)
@@ -433,13 +503,18 @@ def test_line_numbers_after_a_quoted_newline(tmp_path, monkeypatch):
     assert cohorts[1].sets[cohorts[1].codes[2]] == {"US", "JP"}
 
 
-def test_only_the_quoted_chunk_goes_through_csv_reader(tmp_path, monkeypatch):
-    # six 3-line chunks with a quote on line 2: csv.reader reads the header
-    # and chunk 1, and chunks 2-6 take the plain route again
-    monkeypatch.setattr(dataio, "_CHUNK", 3)
+@pytest.mark.parametrize("block", [5, 16, 64])
+def test_only_the_quoted_chunk_goes_through_csv_reader(tmp_path, monkeypatch, block):
+    # a quote on line 2: csv.reader reads the header and the first block, the
+    # whole lines within the first ``block`` characters of the body (or the
+    # first line alone if it is longer), and later blocks take the plain route
+    monkeypatch.setattr(dataio, "_BLOCK", block)
     path = tmp_path / "data.csv"
-    body = "".join(f"J{i % 3},{2000 + i % 4},{i},US\n" for i in range(16))
-    path.write_text(HEADER_LINE + '"J0"' + body[2:], encoding="utf-8")
+    body = '"J0"' + "".join(f"J{i % 3},{2000 + i % 4},{i},US\n" for i in range(16))[2:]
+    path.write_text(HEADER_LINE + body, encoding="utf-8")
+    first = body[:body.rfind("\n", 0, block) + 1 or body.index("\n") + 1]
+    first_rows = list(csv.reader(io.StringIO(first)))
+    assert 1 <= len(first_rows) < 16
     read, reader = [], csv.reader
 
     class Reader:
@@ -457,8 +532,8 @@ def test_only_the_quoted_chunk_goes_through_csv_reader(tmp_path, monkeypatch):
 
     monkeypatch.setattr(csv, "reader", Reader)
     cohorts, report = ingest(path)
-    assert read == [CSV_HEADER, ["J0", "2000", "0", "US"], ["J1", "2001", "1", "US"],
-                    ["J2", "2002", "2", "US"]]
+    assert read == [CSV_HEADER, *first_rows]
+    assert first_rows[0] == ["J0", "2000", "0", "US"]
     assert (report.n_rows, report.n_kept) == (16, 16)
     assert sum(c.size for c in cohorts) == 16
 

@@ -254,7 +254,7 @@ def test_canonical_sets_match_per_cohort_oracle(sets, data):
     codes = np.array(data.draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=8)))
     want_codes, want_sets = canonical_sets_oracle(codes, sets)
     for _ in range(2):  # the second call finds the set order cached
-        got_codes, got_sets = model._canonical_sets(codes, sets)
+        got_codes, got_sets = model._canonical_codes(sets)(codes)
         np.testing.assert_array_equal(got_codes, want_codes)
         assert got_sets == want_sets
 

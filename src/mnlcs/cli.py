@@ -15,6 +15,7 @@ stderr and return a nonzero code.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -246,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(type(exc).__name__, str(exc), code=1)
     except json.JSONDecodeError as exc:
         return _fail("BadConfig", f"invalid JSON: {exc}", code=2)
+    except (csv.Error, UnicodeDecodeError) as exc:  # a file csv or UTF-8 cannot read
+        return _fail("BadInput", str(exc), code=1)
 
 
 if __name__ == "__main__":

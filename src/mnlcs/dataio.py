@@ -8,13 +8,13 @@ where countries is a semicolon-separated list of ISO alpha-2 codes or
 recognised country names, possibly empty. ``write_records_csv`` quotes a
 field only where csv.writer would, as in a journal id with a quote.
 
-``ingest`` reads the rows in text blocks of whole lines, ``_BLOCK``
-characters at a time with the last partial line carried into the next
-block. A plain block (no quote, CR or NUL, three commas a line) splits into
-its four columns with one replace and split, with no string per line; any
-other block is split into lines as file iteration splits them and goes
-through csv.reader, which reads on past the block only to close a quoted
-field, so the next block is tested for the plain route again. After that
+``ingest`` reads the rows in text blocks of whole lines, each ``_BLOCK``
+characters and the rest of the line they end in. A plain block (no quote,
+CR or NUL, three commas a line) splits into its four columns with one
+replace and split, with no string per line; any other block is split into
+lines as file iteration splits them and goes through csv.reader, which
+reads on in the file, line by line, only to close a quoted field, so the
+next block is tested for the plain route again. After that
 both routes are one path: each column's strings become int codes, every
 distinct string parsed once (``_Column``), and row errors, filters and
 cohort grouping are array operations on the codes' values. The cohorts are
@@ -189,37 +189,13 @@ def _plain_columns(text: str) -> list[list[str]] | None:
 
 
 def _blocks(f):
-    """The rest of ``f`` as blocks of whole lines: ``_BLOCK`` characters are
-    read at a time and the last partial line is carried into the next block,
-    so a block holds at most ``_BLOCK`` characters plus its longest line.
-    Lines end at LF, CRLF or a lone CR, as file iteration with
-    ``newline=""`` ends them; a CR that ends a read is carried, as an LF may
-    follow it."""
-    parts: list[str] = []  # the text read since the last line end
+    """The rest of ``f`` as blocks of whole lines: ``_BLOCK`` characters and
+    the rest of the line the read ends in, which ``f.readline`` reads, so a
+    block holds at most ``_BLOCK`` characters plus its longest line. With
+    ``newline=""`` a line ends at LF, CRLF or a lone CR, as file iteration
+    ends it; a read that ends on the CR of a CRLF gets the LF."""
     while block := f.read(_BLOCK):
-        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
-        if cut or parts and parts[-1].endswith("\r"):  # a carried CR ends a line
-            yield "".join([*parts, block[:cut]])
-            parts = []
-        parts.append(block[cut:])
-    if tail := "".join(parts):
-        yield tail
-
-
-def _lines(text: str) -> list[str]:
-    """The lines of ``text`` with their line ends, split as file iteration
-    with ``newline=""`` splits them: not at the other breaks that
-    ``str.splitlines`` knows, such as \\x0b or \\x85."""
-    return list(io.StringIO(text, newline=""))
-
-
-def _read_on(blocks, lines: list[str]):
-    """The lines of ``blocks``, each block's lines appended to ``lines``
-    when the block is reached."""
-    for block in blocks:
-        start = len(lines)
-        lines += _lines(block)
-        yield from lines[start:]
+        yield block + f.readline()
 
 
 def _chunks(f):
@@ -230,23 +206,21 @@ def _chunks(f):
     skipped but numbered, and a quoted newline makes two lines one record.
 
     A plain block (see ``_plain_columns``) is split as one string; any other
-    block is split into lines and goes through csv.reader. The reader takes
-    a line only when it needs one, so it reads on into the next blocks only
-    while a quoted field is open; the lines it leaves of the last block it
-    reached form a block of their own. Every block starts on a record
-    boundary and may take the plain route.
+    block is split into lines as file iteration splits them (not at the
+    other breaks that ``str.splitlines`` knows, such as \\x0b or \\x85) and
+    goes through csv.reader. The reader takes a line only when it needs one,
+    so it reads on in ``f`` line by line only while a quoted field is open,
+    and the next block starts after the line that closes it. Every block
+    starts on a record boundary and may take the plain route.
     """
     line = 2
-    blocks = _blocks(f)
-    text = next(blocks, "")
-    while text:
+    for text in _blocks(f):
         if (columns := _plain_columns(text)) is not None:
             yield range(line, line + len(columns[0])), columns, []
             line += len(columns[0])
-            text = next(blocks, "")
             continue
-        lines, later = _lines(text), []
-        reader = csv.reader(chain(lines, _read_on(blocks, later)))
+        lines = list(io.StringIO(text, newline=""))
+        reader = csv.reader(chain(lines, iter(f.readline, "")))
         rows, numbers, errors = [], [], []
         while reader.line_num < len(lines):
             row = next(reader)
@@ -257,7 +231,6 @@ def _chunks(f):
                 errors.append((line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
             line += 1
         yield numbers, list(zip(*rows)) or [()] * len(CSV_HEADER), errors
-        text = "".join(later[reader.line_num - len(lines):]) or next(blocks, "")
 
 
 class _Column(dict):
@@ -290,12 +263,7 @@ class _Column(dict):
         codes = np.fromiter(map(self.__getitem__, column), dtype=np.intp, count=len(column))
         new = len(self.values) - len(self.bad)
         if new:
-            try:
-                tail = np.array(self.values[-new:], dtype=np.int64)
-            except OverflowError:
-                # a count beyond int64: Cohort raises on it, as on a list
-                tail = np.array(self.values[-new:], dtype=object)
-            self.value = np.concatenate((self.value, tail))
+            self.value = np.concatenate((self.value, np.array(self.values[-new:], dtype=np.int64)))
             self.bad = np.concatenate((self.bad, [e is not None for e in self.errors[-new:]]))
         return codes
 
@@ -325,11 +293,12 @@ def ingest(
     An empty file with a valid header yields zero cohorts.
 
     The header goes through csv.reader, the rows through ``_chunks``: one
-    block of whole lines at a time, each plain block split into its four
-    columns in one pass and each other block read by csv.reader. Each column's
-    strings become int codes (``_Column``): every distinct journal, year,
-    citations and countries string is parsed once, and a row's fields are
-    its codes' values. Boolean masks then find each row's first error in
+    block of whole lines at a time, the file object ending each block at a
+    line end, each plain block split into its four columns in one pass and
+    each other block read by csv.reader. Each column's strings become int
+    codes (``_Column``): every distinct journal, year, citations and
+    countries string is parsed once, and a row's fields are its codes'
+    values. Boolean masks then find each row's first error in
     ``validate_record``'s order (year, citations, countries, journal id,
     negative count) and apply the filters; messages are built for bad rows
     only. Kept rows join their cohort's int32 columns block by block, stable
@@ -415,9 +384,7 @@ def ingest(
     for key in sorted(cohort_columns, key=lambda k: (names[k // _YEAR_SPAN], k % _YEAR_SPAN)):
         citations, codes = (np.frombuffer(a, dtype=np.intc) for a in cohort_columns.pop(key))
         journal, year = divmod(key, _YEAR_SPAN)
-        # a count beyond int64 raises here, as Cohort raises on it
-        counts = count_col.value[citations].astype(np.int64, copy=False)
-        cohorts.append(Cohort._trusted(names[journal], year, counts, *canonical(codes)))
+        cohorts.append(Cohort._trusted(names[journal], year, count_col.value[citations], *canonical(codes)))
     return cohorts, IngestReport(n_rows, n_kept, n_filtered, len(row_errors), row_errors)
 
 

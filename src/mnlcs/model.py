@@ -90,11 +90,15 @@ def parse_year(raw: object) -> int:
 
 
 def parse_citations(raw: object) -> int:
-    """The count as written; negative counts are rejected with the record."""
+    """The count as written, if int64 holds it; negative counts are rejected
+    with the record."""
     try:
-        return int(str(raw).strip())
+        citations = int(str(raw).strip())
     except ValueError:
         raise ValidationError(f"unparseable citations: {raw!r}") from None
+    if not -2**63 <= citations < 2**63:
+        raise ValidationError(f"citations beyond int64: {raw!r}")
+    return citations
 
 
 # Affiliation exports rarely agree on country spelling, so a country token may

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import ingest_oracle, scalar_decisions
+from test_dataio import HEADER_LINE, TOKENIZER_FILES
 from mnlcs.cli import main
 from mnlcs.dataio import fmt, ingest, write_cells_csv, write_records_csv
 from mnlcs.errors import ValidationError
@@ -71,6 +72,21 @@ def test_missing_file_reports_json_error(capsys):
     assert code != 0
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFound"
+
+
+@pytest.mark.parametrize("body, kind", [
+    ("J1,2000,5,US\nJ\xe9,2000,5,US\n".encode("latin-1"), "BadInput"),
+    (TOKENIZER_FILES["field over the csv limit in a later chunk"].encode(), "BadInput"),
+    (b"J1,2000,5,US\nJ1,2000,99999999999999999999,US\n", "IngestError"),
+], ids=["latin-1 byte", "field over the csv limit", "count beyond int64"])
+def test_unreadable_input_fails_with_one_json_error(tmp_path, capsys, body, kind):
+    path = tmp_path / "data.csv"
+    path.write_bytes(HEADER_LINE.encode() + body)
+    code = main(["ingest-check", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    error = json.loads(err)  # one object, nothing else
+    assert set(error) == {"error", "message"} and error["error"] == kind
 
 
 def test_simulate_round_trips_through_ingest_check(tmp_path, capsys):

@@ -42,6 +42,15 @@ def test_validate_record_rejects_negative_citations():
         )
 
 
+def test_validate_record_rejects_counts_beyond_int64():
+    assert model.parse_citations(str(2**63 - 1)) == 2**63 - 1
+    assert model.parse_citations(str(-2**63)) == -2**63
+    for citations in (2**63, -2**63 - 1, -10**20):
+        row = {"journal_id": "J1", "year": "2000", "citations": str(citations), "countries": "US"}
+        with pytest.raises(ValidationError, match="citations beyond int64"):
+            validate_record(row)
+
+
 def test_validate_record_keeps_empty_country_set():
     record = validate_record(
         {"journal_id": "J1", "year": "2000", "citations": "0", "countries": ""}

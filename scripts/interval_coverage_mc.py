@@ -20,7 +20,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mnlcs.fieller import FIELLER_FORMS, OK, CiSettings, interval_columns
-from mnlcs.indicator import log_stats_from_logs
+from mnlcs.indicator import segment_moments
 from mnlcs.rngtools import streams
 from mnlcs.synth import sample_citations
 
@@ -38,25 +38,31 @@ def main() -> int:
     args = parser.parse_args()
 
     settings = CiSettings(alpha=args.alpha, form=args.form)
-    groups, fields, degenerate = [], [], 0
-    for rng in streams(args.seed, [("coverage-mc", rep) for rep in range(args.replicates)]):
-        counts = sample_citations(args.mu, args.sigma, args.field_n, rng)
-        logs = np.log1p(counts.astype(float))
-        field = log_stats_from_logs(logs)
-        if field.mean <= 0.0:
-            degenerate += 1
-            continue
-        groups.append(log_stats_from_logs(logs[: args.group_n]))
-        fields.append(field)
+    group_n = min(args.group_n, args.field_n)
+    rngs = streams(args.seed, [("coverage-mc", rep) for rep in range(args.replicates)])
+    # one segment_moments call a block of 1024 replicates, segment 2r replicate
+    # r's field and 2r + 1 its group, so memory does not grow with --replicates
+    means, ses = np.empty((2, 2 * args.replicates))
+    for start in range(0, args.replicates, 1024):
+        logs = np.empty((min(1024, args.replicates - start), args.field_n + group_n))
+        for row, rng in zip(logs, rngs):
+            row[:args.field_n] = np.log1p(sample_citations(args.mu, args.sigma, args.field_n, rng).astype(float))
+            row[args.field_n:] = row[:group_n]
+        block = slice(2 * start, 2 * (start + len(logs)))
+        means[block], ses[block] = segment_moments(logs.reshape(-1), np.tile([args.field_n, group_n], len(logs)))
+    (field_mean, group_mean), (field_se, group_se) = means.reshape(-1, 2).T, ses.reshape(-1, 2).T
+    usable = field_mean > 0.0
+    n = int(np.count_nonzero(usable))
+    degenerate = args.replicates - n
 
     # one interval call on the columns of every replicate with a usable field
     _, low, high, _, _, status = interval_columns(
-        *([getattr(s, k) for s in stats] for stats in (groups, fields) for k in ("n", "mean", "se")),
-        settings,
+        np.full(n, group_n), group_mean[usable], group_se[usable],
+        np.full(n, args.field_n), field_mean[usable], field_se[usable], settings,
     )
     ok = status == OK
     valid, inside = int(ok.sum()), int((ok & (low <= 1.0) & (1.0 <= high)).sum())
-    unbounded = len(groups) - valid
+    unbounded = n - valid
 
     coverage = inside / valid if valid else float("nan")
     se = math.sqrt(coverage * (1 - coverage) / valid) if valid else float("nan")

@@ -25,11 +25,14 @@ whatever the total, and memory grows with neither replicates nor bins.
 Cohorts are binned a block at a time: consecutive cohorts of at most
 ARTICLES articles together (a larger cohort alone) go through one sort on
 (block set code, citation rank). Each cohort's sets take their own range of
-block codes, so its bins, their order and sizes are the cohort's own. The
-product of a call's counts with the cohort's [bins, 4 x (targets + 1)]
-table, taken PRODUCT_ROWS rows at a time so that OpenBLAS starts no threads
-at the paper's shape, gives half A's sums, sums of squares, cited and
-member counts for the field and every target. Half B's sums come the same
+block codes, so its bins, their order and sizes, and so its draws and
+products, are the cohort's own whatever block holds it. A one-article
+cohort, which cannot be halved, sits in its block like any other but is
+skipped where it would draw, so it gets no rows. The product of a call's
+counts with the cohort's [bins, 4 x (targets + 1)] table, taken
+PRODUCT_ROWS rows at a time so that OpenBLAS starts no threads at the
+paper's shape, gives half A's sums, sums of squares, cited and member
+counts for the field and every target. Half B's sums come the same
 way from the rest of each bin; its cited and member counts are the cohort's
 minus half A's. Values are centred on the cohort mean first, so sums of
 squares do not cancel when citation counts are large and close together.
@@ -97,15 +100,12 @@ class Lag0Result(NamedTuple):
     n_excluded: int
 
 
-def blocks(cohorts: Sequence[Cohort], singles: bool) -> Iterator[list[tuple[int, Cohort]]]:
+def blocks(cohorts: Sequence[Cohort]) -> Iterator[list[tuple[int, Cohort]]]:
     """Consecutive (index, cohort) pairs of at most ARTICLES articles, or one
-    larger cohort; cohorts of one article, which cannot be halved, are left
-    out unless ``singles``."""
+    larger cohort."""
     block: list[tuple[int, Cohort]] = []
     articles = 0
     for i, cohort in enumerate(cohorts):
-        if cohort.size < 2 and not singles:
-            continue
         if block and articles + cohort.size > ARTICLES:
             yield block
             block, articles = [], 0
@@ -182,8 +182,10 @@ def replicate_decisions(
     sums_a, sums_b = np.empty((size, 4 * k)), np.empty((size, k))
     owner = np.empty(size, dtype=np.intp)
     filled = 0
-    for block in blocks(cohorts, singles=False):
+    for block in blocks(cohorts):
         for i, cohort, centre, sizes, table, table_b in _binned(block, targets):
+            if cohort.size < 2:  # cannot be halved: no rows
+                continue
             totals[:, i], centres[i] = (sizes.astype(np.float64) @ table)[2 * k:], centre
             for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
                 if filled + len(drawn) > size:

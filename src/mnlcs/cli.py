@@ -15,7 +15,6 @@ stderr and return a nonzero code.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -51,8 +50,10 @@ def _load_json(path: str) -> dict:
 
 def _config(args, **extra) -> ExperimentConfig:
     """The ``mnlcs run`` config of a CSV command's selection and interval
-    flags, plus the settings in ``extra``."""
+    flags, plus the settings in ``extra``; an interval flag left unset
+    takes the config's default."""
     countries = [c for c in (args.countries or "").split(",") if c.strip()]
+    interval = {"min_group_n": args.min_group_n, "alpha": args.alpha, "fieller_form": args.fieller_form}
     return ExperimentConfig.from_dict({
         **extra,
         "input": {"csv": args.input},
@@ -60,9 +61,7 @@ def _config(args, **extra) -> ExperimentConfig:
         "schemes": args.scheme,
         "year_min": args.year_min,
         "year_max": args.year_max,
-        "min_group_n": args.min_group_n,
-        "alpha": args.alpha,
-        "fieller_form": args.fieller_form,
+        **{key: value for key, value in interval.items() if value is not None},
     })
 
 
@@ -166,14 +165,11 @@ def cmd_run(args) -> int:
 
 
 def _add_ci_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--min-group-n", type=int, default=5, help="smallest group size given an interval")
-    p.add_argument("--alpha", type=float, default=0.025, help="per-tail alpha (0.025 = 95%% two-sided)")
-    p.add_argument(
-        "--fieller-form",
-        choices=FIELLER_FORMS,
-        default="standard",
-        help="interval curvature form; 'printed' is the comparison variant",
-    )
+    """The interval flags; each defaults to None, which leaves the config's default."""
+    p.add_argument("--min-group-n", type=int, help="smallest group size given an interval")
+    p.add_argument("--alpha", type=float, help="per-tail alpha (0.025 = 95%% two-sided)")
+    p.add_argument("--fieller-form", choices=FIELLER_FORMS,
+                   help="interval curvature form; 'printed' is the comparison variant")
 
 
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
@@ -247,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(type(exc).__name__, str(exc), code=1)
     except json.JSONDecodeError as exc:
         return _fail("BadConfig", f"invalid JSON: {exc}", code=2)
-    except (csv.Error, UnicodeDecodeError) as exc:  # a file csv or UTF-8 cannot read
+    except UnicodeDecodeError as exc:  # a config file that is not UTF-8
         return _fail("BadInput", str(exc), code=1)
 
 

@@ -198,7 +198,7 @@ def _blocks(f):
         yield block + f.readline()
 
 
-def _chunks(f):
+def _chunks(f, path):
     """The rows after the header, one block (``_blocks``) at a time, as
     (lines, columns, errors): the line number of each row with four fields,
     their four columns, and (line, message) of each row with another number
@@ -211,26 +211,31 @@ def _chunks(f):
     goes through csv.reader. The reader takes a line only when it needs one,
     so it reads on in ``f`` line by line only while a quoted field is open,
     and the next block starts after the line that closes it. Every block
-    starts on a record boundary and may take the plain route.
+    starts on a record boundary and may take the plain route. Text that is
+    not UTF-8 or that csv.reader refuses raises IngestError with ``path``
+    and the line reached, where the record or block being read starts.
     """
     line = 2
-    for text in _blocks(f):
-        if (columns := _plain_columns(text)) is not None:
-            yield range(line, line + len(columns[0])), columns, []
-            line += len(columns[0])
-            continue
-        lines = list(io.StringIO(text, newline=""))
-        reader = csv.reader(chain(lines, iter(f.readline, "")))
-        rows, numbers, errors = [], [], []
-        while reader.line_num < len(lines):
-            row = next(reader)
-            if len(row) == len(CSV_HEADER):
-                rows.append(row)
-                numbers.append(line)
-            elif row:
-                errors.append((line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
-            line += 1
-        yield numbers, list(zip(*rows)) or [()] * len(CSV_HEADER), errors
+    try:
+        for text in _blocks(f):
+            if (columns := _plain_columns(text)) is not None:
+                yield range(line, line + len(columns[0])), columns, []
+                line += len(columns[0])
+                continue
+            lines = list(io.StringIO(text, newline=""))
+            reader = csv.reader(chain(lines, iter(f.readline, "")))
+            rows, numbers, errors = [], [], []
+            while reader.line_num < len(lines):
+                row = next(reader)
+                if len(row) == len(CSV_HEADER):
+                    rows.append(row)
+                    numbers.append(line)
+                elif row:
+                    errors.append((line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"))
+                line += 1
+            yield numbers, list(zip(*rows)) or [()] * len(CSV_HEADER), errors
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise IngestError(f"{path}: unreadable from line {line}: {exc}") from None
 
 
 class _Column(dict):
@@ -289,8 +294,10 @@ def ingest(
 
     Rows outside the journal/year filters are dropped silently (they are
     selection, not errors). Malformed rows are collected with their line
-    numbers; more than ``max_bad_rows`` of them aborts with IngestError.
-    An empty file with a valid header yields zero cohorts.
+    numbers; more than ``max_bad_rows`` of them aborts with IngestError, as
+    does text that is not UTF-8 or that csv.reader refuses (its message
+    names the line reading reached). An empty file with a valid header
+    yields zero cohorts.
 
     The header goes through csv.reader, the rows through ``_chunks``: one
     block of whole lines at a time, the file object ending each block at a
@@ -333,10 +340,12 @@ def ingest(
             header = next(csv.reader(f))
         except StopIteration:
             raise IngestError(f"{path}: empty file, expected header {CSV_HEADER}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise IngestError(f"{path}: unreadable from line 1: {exc}") from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
 
-        for lines, (journal_raw, year_raw, citations_raw, countries_raw), errors in _chunks(f):
+        for lines, (journal_raw, year_raw, citations_raw, countries_raw), errors in _chunks(f, path):
             n_rows += len(lines) + len(errors)
             y, c = year_col.codes(year_raw), count_col.codes(citations_raw)
             s, j = set_col.codes(countries_raw), journal_col.codes(journal_raw)

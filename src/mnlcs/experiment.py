@@ -124,9 +124,9 @@ class ExperimentConfig:
     year_min: int | None = None
     year_max: int | None = None
     max_offset: int = 18
-    min_group_n: int = 5
-    alpha: float = 0.025
-    fieller_form: str = "standard"
+    min_group_n: int = CiSettings.min_group_n
+    alpha: float = CiSettings.alpha
+    fieller_form: str = CiSettings.form
     lag0_replicates: int = 1000
     seed: int = 0
 

@@ -3,10 +3,11 @@
 The indicator is the ratio of the group mean to the whole-field mean of the
 log-transformed citation counts ln(1+c), so 1.0 means the group sits exactly
 at the field average. The field denominator always includes the group's own
-articles. Every sum is correctly rounded, the value math.fsum gives: one
-sample at a time through math.fsum, or many samples at once through
-segment_fsums; journal-year cohorts reach 10^4 articles and naive
-accumulation loses digits there.
+articles. A group's mean and SE have one kernel, ``segment_moments``, which
+takes many groups at once, one segment each (a run's cells), or one
+(``log_stats_from_logs``). Every sum in it is correctly rounded, the value
+math.fsum gives (``segment_fsums``); journal-year cohorts reach 10^4
+articles and naive accumulation loses digits there.
 """
 
 from __future__ import annotations
@@ -18,17 +19,6 @@ import numpy as np
 
 from .errors import DegenerateField, InsufficientData
 from .model import LogStats
-
-
-def log_moments(logs: np.ndarray) -> tuple[int, float, float]:
-    """(n, mean, se) of non-empty ln(1+c) values, se NaN when n == 1. The sums
-    are math.fsum of ``tolist()``: the array's own doubles, iterated faster."""
-    n = len(logs)
-    mean = math.fsum(logs.tolist()) / n
-    if n == 1:
-        return 1, mean, math.nan
-    centred = logs - mean
-    return n, mean, math.sqrt(math.fsum((centred * centred).tolist()) / (n - 1) / n)
 
 
 def segment_fsums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -61,12 +51,26 @@ def segment_fsums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return total
 
 
+def segment_moments(logs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, ses) of consecutive segments of ln(1+c) values, segment i of
+    ``counts[i]`` values and none empty; se is NaN where n == 1. Both sums,
+    of the values and of their squares about the segment's mean, are
+    ``segment_fsums``, so every mean and se is the one math.fsum gives."""
+    starts = np.cumsum(counts) - counts
+    means = segment_fsums(logs, starts) / counts
+    centred = logs - np.repeat(means, counts)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where n == 1
+        ses = np.sqrt(segment_fsums(centred * centred, starts) / (counts - 1) / counts)
+    return means, ses
+
+
 def log_stats_from_logs(logs: np.ndarray) -> LogStats:
-    """LogStats from precomputed ln(1+c) values (fast path for resampling)."""
-    if len(logs) == 0:
+    """LogStats from precomputed ln(1+c) values: ``segment_moments`` on one segment."""
+    n = len(logs)
+    if n == 0:
         raise InsufficientData("cannot summarise an empty sample")
-    n, mean, se = log_moments(logs)
-    return LogStats(n=n, mean=mean, se=None if n == 1 else se)
+    means, ses = segment_moments(logs, np.array([n]))
+    return LogStats(n=n, mean=means.item(), se=None if n == 1 else ses.item())
 
 
 def log_stats(citations: Iterable[int]) -> LogStats:

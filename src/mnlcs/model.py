@@ -261,19 +261,6 @@ def validate_record(raw: Mapping[str, object]) -> CitationRecord:
     )
 
 
-@lru_cache(maxsize=64)
-def _set_order(sets: tuple[frozenset, ...]) -> tuple[np.ndarray, tuple]:
-    """(rank, ranked) of a sets tuple: ``ranked`` holds its distinct sets
-    sorted by their sorted country tuples, and ``sets[i]`` equals
-    ``ranked[rank[i]]``. Cohorts that share a sets tuple share this order."""
-    keys = [tuple(sorted(s)) for s in sets]
-    ranked = sorted(set(keys))
-    index = {key: r for r, key in enumerate(ranked)}
-    rank = np.array([index[key] for key in keys], dtype=np.intp)
-    rank.setflags(write=False)
-    return rank, tuple(frozenset(key) for key in ranked)
-
-
 @lru_cache(maxsize=1024)
 def _check_countries(countries: frozenset[str]) -> None:
     """``check_country_code`` on each code of a set; a passed set is cached."""
@@ -285,10 +272,14 @@ def _canonical_codes(sets: tuple[frozenset, ...]):
     """A function from codes into ``sets`` to (codes, sets) in canonical
     form: unused sets dropped, equal ones merged and the rest sorted by
     their sorted country tuples, with the codes remapped to match. ``sets``
-    is ordered once (``_set_order``), and each distinct pattern of used sets
-    gets one remap and one shared tuple, whose country codes are checked
-    when the pattern is first seen."""
-    rank, ranked = _set_order(sets)
+    is ranked once, and each distinct pattern of used sets gets one remap
+    and one shared tuple, whose country codes are checked when the pattern
+    is first seen. Each caller (``Cohort``, ``dataio.ingest``,
+    ``synth.generate``) makes one per sets list."""
+    keys = [tuple(sorted(s)) for s in sets]
+    index = {key: r for r, key in enumerate(sorted(set(keys)))}
+    rank = np.array([index[key] for key in keys], dtype=np.intp)
+    ranked = tuple(map(frozenset, index))
     patterns: dict[bytes, tuple[np.ndarray, tuple]] = {}
 
     def canonical(codes) -> tuple[np.ndarray, tuple]:
@@ -321,6 +312,8 @@ class Cohort:
     order have identical columns. Both arrays are read-only.
 
     ``Cohort(journal_id, year, records)`` takes CitationRecords that all belong to it.
+    ``dataio.ingest`` and ``synth.generate`` put their set codes in canonical
+    form (``_canonical_codes``) and build cohorts with ``Cohort._trusted``.
     """
 
     journal_id: str
@@ -366,16 +359,6 @@ class Cohort:
         vars(cohort).update(journal_id=journal_id, year=year, citations=_frozen(citations),
                             codes=_frozen(codes), sets=sets)
         return cohort
-
-    def with_citations(self, journal_id: str, year: int, citations) -> Cohort:
-        """A cohort sharing this one's canonical, checked ``codes`` and ``sets``;
-        the journal id and ``citations`` are checked as the constructor does."""
-        citations = np.array(citations, dtype=np.int64)
-        if citations.shape != self.codes.shape:
-            raise ValidationError("citations and codes must be 1-d and of equal length")
-        check_journal_id(journal_id)
-        check_citations(citations.min())
-        return Cohort._trusted(journal_id, year, citations, self.codes, self.sets)
 
     @property
     def records(self) -> tuple[CitationRecord, ...]:

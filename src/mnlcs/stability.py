@@ -12,10 +12,10 @@ split-half baseline and is flagged as simulated.
 ``compute_cells`` returns a ``CellGrid``, one [target, journal, year]
 array per cell field, filled from one interval-kernel call on the columns
 of every cell. The groups' means and SEs come a block of cohorts at a time
-(bootstrap.blocks), each from two segmented sums, one segment per group,
-that equal math.fsum bit for bit. The pairs at offset k are then the year
-columns ``[:, :-k]`` against ``[:, k:]``, a series is a row, and cells.csv
-is sorted and formatted a column at a time.
+(bootstrap.blocks, one-article cohorts included), from one
+``indicator.segment_moments`` call, one segment per group. The pairs at
+offset k are then the year columns ``[:, :-k]`` against ``[:, k:]``, a
+series is a row, and cells.csv is sorted and formatted a column at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bootstrap import blocks, lag0_batch
 from .counting import membership
 from .errors import ValidationError
 from .fieller import DEFAULT_SETTINGS, OK, STATUS_TEXT, CiSettings, estimate, interval_columns
-from .indicator import log_stats_from_logs, segment_fsums
+from .indicator import log_stats_from_logs, segment_moments
 from .model import Cohort, MnlcsEstimate, Scheme
 
 
@@ -86,12 +86,10 @@ def compute_cells(
     with a zero field mean and empty group selections are skipped and
     tallied. Each block of cohorts of at most ``bootstrap.ARTICLES``
     articles (a larger cohort alone) takes one membership matrix, the field
-    and then the targets in country-major, scheme-minor order; every
-    group's mean and SE come from its sums of ln(1+c) and of squares about
-    the mean, both correctly rounded by ``segment_fsums`` as math.fsum
-    rounds them, and every cell gets its interval from one
-    ``interval_columns`` call on the resulting columns. ``years`` (None is
-    the cohorts' span) is the grid's year axis. Two cohorts with one
+    and then the targets in country-major, scheme-minor order; one
+    ``segment_moments`` call gives every group's mean and SE, and every cell
+    gets its interval from one ``interval_columns`` call on the resulting
+    columns. ``years`` (None is the cohorts' span) is the grid's year axis. Two cohorts with one
     (journal, year), a repeated (country, scheme) target or a cohort year
     outside ``years`` raise ValidationError.
     """
@@ -114,7 +112,7 @@ def compute_cells(
     # per row (the field, then each target) and cohort: n, mean and se of the
     # group's ln(1+c); n is 0 for an empty group
     n, mean, se = np.zeros((3, len(targets) + 1, len(cohorts)))
-    for pairs in blocks(cohorts, singles=True):
+    for pairs in blocks(cohorts):
         index, block = zip(*pairs)
         # [targets + 1, articles]: row 0 is the field, the cohorts side by side
         member = np.vstack([
@@ -127,14 +125,9 @@ def compute_cells(
         # so the non-empty groups, row-major, are their segments
         row, at = np.nonzero(sizes)
         counts = sizes[row, at]
-        starts = np.cumsum(counts) - counts
         logs = np.broadcast_to(np.concatenate([c.log_citations for c in block]), member.shape)[member]
-        means = segment_fsums(logs, starts) / counts
-        centred = logs - np.repeat(means, counts)
-        with np.errstate(invalid="ignore"):  # 0 / 0: se is NaN where n == 1
-            ses = np.sqrt(segment_fsums(centred * centred, starts) / (counts - 1) / counts)
         cell = row, np.array(index)[at]
-        n[cell], mean[cell], se[cell] = counts, means, ses
+        n[cell], (mean[cell], se[cell]) = counts, segment_moments(logs, counts)
 
     degenerate = mean[0] <= 0.0
     for cohort, skip, empty in zip(cohorts, degenerate.tolist(), (n[1:] == 0).T.tolist()):

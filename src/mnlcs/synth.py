@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidationError
-from .model import Cohort
+from .model import Cohort, _canonical_codes
 from .rngtools import stream, streams
 
 # keeps exp(y) far below 2^63 so integer conversion cannot overflow
@@ -178,8 +178,10 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
     Within a cohort each group's articles come in spec order, the first
     collab_fraction of them also labelled collab_partner, followed by the
     unlabelled rest of the field. The labels depend only on the spec, so they
-    are put in canonical form once and every cohort shares the same
-    read-only codes and sets (``Cohort.with_citations``).
+    are put in canonical form and checked once (``model._canonical_codes``),
+    and every cohort shares the same read-only codes and sets; the cohorts
+    are built without the constructor's checks (``Cohort._trusted``), as
+    ``dataio.ingest`` builds its own.
     """
     sets = [frozenset()]
     codes = []
@@ -195,12 +197,11 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
         sets += [frozenset((g.country, spec.collab_partner)), frozenset((g.country,))]
         codes += [len(sets) - 2] * n_collab + [len(sets) - 1] * (n_g - n_collab)
     n_rest = spec.field_size_per_year - sum(sizes.values())
-    codes = np.array(codes + [0] * n_rest, dtype=np.intp)
+    codes, sets = _canonical_codes(tuple(sets))(np.array(codes + [0] * n_rest, dtype=np.intp))
     labels = [g.country for g in sizes] + ["__rest__"] * (n_rest > 0)
     rngs = streams(spec.rng_seed, [("citations", j, year, label) for j in spec.journal_ids
                                    for year in spec.years for label in labels])
 
-    shared = Cohort(spec.journal_ids[0], spec.year_start, np.zeros(len(codes)), codes, sets)
     cohorts = []
     for journal_id in spec.journal_ids:
         paths = {g.country: capability_path(spec, journal_id, g) for g in spec.groups}
@@ -208,5 +209,5 @@ def generate(spec: ScenarioSpec) -> list[Cohort]:
             logs = [next(rngs).normal(paths[g.country][year], g.sigma, size=n) for g, n in sizes.items()]
             if n_rest > 0:
                 logs.append(next(rngs).normal(spec.field_mu, spec.field_sigma, size=n_rest))
-            cohorts.append(shared.with_citations(journal_id, year, _counts(np.concatenate(logs))))
+            cohorts.append(Cohort._trusted(journal_id, year, _counts(np.concatenate(logs)), codes, sets))
     return cohorts

@@ -7,7 +7,9 @@ from direct series summation against the normal CDF, and split-half
 decisions and cells are rebuilt one at a time through a scalar Fieller
 interval written with math.sqrt (only the per-bin counts of each split are
 drawn by the engine; the bins and the records each count picks are rebuilt
-record by record), group membership and cells are decided record by record,
+record by record), each mean and SE of ln(1+c) comes from math.fsum over
+Python floats (``log_stats_oracle``), not from the library's segmented
+sums, group membership and cells are decided record by record,
 not through the library's membership matrix, CSV ingest and writing go
 through one CitationRecord per row, not through columns, coverage curves
 and series look up one cell per (journal, year) pair in a dict, not in the
@@ -16,8 +18,8 @@ module's own cell record) at a time, not from the grid's arrays,
 series.csv, exclusions.csv, curves.csv and curves_<scheme>.csv are
 written a row at a time through csv.writer and ``fmt``, and manifest.json
 through json and hashlib, not through the library's writers, a cohort's
-canonical sets are ranked from its used sets alone, not looked up in the
-cached order of its whole sets tuple, and synthetic cohorts are drawn
+canonical sets are ranked from its used sets alone, not from the order
+of its whole sets tuple, and synthetic cohorts are drawn
 one group at a time, each from its own ``stream`` (numpy's SeedSequence),
 not from one batch of streams. ``oracle_bundle`` composes these stages into
 the whole bundle of a run.
@@ -45,11 +47,11 @@ from mnlcs.dataio import (
 from mnlcs.errors import DegenerateField, IngestError, ValidationError
 from mnlcs.experiment import load_cohorts, resolve_countries
 from mnlcs.fieller import STATUSES, t_quantile
-from mnlcs.indicator import log_stats_from_logs
 from mnlcs.model import (
     CitationRecord,
     Cohort,
     EstimateStatus,
+    LogStats,
     MnlcsEstimate,
     Scheme,
     validate_record,
@@ -259,12 +261,23 @@ def record_in_group(record: CitationRecord, country: str, scheme: Scheme) -> boo
     return record.countries == frozenset((country,))
 
 
+def log_stats_oracle(logs) -> LogStats:
+    """LogStats of ln(1+c) values from math.fsum over Python floats: the
+    mean, then the squares about it."""
+    values = [float(x) for x in logs]
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n == 1:
+        return LogStats(1, mean, None)
+    return LogStats(n, mean, math.sqrt(math.fsum((x - mean) * (x - mean) for x in values) / (n - 1) / n))
+
+
 def cells_oracle(cohorts, countries, schemes, settings):
     """(cells, exclusions) of compute_cells, one cell at a time: members by
-    record_in_group, then log_stats_from_logs and estimate_oracle()."""
+    record_in_group, then log_stats_oracle and estimate_oracle()."""
     cells, exclusions = [], []
     for c in cohorts:
-        field = log_stats_from_logs(c.log_citations)
+        field = log_stats_oracle(c.log_citations)
         if field.mean <= 0.0:
             exclusions.append(ExclusionRecord(
                 "cells", "degenerate_field", len(countries) * len(schemes), c.journal_id, c.year
@@ -278,7 +291,7 @@ def cells_oracle(cohorts, countries, schemes, settings):
                         "cells", "empty_group", 1, c.journal_id, c.year, country, scheme
                     ))
                     continue
-                group = log_stats_from_logs(c.log_citations[members])
+                group = log_stats_oracle(c.log_citations[members])
                 est = estimate_oracle(group, field, settings)
                 cells.append(CellRow(c.journal_id, c.year, country, scheme, est))
     return cells, exclusions
@@ -331,8 +344,8 @@ def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
     valid = np.zeros((replicates, len(targets)), dtype=bool)
     inside = np.zeros_like(valid)
     for rep, in_a in enumerate(split_masks(cohort, replicates, rng_seed)):
-        field_a = log_stats_from_logs(logs[in_a])
-        field_b = log_stats_from_logs(logs[~in_a])
+        field_a = log_stats_oracle(logs[in_a])
+        field_b = log_stats_oracle(logs[~in_a])
         for k in range(len(targets)):
             ga = logs[in_a & member[k]]
             gb = logs[~in_a & member[k]]
@@ -340,11 +353,11 @@ def scalar_decisions(cohort, targets, replicates, rng_seed, settings):
                 continue
             if len(ga) < settings.min_group_n or len(gb) == 0:
                 continue
-            est = estimate_oracle(log_stats_from_logs(ga), field_a, settings)
+            est = estimate_oracle(log_stats_oracle(ga), field_a, settings)
             if est.status is not EstimateStatus.OK:
                 continue
             valid[rep, k] = True
-            inside[rep, k] = est.contains(log_stats_from_logs(gb).mean / field_b.mean)
+            inside[rep, k] = est.contains(log_stats_oracle(gb).mean / field_b.mean)
     return valid, inside
 
 
@@ -433,9 +446,17 @@ def ingest_oracle(path, *, journals=None, year_min=None, year_max=None, max_bad_
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file, expected header {CSV_HEADER}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise IngestError(f"{path}: unreadable from line 1: {exc}") from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
+        rows = []
+        try:
+            for row in reader:
+                rows.append(row)
+        except (csv.Error, UnicodeDecodeError) as exc:  # the record after the last one read
+            raise IngestError(f"{path}: unreadable from line {len(rows) + 2}: {exc}") from None
+        for line_no, row in enumerate(rows, start=2):
             if not row:
                 continue
             report.n_rows += 1

@@ -114,8 +114,8 @@ def test_lag0_batch_matches_individual_calls():
     # a target's splits do not depend on the other targets in the batch
     c, targets = paper_cohort(n=200, seed=2)
     counts = np.stack(lag0_batch([c], targets, replicates=50, rng_seed=8))
-    singles = [np.stack(lag0_batch([c], [target], replicates=50, rng_seed=8)) for target in targets]
-    np.testing.assert_array_equal(np.concatenate(singles, axis=2), counts)
+    alone = [np.stack(lag0_batch([c], [target], replicates=50, rng_seed=8)) for target in targets]
+    np.testing.assert_array_equal(np.concatenate(alone, axis=2), counts)
     assert counts[0].any()
 
 
@@ -535,6 +535,25 @@ def test_lag0_batch_excludes_every_replicate_of_a_one_article_cohort():
     for c in (cohort([(4, ("US",))]), big_cohort(n_field=40, n_group=10)):
         with pytest.raises(DomainError):
             lag0_batch([c], targets, replicates=0, rng_seed=1)
+
+
+def test_one_article_cohorts_inside_blocks_change_no_other_cohort():
+    # one-article cohorts first, last, side by side and between larger ones,
+    # with counts and sets new to their block, so they shift its citation
+    # ranks and set codes
+    larger = [big_cohort(n_field=n, n_group=n // 2, seed=s, journal=f"J{s}") for s, n in ((1, 20), (2, 30), (3, 25))]
+    ones = [cohort([row], journal=f"S{i}") for i, row in enumerate(
+        [(0, ()), (1000, ("US",)), (2**40, ("DE", "US")), (5, ("US",))])]
+    cohorts = [ones[0], larger[0], ones[1], ones[2], larger[1], larger[2], ones[3]]
+    targets = [("US", Scheme.INCLUSIVE), ("US", Scheme.EXCLUSIVE), ("DE", Scheme.INCLUSIVE)]
+    settings = CiSettings(min_group_n=2)
+    with mock.patch.object(bootstrap, "ARTICLES", 64):
+        sizes = [[c.size for _, c in block] for block in bootstrap.blocks(cohorts)]
+        assert sizes == [[1, 20, 1, 1, 30], [25, 1]]
+        counts = np.stack(lag0_batch(cohorts, targets, 40, 6, settings))
+        for i, c in enumerate(cohorts):
+            np.testing.assert_array_equal(counts[:, i:i + 1], np.stack(lag0_batch([c], targets, 40, 6, settings)))
+    assert counts[0, [1, 4, 5], :2].all() and not counts[:, [0, 2, 3, 6]].any()
 
 
 def test_lag0_curve_points_at_zero_replicates_split_nothing(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import ingest_oracle, scalar_decisions
 from test_dataio import HEADER_LINE, TOKENIZER_FILES
+from mnlcs import dataio
 from mnlcs.cli import main
 from mnlcs.dataio import fmt, ingest, write_cells_csv, write_records_csv
 from mnlcs.errors import ValidationError
@@ -74,19 +75,31 @@ def test_missing_file_reports_json_error(capsys):
     assert err["error"] == "FileNotFound"
 
 
-@pytest.mark.parametrize("body, kind", [
-    ("J1,2000,5,US\nJ\xe9,2000,5,US\n".encode("latin-1"), "BadInput"),
-    (TOKENIZER_FILES["field over the csv limit in a later chunk"].encode(), "BadInput"),
-    (b"J1,2000,5,US\nJ1,2000,99999999999999999999,US\n", "IngestError"),
+@pytest.mark.parametrize("body, where", [
+    # the reader decodes ahead, so the header's read meets the byte on line 3
+    ("J1,2000,5,US\nJ\xe9,2000,5,US\n".encode("latin-1"), "unreadable from line 1: 'utf-8' codec"),
+    (TOKENIZER_FILES["field over the csv limit in a later chunk"].encode(),
+     "unreadable from line 6: field larger than field limit"),
+    (b"J1,2000,5,US\nJ1,2000,99999999999999999999,US\n", "(line 3: citations beyond int64"),
 ], ids=["latin-1 byte", "field over the csv limit", "count beyond int64"])
-def test_unreadable_input_fails_with_one_json_error(tmp_path, capsys, body, kind):
+def test_unreadable_input_fails_with_one_json_error(tmp_path, capsys, body, where):
     path = tmp_path / "data.csv"
     path.write_bytes(HEADER_LINE.encode() + body)
     code = main(["ingest-check", "--input", str(path)])
     err = capsys.readouterr().err
     assert code == 1 and "Traceback" not in err
     error = json.loads(err)  # one object, nothing else
-    assert set(error) == {"error", "message"} and error["error"] == kind
+    assert set(error) == {"error", "message"} and error["error"] == "IngestError"
+    assert error["message"].startswith(f"{path}: ") and where in error["message"]
+
+
+def test_bytes_not_utf8_name_a_line_of_the_block_that_holds_them(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_bytes((HEADER_LINE + "J1,2000,5,US\n" * 5000 + "J\xe9,2000,5,US\n").encode("latin-1"))
+    assert main(["ingest-check", "--input", str(path)]) == 1
+    line = int(json.loads(capsys.readouterr().err)["message"].split("unreadable from line ")[1].split(":")[0])
+    # past the first block, and not past the line with the byte
+    assert 2 + dataio._BLOCK // len("J1,2000,5,US\n") <= line <= 5002
 
 
 def test_simulate_round_trips_through_ingest_check(tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_top_countries_matches_per_record_count(drawn, copies, k):
     cohorts = [cohort(articles, year=2000 + i) for i, articles in enumerate(drawn)]
     # cohorts sharing an earlier cohort's sets tuple, and equal tuples rebuilt
     shared = [cohorts[i % len(cohorts)] for i in copies]
-    cohorts += [c.with_citations("J2", 2000 + i, c.citations) for i, c in enumerate(shared)]
+    cohorts += [Cohort._trusted("J2", 2000 + i, c.citations, c.codes, c.sets) for i, c in enumerate(shared)]
     cohorts += [cohort(drawn[i % len(drawn)], journal="J3") for i in copies]
     tally = Counter()
     for c in cohorts:

@@ -340,14 +340,11 @@ csv_rows = st.lists(
 
 
 def ingest_outcome(ingest_fn, path, **kwargs):
-    """The cohorts and report, or the error: IngestError by its text and row
-    errors, a csv.Error by its type and text."""
+    """The cohorts and report, or the IngestError by its text and row errors."""
     try:
         return ingest_fn(path, **kwargs)
     except IngestError as exc:
         return str(exc), exc.row_errors
-    except csv.Error as exc:
-        return type(exc), str(exc)
 
 
 def assert_ingest_matches_oracle(rows, **kwargs):

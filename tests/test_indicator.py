@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mnlcs.errors import DegenerateField, InsufficientData
-from mnlcs.indicator import log_stats, log_stats_from_logs, mnlcs, segment_fsums
+from mnlcs.indicator import log_stats, log_stats_from_logs, mnlcs, segment_fsums, segment_moments
 
 
 def test_single_uncited_article():
@@ -131,6 +131,31 @@ def test_segment_fsums_equal_fsum_bit_for_bit(segments):
     for values in (logs, centred, centred * centred):
         want = [fsum(values[a:a + k].tolist()) for a, k in zip(starts, lengths)]
         np.testing.assert_array_equal(bits(segment_fsums(values, starts)), bits(want))
+
+
+def fsum_moments(logs: list[float]) -> tuple[float, float]:
+    """Mean and SE of ln(1+c) values from math.fsum and Python floats; SE NaN at n == 1."""
+    n = len(logs)
+    mean = fsum(logs) / n
+    if n == 1:
+        return mean, math.nan
+    return mean, math.sqrt(fsum((x - mean) * (x - mean) for x in logs) / (n - 1) / n)
+
+
+@given(st.lists(segment, min_size=1, max_size=6))
+@example([[0]])
+@example([[2**63 - 1], [2**63 - 1] * 3, [2**63 - 2, 2**63 - 1]])
+@example([[3] * 40, [0, 5, 35]])
+def test_moments_are_the_fsum_mean_and_se_bit_for_bit(segments):
+    logs = [np.log1p(np.array(s, dtype=np.float64)) for s in segments]
+    want = np.array([fsum_moments(x.tolist()) for x in logs]).T
+    got = segment_moments(np.concatenate(logs), np.array([len(s) for s in segments]))
+    # any NaN (se at n == 1) as one NaN: 0 / 0 in numpy sets the sign bit
+    np.testing.assert_array_equal(*(bits(np.where(np.isnan(a), math.nan, a)) for a in (got, want)))
+    for x, (mean, se) in zip(logs, want.T.tolist()):  # the scalar path: one segment
+        stats = log_stats_from_logs(x)
+        assert (stats.n, bits(stats.mean)) == (len(x), bits(mean))
+        assert stats.se is None if len(x) == 1 else bits(stats.se) == bits(se)
 
 
 def test_segment_fsums_hand_a_remainder_to_fsum(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -235,20 +237,24 @@ def test_cohort_validates_columns():
     assert Cohort("J1", 2000, [1], [0], (frozenset(), frozenset({"us"}))).sets == (frozenset(),)
 
 
-def test_with_citations_shares_the_labels_and_checks_the_rest(simple_cohort):
-    citations = np.arange(simple_cohort.size)
-    other = simple_cohort.with_citations("J2", 2001, citations)
-    citations[0] = 99  # the cohort holds its own read-only copy
-    assert other.codes is simple_cohort.codes and other.sets is simple_cohort.sets
-    assert other == Cohort("J2", 2001, np.arange(8), simple_cohort.codes, simple_cohort.sets)
-    with pytest.raises(ValueError):
-        other.citations[0] = 1
-    with pytest.raises(NegativeCitations):
-        simple_cohort.with_citations("J2", 2001, [-1] + [0] * 7)
-    with pytest.raises(ValidationError):
-        simple_cohort.with_citations("J,2", 2001, np.arange(8))
-    with pytest.raises(ValidationError):
-        simple_cohort.with_citations("J2", 2001, [1, 2])
+def test_generated_cohorts_share_one_read_only_label_column():
+    spec = ScenarioSpec(
+        n_journals=2, year_start=2000, year_end=2002, field_size_per_year=30,
+        groups=(GroupSpec("AA", 0.3, 1.0, 1.0), GroupSpec("BB", 0.2, 1.0, 1.0)),
+        collab_fraction=0.5, rng_seed=4,
+    )
+    cohorts = generate(spec)
+    first = cohorts[0]
+    assert first.sets == tuple(map(frozenset, ((), ("AA",), ("AA", "ZZ"), ("BB",), ("BB", "ZZ"))))
+    for c in cohorts:
+        assert c.codes is first.codes and c.sets is first.sets
+        assert c == Cohort(c.journal_id, c.year, c.citations.tolist(), c.codes.tolist(), list(c.sets))
+        for column in (c.citations, c.codes):
+            with pytest.raises(ValueError):
+                column[0] = 1
+    # the labels are checked as the constructor checks them
+    with pytest.raises(MalformedCountry):
+        generate(replace(spec, collab_partner="zz"))
 
 
 # sets tuples drawn from a few small sets, so equal sets repeat in any order
@@ -262,10 +268,9 @@ set_tuples = st.lists(
 def test_canonical_sets_match_per_cohort_oracle(sets, data):
     codes = np.array(data.draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=8)))
     want_codes, want_sets = canonical_sets_oracle(codes, sets)
-    for _ in range(2):  # the second call finds the set order cached
-        got_codes, got_sets = model._canonical_codes(sets)(codes)
-        np.testing.assert_array_equal(got_codes, want_codes)
-        assert got_sets == want_sets
+    got_codes, got_sets = model._canonical_codes(sets)(codes)
+    np.testing.assert_array_equal(got_codes, want_codes)
+    assert got_sets == want_sets
 
 
 def test_cohorts_sharing_sets_check_only_the_sets_they_use():

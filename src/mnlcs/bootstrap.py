@@ -40,13 +40,13 @@ squares do not cancel when citation counts are large and close together.
 Each draw call writes its rows into buffers of BATCH rows shared by
 consecutive cohorts. The decision tail runs once per full buffer on a
 targets-major copy, [values, rows], so every elementwise loop runs over the
-rows; each cohort's cited and member totals, centre and n // 2 - 1 (for the
-t index) are kept once and gathered by row owner. One fieller_interval
-call, the code every indicator cell goes through, and t from one
-fieller.t_memo read per call decide the batch. Every value is the one a
-cohort on its own would give: the products' row slices are set by the draw
-call alone and everything after them works element by element. lag0_batch
-returns [cohorts, targets] counts.
+rows; each cohort's cited and member totals and centre are kept once and
+gathered by row owner. One fieller_interval call, the code every indicator
+cell goes through, decides the batch, with t read from fieller.t_memo on
+n_g + n_a - 2 df (half A's group and article counts), the cells' rule.
+Every value is the one a cohort on its own would give: the products' row
+slices are set by the draw call alone and everything after them works
+element by element. lag0_batch returns [cohorts, targets] counts.
 """
 
 from __future__ import annotations
@@ -169,15 +169,9 @@ def replicate_decisions(
     """
     targets = tuple(targets)
     k = len(targets) + 1
-    # half A's t on n_g + n_a - 2 df at index n_g + n_a - 1, n_g of its n_a = n // 2
-    # articles in the group; counts under 2 are never valid, so their t stays 0
-    halves = [c.size // 2 for c in cohorts if c.size > 1] or [1]
-    t_at = np.zeros(2 * max(halves))
-    t_at[min(halves) + 1:] = t_memo(np.arange(min(halves), 2 * max(halves) - 1), settings.alpha)
     # per cohort, gathered by owner once per batch: its cited and member
-    # counts [2 x (targets + 1), cohorts], its centre and n // 2 - 1
+    # counts [2 x (targets + 1), cohorts] and its centre
     totals, centres = np.zeros((2 * k, len(cohorts))), np.zeros(len(cohorts))
-    constants = totals, centres, np.array([c.size // 2 - 1 for c in cohorts], dtype=np.intp), t_at
     size = max(BATCH, ROWS)
     sums_a, sums_b = np.empty((size, 4 * k)), np.empty((size, k))
     owner = np.empty(size, dtype=np.intp)
@@ -189,7 +183,7 @@ def replicate_decisions(
             totals[:, i], centres[i] = (sizes.astype(np.float64) @ table)[2 * k:], centre
             for drawn in half_a_counts(cohort, sizes, replicates, rng_seed):
                 if filled + len(drawn) > size:
-                    yield _decide(owner[:filled].copy(), sums_a, sums_b, constants, settings)
+                    yield _decide(owner[:filled].copy(), sums_a, sums_b, totals, centres, settings)
                     filled = 0
                 for lo in range(0, len(drawn), PRODUCT_ROWS):
                     part = drawn[lo:lo + PRODUCT_ROWS]
@@ -201,17 +195,16 @@ def replicate_decisions(
                 owner[filled:filled + len(drawn)] = i
                 filled += len(drawn)
     if filled:
-        yield _decide(owner[:filled].copy(), sums_a, sums_b, constants, settings)
+        yield _decide(owner[:filled].copy(), sums_a, sums_b, totals, centres, settings)
 
 
-def _decide(owner, sums_a, sums_b, constants, settings):
+def _decide(owner, sums_a, sums_b, totals, centres, settings):
     """(owner, valid, inside) of a batch: the first len(owner) rows of the
     buffers, copied targets-major so every elementwise loop runs over the
     rows, then transposed back to bool [rows, targets]."""
-    rows, (totals, centres, half, t_at) = len(owner), constants
     # each [targets + 1, rows]; half B needs only its means and counts
-    sums, squares, cited, counts = np.split(sums_a[:rows].T.copy(), 4)
-    sums_b = sums_b[:rows].T.copy()
+    sums, squares, cited, counts = np.split(sums_a[:len(owner)].T.copy(), 4)
+    sums_b = sums_b[:len(owner)].T.copy()
     cited_b, counts_b = np.split(totals[:, owner], 2)
     cited_b, counts_b = cited_b - cited, counts_b - counts
     centre = centres[owner]
@@ -224,7 +217,8 @@ def _decide(owner, sums_a, sums_b, constants, settings):
         mean_b = np.where(cited_b > 0.0, centre + sums_b / counts_b, 0.0)
         value_b = mean_b[1:] / mean_b[:1]
     field_a, counts_a = mean[:1], counts[1:]
-    t = t_at[counts_a.astype(np.intp) + half[owner]]
+    # t on n_g + n_a - 2 df as for a cell, n_a the field's count (exact floats)
+    t = t_memo(np.maximum(counts_a + counts[:1] - 2.0, 1.0), settings.alpha)
     _, low, high, h, _ = fieller_interval(mean[1:], se[1:], field_a, se[:1], t, settings.form)
     valid = (field_a > 0.0) & (mean_b[:1] > 0.0) & (counts_a >= settings.min_group_n)
     valid &= (counts_b[1:] >= 1.0) & (h < 1.0)

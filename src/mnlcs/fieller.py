@@ -22,8 +22,8 @@ arrays: the split-half engine calls it on [replicates, targets] arrays and
 the rules for enough data, the degrees of freedom and a degenerate field.
 ``estimate`` is ``interval_columns`` on one pair and alone builds an
 ``MnlcsEstimate``; a run's cells stay arrays (``stability.CellGrid``). All
-of them take t from ``t_memo``, a process-wide memo keyed by (alpha, whole
-df) that computes the df it has not seen in one ``t_quantile`` call. A
+of them read t by df from ``t_memo``, one table per alpha of t on every
+whole df up to the largest asked, grown in one ``t_quantile`` call. A
 status code indexes ``STATUSES``, and ``STATUS_TEXT``, the one table of
 status texts in the outputs, holds "missing" at -1, where there is no cell.
 
@@ -193,19 +193,20 @@ def t_quantile(df, alpha: float = 0.025):
     return float(t) if t.ndim == 0 else t
 
 
-_T_MEMO: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # alpha -> (df in order, t on each)
+_T_MEMO: dict[float, np.ndarray] = {}  # alpha -> t on df 1, 2, ... at index df (0 is NaN)
 
 
 def t_memo(df, alpha: float) -> np.ndarray:
-    """``t_quantile`` on an array of whole df, from the memo: the df not seen
-    at this alpha are computed in one call, and only df asked for are kept."""
+    """``t_quantile`` on an array of whole df >= 1, read from the table at
+    this alpha; a df past its end grows it to that df in one call."""
     df = np.asarray(df, dtype=np.int64)
-    known, t = _T_MEMO.get(alpha, (np.empty(0, np.int64), np.empty(0)))
-    new = np.array(sorted(set(df.ravel().tolist()).difference(known.tolist())), dtype=np.int64)
-    if new.size:
-        i = np.searchsorted(known, new)
-        known, t = _T_MEMO[alpha] = np.insert(known, i, new), np.insert(t, i, t_quantile(new, alpha))
-    return t[np.searchsorted(known, df)]
+    if df.min(initial=1) < 1:
+        raise DomainError(f"degrees of freedom must be > 0, got {df}")
+    table = _T_MEMO.get(alpha, np.full(1, np.nan))
+    if df.max(initial=0) >= len(table):
+        grown = t_quantile(np.arange(len(table), df.max() + 1), alpha)
+        table = _T_MEMO[alpha] = np.concatenate((table, grown))
+    return table[df]
 
 
 def _t_values(df, alpha: float):

@@ -34,8 +34,10 @@ def segment_fsums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     segment whose remainders are all zero after two passes sums exactly to
     the two pass totals, and their one addition rounds that correctly, as
     fsum does. The rare segment with a remainder left, or of 2**26 values or
-    more, takes math.fsum itself.
+    more, takes math.fsum itself, and so does a call with one segment.
     """
+    if len(starts) == 1:
+        return np.array([math.fsum(values.tolist())])
     lengths = np.diff(starts, append=len(values))
     _, length_exp = np.frexp(lengths)
     r, total = values.copy(), np.zeros(len(starts))

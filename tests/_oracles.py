@@ -2,27 +2,27 @@
 
 These deliberately avoid the code paths they are used to check: the t
 quantile comes from quadrature of the density plus bisection (the library
-uses scipy's inverse CDF), the discretised-lognormal expectation comes
-from direct series summation against the normal CDF, and split-half
+takes t from ``fieller.t_quantile``, Newton steps on a series for the tail
+in numpy and the standard library), the discretised-lognormal expectation
+comes from direct series summation against the normal CDF, and split-half
 decisions and cells are rebuilt one at a time through a scalar Fieller
 interval written with math.sqrt (only the per-bin counts of each split are
 drawn by the engine; the bins and the records each count picks are rebuilt
 record by record), each mean and SE of ln(1+c) comes from math.fsum over
 Python floats (``log_stats_oracle``), not from the library's segmented
-sums, group membership and cells are decided record by record,
-not through the library's membership matrix, CSV ingest and writing go
-through one CitationRecord per row, not through columns, coverage curves
-and series look up one cell per (journal, year) pair in a dict, not in the
-library's cell grid, cells.csv is sorted and written one ``CellRow`` (this
-module's own cell record) at a time, not from the grid's arrays,
-series.csv, exclusions.csv, curves.csv and curves_<scheme>.csv are
-written a row at a time through csv.writer and ``fmt``, and manifest.json
-through json and hashlib, not through the library's writers, a cohort's
-canonical sets are ranked from its used sets alone, not from the order
-of its whole sets tuple, and synthetic cohorts are drawn
-one group at a time, each from its own ``stream`` (numpy's SeedSequence),
-not from one batch of streams. ``oracle_bundle`` composes these stages into
-the whole bundle of a run.
+sums, group membership and cells are decided record by record, not through
+the library's membership matrix, CSV ingest and writing go through one
+CitationRecord per row, not through columns, coverage curves and series
+look up one cell per (journal, year) pair in a dict, not in the library's
+cell grid, cells.csv is sorted and written one ``CellRow`` (this module's
+own cell record) at a time, not from the grid's arrays, series.csv,
+exclusions.csv, curves.csv and curves_<scheme>.csv are written a row at a
+time through csv.writer and ``fmt``, and manifest.json through json and
+hashlib, not through the library's writers, a cohort's canonical sets are
+ranked from its used sets alone, not from the order of its whole sets
+tuple, and synthetic cohorts are drawn one group at a time, each from its
+own ``stream`` (numpy's SeedSequence), not from one batch of streams.
+``oracle_bundle`` composes these stages into the whole bundle of a run.
 """
 
 import csv

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from collections import namedtuple
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from _oracles import estimate_oracle, fieller_oracle, t_upper_quantile
 from mnlcs import fieller
@@ -131,7 +132,26 @@ def test_t_memo_matches_t_quantile(monkeypatch, alpha):
     np.testing.assert_array_equal(fieller.t_memo(some, alpha), want[some - 1])
     np.testing.assert_array_equal(fieller.t_memo(df[::-1], alpha), want[::-1])
     np.testing.assert_array_equal(fieller.t_memo(df, alpha), want)
-    assert fieller._T_MEMO[alpha][0].tolist() == df.tolist()
+    np.testing.assert_array_equal(fieller._T_MEMO[alpha][1:], want)
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.025, 0.3]),
+       st.lists(st.lists(st.integers(1, 5000), max_size=40), min_size=1, max_size=5),
+       st.integers(-3, 0))
+def test_t_memo_table_equals_t_quantile_on_any_batches(alpha, batches, bad_df):
+    # whatever order the table grows in, each df reads t_quantile's bits
+    with mock.patch.object(fieller, "_T_MEMO", {}):
+        for batch in batches:
+            df = np.array(batch, dtype=np.int64)
+            got = fieller.t_memo(df, alpha)
+            assert got.shape == df.shape
+            if df.size:
+                np.testing.assert_array_equal(got, t_quantile(df, alpha))
+            table = fieller._T_MEMO.get(alpha)
+            with pytest.raises(DomainError):
+                fieller.t_memo(np.append(df, bad_df), alpha)
+            assert fieller._T_MEMO.get(alpha) is table
 
 
 Interval = namedtuple("Interval", "value low high h se")
